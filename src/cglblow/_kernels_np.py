@@ -1,33 +1,55 @@
-"""Pure-numpy fallback for the stepping kernels.
+"""Stepping kernels: factor-once banded solves and the IMEX right side.
 
-Mirrors the compiled module's API; the banded solves go through scipy's
-LAPACK wrappers (refactored each call), the RHS through array slicing.
+The implicit matrix is constant, so it is LU-factored once with LAPACK's
+pivoted banded routines (``zgttrf`` for the tridiagonal 2nd-order operator,
+``zgbtrf`` for the pentadiagonal 4th-order one) and every step only runs
+the matching back-substitution.  Bands are given in the diagonal-ordered
+layout of ``scipy.linalg.solve_banded``: entry (i, j) at row nb + i - j.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
 
-def tri_factor(dl, dg, du):
-    ab = np.zeros((3, len(dg)), dtype=np.complex128)
-    ab[0, 1:] = du[:-1]
-    ab[1, :] = dg
-    ab[2, :-1] = dl[1:]
-    return ab
+def _check(routine: str, info: int):
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{routine}: zero pivot at row {info}; the implicit matrix is singular"
+        )
+    if info < 0:
+        raise ValueError(f"{routine}: argument {-info} is invalid")
+
+
+def tri_factor(bands):
+    """LU factors of a tridiagonal matrix given as (3, n) bands."""
+    *fact, info = lapack.zgttrf(bands[2, :-1], bands[1], bands[0, 1:])
+    _check("zgttrf", info)
+    return tuple(fact)
 
 
 def tri_solve_factored(fact, rhs):
-    return solve_banded((1, 1), fact, rhs)
+    x, info = lapack.zgttrs(*fact, rhs)
+    _check("zgttrs", info)
+    return x
 
 
 def penta_factor(bands):
-    return np.asarray(bands, dtype=np.complex128)
+    """LU factors of a pentadiagonal matrix given as (5, n) bands."""
+    # zgbtrf needs kl = 2 extra rows on top for the fill-in of pivoting
+    ab = np.zeros((7, bands.shape[1]), dtype=np.complex128)
+    ab[2:] = bands
+    lu, ipiv, info = lapack.zgbtrf(ab, 2, 2, overwrite_ab=True)
+    _check("zgbtrf", info)
+    return lu, ipiv
 
 
 def penta_solve_factored(fact, rhs):
-    return solve_banded((2, 2), fact, rhs)
+    lu, ipiv = fact
+    x, info = lapack.zgbtrs(lu, 2, 2, rhs, ipiv)
+    _check("zgbtrs", info)
+    return x
 
 
 def cn_rhs(w, prev, y, h, p, delta, beta, half_ds, c_new, c_old, order,
@@ -62,24 +84,3 @@ def cn_rhs(w, prev, y, h, p, delta, beta, half_ds, c_new, c_old, order,
     rhs[0] = w[0]
     rhs[-1] = w[-1]
     return rhs, react
-
-
-def drift_reaction_rhs(w, y, h, p, delta, order, reaction, drift=True):
-    n = len(w)
-    out = np.zeros(n, dtype=np.complex128)
-    if not drift:
-        pass
-    elif order == 4 and n >= 5:
-        out[2:-2] = -0.5 * y[2:-2] * (
-            (w[:-4] - 8.0 * w[1:-3] + 8.0 * w[3:-1] - w[4:]) / (12.0 * h)
-        )
-        out[1] = -0.5 * y[1] * (w[2] - w[0]) / (2.0 * h)
-        out[-2] = -0.5 * y[-2] * (w[-1] - w[-3]) / (2.0 * h)
-    else:
-        out[1:-1] = -0.5 * y[1:-1] * (w[2:] - w[:-2]) / (2.0 * h)
-    if reaction:
-        cd = 1.0 + 1j * delta
-        mod2 = w.real**2 + w.imag**2
-        inner = cd * (mod2 ** ((p - 1.0) / 2.0) - 1.0 / (p - 1.0)) * w
-        out[1:-1] += inner[1:-1]
-    return out

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -229,10 +230,8 @@ def cmd_profile(cfg, args) -> int:
 def _sim_config(cfg):
     from .simulate import SimConfig
 
-    pm = _params_for(cfg)
-    pm = pm.with_mu(mu_critical(pm).mu)
-    return SimConfig(
-        params=pm,
+    sc = SimConfig(
+        params=_params_for(cfg),
         L=float(cfg["grid.L"]),
         N=int(cfg["grid.N"]),
         ds=float(cfg["ds"]),
@@ -243,6 +242,8 @@ def _sim_config(cfg):
         M_track=int(cfg["M_track"]),
         scheme=cfg["scheme"],
     )
+    sc.validate()  # before the costly mu
+    return replace(sc, params=sc.params.with_mu(mu_critical(sc.params).mu))
 
 
 def cmd_simulate(cfg, args) -> int:
@@ -291,13 +292,14 @@ def cmd_simulate(cfg, args) -> int:
 
 
 def cmd_shoot(cfg, args) -> int:
-    from .shooting import exit_sign_pattern, shoot
+    from .shooting import exit_sign_pattern, shoot, worker_count
 
+    workers = worker_count(args.workers)
     sc = _sim_config(cfg)
     res = shoot(
         sc, grid_n=args.grid_n, refine=not args.no_refine,
         probe_N=args.probe_N, probe_ds=args.probe_ds,
-        workers=args.workers,
+        workers=workers,
     )
     payload = {
         "version": __version__,
@@ -353,7 +355,8 @@ def main(argv=None) -> int:
     ap.add_argument("--probe-ds", type=float, default=None,
                     help="shoot: cheaper probe step")
     ap.add_argument("--workers", type=int, default=None,
-                    help="shoot: worker count (default CGLBLOW_WORKERS)")
+                    help="shoot: worker count >= 1 (default CGLBLOW_WORKERS, "
+                         "else min(CPU count, 8))")
     ap.add_argument("--s0-study", action="store_true",
                     help="shoot: record bound-ratio scaling over s0 in {50,100,200}")
     args = ap.parse_args(argv)

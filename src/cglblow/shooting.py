@@ -11,8 +11,9 @@ sign quadrants of the map is then bisected on the quadrant pattern, and
 the pair with the latest exit wins.
 
 Probes are independent runs over immutable tables, so they fan out over a
-process pool; the pool size comes from CGLBLOW_WORKERS (default: cpu
-count, capped at 8).
+process pool; the pool size is the ``workers`` argument, else
+CGLBLOW_WORKERS, else the CPU count capped at 8.  A count below 1 is an
+error.
 """
 
 from __future__ import annotations
@@ -74,11 +75,21 @@ def _run_probe(args):
     )
 
 
-def _worker_count() -> int:
-    env = os.environ.get("CGLBLOW_WORKERS", "").strip()
-    if env:
-        return max(1, int(env))
-    return min(os.cpu_count() or 1, 8)
+def worker_count(workers: Optional[int] = None) -> int:
+    """The pool size: ``workers``, else CGLBLOW_WORKERS, else min(CPUs, 8)."""
+    if workers is None:
+        env = os.environ.get("CGLBLOW_WORKERS", "").strip()
+        if not env:
+            return min(os.cpu_count() or 1, 8)
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ValueError(
+                f"CGLBLOW_WORKERS must be an integer >= 1, got {env!r}"
+            ) from None
+    if workers < 1:
+        raise ValueError(f"worker count must be >= 1, got {workers}")
+    return workers
 
 
 def _scan(cfg: SimConfig, pairs, workers: int) -> list:
@@ -119,10 +130,13 @@ def shoot(config: SimConfig, grid_n: int = 8, refine: bool = True,
     configuration (recorded in the metadata); the returned best pair should
     be re-run at full resolution by the caller.
     """
-    cfg = config
-    if probe_N is not None or probe_ds is not None:
-        cfg = replace(config, N=probe_N or config.N, ds=probe_ds or config.ds)
-    nworkers = workers if workers is not None else _worker_count()
+    nworkers = worker_count(workers)
+    cfg = replace(
+        config,
+        N=config.N if probe_N is None else probe_N,
+        ds=config.ds if probe_ds is None else probe_ds,
+    )
+    cfg.validate()
     vals = np.linspace(-2.0, 2.0, grid_n)
     pairs = [(float(a), float(b)) for a in vals for b in vals]
     probes = _scan(cfg, pairs, nworkers)

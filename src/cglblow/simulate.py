@@ -27,7 +27,7 @@ from .profilefield import (
     phi,
 )
 from .spectral import build_basis, rho_weight
-from .stepping import BACKEND_NAME, Stepper
+from .stepping import Stepper
 
 
 @dataclass
@@ -50,8 +50,21 @@ class SimConfig:
     init_order: str = "first"
 
     def validate(self):
-        if self.ds > 1e-3:
-            raise ValueError("ds must be <= 1e-3")
+        if not 0.0 < self.ds <= 1e-3:
+            raise ValueError(f"ds must be in (0, 1e-3], got {self.ds}")
+        if not (self.s_end - self.s0) / self.ds > 0.5:  # run takes round() steps
+            raise ValueError(
+                f"[s0, s_end] = [{self.s0}, {self.s_end}] holds no step of "
+                f"ds = {self.ds}"
+            )
+        if self.space_order not in (2, 4):
+            raise ValueError("space_order must be 2 or 4")
+        n_min = 5 if self.space_order == 4 else 3
+        if self.N < n_min:
+            raise ValueError(
+                f"N = {self.N} is below the {n_min}-point stencil of "
+                f"space_order {self.space_order}"
+            )
         if self.L < 2 * self.K * self.s_end**0.25 + 10:
             raise ValueError("L must cover the cutoff support plus margin")
         if self.M_track < 6 or self.M_track % 2:
@@ -300,7 +313,6 @@ class Simulator:
             exit_component=exit_component,
         )
         meta = {
-            "backend": BACKEND_NAME,
             "scheme": cfg.scheme,
             "space_order": cfg.space_order,
             "M_track": cfg.M_track,

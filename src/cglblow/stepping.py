@@ -1,4 +1,4 @@
-"""IMEX time stepping for the self-similar flow, with selectable backend.
+"""IMEX time stepping for the self-similar flow.
 
 The full linear part (1+i beta) d2/dy2 - (y/2) d/dy is treated implicitly
 (backward Euler for the first-order scheme, Crank-Nicolson for the
@@ -8,53 +8,15 @@ two-step Adams-Bashforth).  Boundary values are pinned (Dirichlet).
 Keeping the drift implicit matters: at the production grid the advective
 Courant number sits right at 1, where explicit central drift under AB2 is
 unstable (AB2 has no imaginary-axis stability).  The drift coefficients do
-not depend on s, so the banded matrix is still factored exactly once.
-
-The banded solves and the fused explicit RHS live in a compiled extension
-when it is importable; a numpy/scipy fallback with the same API is used
-otherwise.  Set CGLBLOW_BACKEND=python or =compiled to force a choice.
+not depend on s, so the banded matrix is LU-factored exactly once, in
+``Stepper.__init__``; the kernels live in :mod:`cglblow._kernels_np`.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-def _select_backend():
-    choice = os.environ.get("CGLBLOW_BACKEND", "").strip().lower()
-    if choice not in ("", "compiled", "python"):
-        raise ValueError(f"CGLBLOW_BACKEND must be 'compiled' or 'python', got {choice!r}")
-    if choice != "python":
-        try:
-            from . import _kernels as K
-
-            return K, "compiled"
-        except ImportError:
-            if choice == "compiled":
-                raise
-    from . import _kernels_np as K
-
-    return K, "python"
-
-
-KERNELS, BACKEND_NAME = _select_backend()
-
-
-def get_backend(name: str = None):
-    """The kernel module for an explicit backend name (for benchmarks)."""
-    if name in (None, BACKEND_NAME):
-        return KERNELS
-    if name == "python":
-        from . import _kernels_np as K
-
-        return K
-    if name == "compiled":
-        from . import _kernels as K
-
-        return K
-    raise ValueError(f"unknown backend {name!r}")
+from . import _kernels_np as KERNELS
 
 
 class Stepper:
@@ -69,7 +31,7 @@ class Stepper:
 
     def __init__(self, y: np.ndarray, ds: float, beta: float, p: float,
                  delta: float, scheme: str = "imex1", space_order: int = 2,
-                 reaction: bool = True, backend=None):
+                 reaction: bool = True):
         if scheme not in ("imex1", "imex2"):
             raise ValueError(f"unknown scheme {scheme!r}")
         if space_order not in (2, 4):
@@ -83,99 +45,54 @@ class Stepper:
         self.scheme = scheme
         self.space_order = space_order
         self.reaction = reaction
-        self.K = backend if backend is not None else KERNELS
         self._prev_rhs = None
         self._zero = np.zeros(len(self.y), dtype=np.complex128)
-        self._build_matrices()
+        bands = self._bands()
+        if space_order == 2:
+            self._fact = KERNELS.tri_factor(bands)
+            self._solve = KERNELS.tri_solve_factored
+        else:
+            self._fact = KERNELS.penta_factor(bands)
+            self._solve = KERNELS.penta_solve_factored
 
     # -- implicit operator ---------------------------------------------------
 
-    def _linear_rows(self):
-        """Row entries of L_h = (1+i beta) D2 - (y/2) D1 as offset -> value."""
-        n = len(self.y)
-        cb = 1.0 + 1j * self.beta
-        h, h2 = self.h, self.h**2
-        rows = []
-        for i in range(n):
-            if i in (0, n - 1):
-                rows.append({})
-                continue
-            v = 0.5 * self.y[i]
-            if self.space_order == 4 and 2 <= i <= n - 3:
-                e = {
-                    -2: -cb / (12 * h2) - v / (12 * h),
-                    -1: 16 * cb / (12 * h2) + v * 8 / (12 * h),
-                    0: -30 * cb / (12 * h2),
-                    1: 16 * cb / (12 * h2) - v * 8 / (12 * h),
-                    2: -cb / (12 * h2) + v / (12 * h),
-                }
-            else:
-                e = {
-                    -1: cb / h2 + v / (2 * h),
-                    0: -2 * cb / h2,
-                    1: cb / h2 - v / (2 * h),
-                }
-            rows.append(e)
-        return rows
+    def _bands(self) -> np.ndarray:
+        """I - wgt L_h in diagonal-ordered form (entry (i, j) at row nb + i - j).
 
-    def _build_matrices(self):
-        n = len(self.y)
-        # implicit weight: full step for imex1, half step for CN
+        L_h = (1+i beta) D2 - (y/2) D1 on the interior rows; the boundary
+        rows are identity rows (Dirichlet pins).  wgt is the full step for
+        imex1 and the half step for Crank-Nicolson.
+        """
+        n, nb = len(self.y), self.space_order // 2
         wgt = self.ds if self.scheme == "imex1" else 0.5 * self.ds
-        self._rows = self._linear_rows()
-        nb = 1 if self.space_order == 2 else 2
-        bands = np.zeros((2 * nb + 1, n), dtype=np.complex128)
-        for i in range(n):
-            if i in (0, n - 1):
-                bands[nb, i] = 1.0
-                continue
-            bands[nb, i] = 1.0 - wgt * self._rows[i].get(0, 0.0)
-            for off, v in self._rows[i].items():
-                if off:
-                    bands[nb + i - (i + off), i + off] = -wgt * v
-        if self.space_order == 2:
-            # row-wise vectors: dl[i] = a[i,i-1], dg[i] = a[i,i], du[i] = a[i,i+1]
-            dl = np.zeros(n, dtype=np.complex128)
-            dg = bands[1].copy()
-            du = np.zeros(n, dtype=np.complex128)
-            du[:-1] = bands[0, 1:]
-            dl[1:] = bands[2, :-1]
-            self._fact = self.K.tri_factor(dl, dg, du)
-            self._solve = self.K.tri_solve_factored
-        else:
-            self._fact = self.K.penta_factor(bands)
-            self._solve = self.K.penta_solve_factored
-        self._cn = self.scheme == "imex2"
-
-    def apply_linear(self, w: np.ndarray) -> np.ndarray:
-        """L_h w with zero boundary rows (diagnostic; the step fuses this)."""
-        out = np.zeros_like(w, dtype=np.complex128)
-        n = len(w)
         cb = 1.0 + 1j * self.beta
         h, h2 = self.h, self.h**2
-        if self.space_order == 2:
-            out[1:-1] = cb * (w[:-2] - 2 * w[1:-1] + w[2:]) / h2 - 0.5 * self.y[
-                1:-1
-            ] * (w[2:] - w[:-2]) / (2 * h)
-        else:
-            out[2:-2] = cb * (
-                -w[:-4] + 16 * w[1:-3] - 30 * w[2:-2] + 16 * w[3:-1] - w[4:]
-            ) / (12 * h2) - 0.5 * self.y[2:-2] * (
-                w[:-4] - 8 * w[1:-3] + 8 * w[3:-1] - w[4:]
-            ) / (12 * h)
-            for i in (1, n - 2):
-                out[i] = cb * (w[i - 1] - 2 * w[i] + w[i + 1]) / h2 - 0.5 * self.y[
-                    i
-                ] * (w[i + 1] - w[i - 1]) / (2 * h)
-        return out
+        bands = np.zeros((2 * nb + 1, n), dtype=np.complex128)
 
-    def explicit_rhs(self, w: np.ndarray) -> np.ndarray:
-        if not self.reaction:
-            return np.zeros_like(w, dtype=np.complex128)
-        return self.K.drift_reaction_rhs(
-            np.ascontiguousarray(w, dtype=np.complex128), self.y, self.h,
-            self.p, self.delta, self.space_order, True, False,
-        )
+        def put(first, coef):
+            # coef[off]: entries (i, i + off) of L_h for rows first .. n-1-first
+            for off, c in coef.items():
+                bands[nb - off, first + off:n - first + off] = -wgt * c
+
+        v = 0.5 * self.y[1:-1]
+        put(1, {
+            -1: cb / h2 + v / (2 * h),
+            0: np.full(n - 2, -2 * cb / h2),
+            1: cb / h2 - v / (2 * h),
+        })
+        if self.space_order == 4:
+            v = v[1:-1]
+            put(2, {
+                -2: -cb / (12 * h2) - v / (12 * h),
+                -1: 16 * cb / (12 * h2) + v * 8 / (12 * h),
+                0: np.full(n - 4, -30 * cb / (12 * h2)),
+                1: 16 * cb / (12 * h2) - v * 8 / (12 * h),
+                2: -cb / (12 * h2) + v / (12 * h),
+            })
+        bands[nb, 1:-1] += 1.0
+        bands[nb, [0, -1]] = 1.0
+        return bands
 
     # -- stepping ------------------------------------------------------------
 
@@ -194,7 +111,7 @@ class Stepper:
         else:
             half_ds, c_new, c_old = 0.5 * self.ds, 1.5 * self.ds, -0.5 * self.ds
             prev = self._prev_rhs
-        rhs, react = self.K.cn_rhs(
+        rhs, react = KERNELS.cn_rhs(
             w, prev, self.y, self.h, self.p, self.delta, self.beta,
             half_ds, c_new, c_old, self.space_order, self.reaction,
         )

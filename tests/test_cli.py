@@ -40,6 +40,35 @@ class TestExitCodes:
         path = write_cfg(tmp_path, "nope = 1\n")
         assert main(["constants", "--config", path]) == 2
 
+    @pytest.mark.parametrize("bad", [
+        "ds = 0", "ds = -1e-3", "s_end = 100", "s_end = 99",
+        "s_end = 100.0001", "s_end = inf", "grid.N = 2",
+    ])
+    def test_bad_step_config_is_2(self, tmp_path, capsys, bad):
+        path = write_cfg(tmp_path, f"{bad}\noutput.dir = {tmp_path / 'o'}\n")
+        assert main(["simulate", "--config", path]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-2", "abc"])
+    @pytest.mark.parametrize("source", ["env", "flag"])
+    def test_bad_worker_count_is_2(self, tmp_path, monkeypatch, source, value):
+        path = write_cfg(
+            tmp_path,
+            f"grid.N = 64\ns_end = 100.001\noutput.dir = {tmp_path / 'o'}\n",
+        )
+        argv = ["shoot", "--config", path, "--grid-n", "2", "--no-refine"]
+        if source == "env":
+            monkeypatch.setenv("CGLBLOW_WORKERS", value)
+        else:
+            argv += ["--workers", value]
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects a non-integer flag
+            rc = exc.code
+        assert rc == 2
+        assert not (tmp_path / "o").exists()
+
 
 @pytest.fixture(scope="module")
 def cfgfile(tmp_path_factory):
@@ -126,3 +155,15 @@ class TestFailurePaths:
             tmp_path, f"p = 3\ndelta = 1\noutput.dir = {tmp_path / 'o'}\n"
         )
         assert main(["verify", "--config", path]) == 4
+
+
+def test_console_scripts_resolve():
+    import importlib
+
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), name

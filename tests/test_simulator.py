@@ -12,7 +12,7 @@ from cglblow.simulate import (
     final_profile,
     linear_eigenmode_error,
 )
-from cglblow.stepping import Stepper, get_backend
+from cglblow.stepping import KERNELS, Stepper
 from cglblow.spectral import hermite_f
 
 
@@ -58,26 +58,63 @@ class TestStepper:
             out = stp.propagate_linear(w)
             assert np.max(np.abs(out)) <= np.max(np.abs(w)) * (1.0 + 1e-12)
 
-    def test_backends_agree(self):
+    @pytest.mark.parametrize("space_order", [2, 4])
+    @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
+    def test_factored_solve_matches_solve_banded(self, scheme, space_order):
+        from scipy.linalg import solve_banded
+
         y = np.linspace(-30, 30, 801)
         w0 = np.exp(-(y**2) / 4.0).astype(complex)
-        outs = {}
-        for name in ("python", "compiled"):
-            try:
-                K = get_backend(name)
-            except ImportError:
-                pytest.skip("compiled backend unavailable")
-            stp = Stepper(y, 1e-3, 0.5, 3.0, 1.0, scheme="imex2", backend=K)
-            w = w0.copy()
-            for _ in range(50):
-                w = stp.step(w, 0.0, 0.0)
-            outs[name] = w
-        assert np.max(np.abs(outs["python"] - outs["compiled"])) < 1e-12
+        stp = Stepper(y, 1e-3, 0.5, 3.0, 1.0, scheme=scheme,
+                      space_order=space_order)
+        ref = Stepper(y, 1e-3, 0.5, 3.0, 1.0, scheme=scheme,
+                      space_order=space_order)
+        nb, bands = space_order // 2, ref._bands()
+        ref._solve = lambda fact, rhs: solve_banded((nb, nb), bands, rhs)
+        w = w_ref = w0
+        for _ in range(50):
+            w = stp.step(w, 0.1, -0.2j)
+            w_ref = ref.step(w_ref, 0.1, -0.2j)
+        assert np.max(np.abs(w - w_ref)) < 1e-12
+
+    @pytest.mark.parametrize("space_order", [2, 4])
+    def test_bands_match_explicit_stencil(self, space_order):
+        # Crank-Nicolson: (I - ds/2 L) w + (I + ds/2 L) w = 2 w on the
+        # interior rows, with the implicit side read from the bands and the
+        # explicit side from cn_rhs
+        rng = np.random.default_rng(3)
+        y = np.linspace(-30, 30, 801)
+        w = rng.standard_normal(len(y)) + 1j * rng.standard_normal(len(y))
+        stp = Stepper(y, 1e-3, 0.5, 3.0, 1.0, scheme="imex2",
+                      space_order=space_order, reaction=False)
+        nb, bands = space_order // 2, stp._bands()
+        implicit = np.zeros_like(w)
+        for k in range(-nb, nb + 1):  # entries (i, i + k) sit at row nb - k
+            if k >= 0:
+                implicit[:len(w) - k] += bands[nb - k, k:] * w[k:]
+            else:
+                implicit[-k:] += bands[nb - k, :k] * w[:k]
+        explicit, _ = KERNELS.cn_rhs(w, 0 * w, y, stp.h, 3.0, 1.0, 0.5,
+                                     0.5e-3, 0.0, 0.0, space_order, False)
+        assert np.max(np.abs(implicit + explicit - 2 * w)[1:-1]) < 1e-12
+        assert np.array_equal(implicit[[0, -1]], w[[0, -1]])
+
+    @pytest.mark.parametrize("factor, rows", [
+        (KERNELS.tri_factor, 3), (KERNELS.penta_factor, 5),
+    ])
+    def test_singular_matrix_raises(self, factor, rows):
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            factor(np.zeros((rows, 8), dtype=np.complex128))
 
     def test_linear_eigen_decay(self):
         rel, _ = linear_eigenmode_error(2, 0.5, L=12.0, dy=0.02, ds=1e-3,
                                         s_end=1.0)
         assert rel < 1e-4
+
+
+def test_fourth_order_needs_five_points(pm):
+    with pytest.raises(ValueError, match="stencil"):
+        Simulator(small_config(pm, N=4, space_order=4))
 
 
 class TestSingleStep:
