@@ -52,35 +52,83 @@ def penta_solve_factored(fact, rhs):
     return x
 
 
+def _scale(z, r):
+    """z *= r in place for a complex array z and a real r = 1 / c.
+
+    numpy divides a complex number by the real c (as c + 0i, Smith's rule)
+    as (re * (1 / c), im * (1 / c)), so scaling the float64 view by 1 / c
+    gives the bits of ``z / c`` without the slow complex division loop.
+    """
+    v = z.view(np.float64)
+    v *= r
+
+
 def cn_rhs(w, prev, y, h, p, delta, beta, half_ds, c_new, c_old, order,
            reaction):
+    """Explicit side of one IMEX step and the reaction term it used.
+
+    The stencils are written in place (``out=``) with the roundings of the
+    expression form, e.g. ``cb * (w[:-2] - 2 * w[1:-1] + w[2:]) / h2 -
+    0.5 * y[1:-1] * (w[2:] - w[:-2]) / (2 * h)`` at 2nd order, in the same
+    order, so the result is bit-identical to it.
+    """
     n = len(w)
     cb = 1.0 + 1j * beta
-    lin = np.zeros(n, dtype=np.complex128)
+    lin = np.empty(n, dtype=np.complex128)
+    lin[0] = lin[-1] = 0.0
     h2 = h * h
     if order == 4 and n >= 5:
-        lin[2:-2] = cb * (
-            -w[:-4] + 16 * w[1:-3] - 30 * w[2:-2] + 16 * w[3:-1] - w[4:]
-        ) / (12 * h2) - 0.5 * y[2:-2] * (
-            w[:-4] - 8 * w[1:-3] + 8 * w[3:-1] - w[4:]
-        ) / (12 * h)
+        w0, w1, w2, w3, w4 = w[:-4], w[1:-3], w[2:-2], w[3:-1], w[4:]
+        diff = lin[2:-2]
+        tmp = np.empty(n - 4, dtype=np.complex128)
+        np.negative(w0, out=diff)
+        diff += np.multiply(16, w1, out=tmp)
+        diff -= np.multiply(30, w2, out=tmp)
+        diff += np.multiply(16, w3, out=tmp)
+        diff -= w4
+        np.multiply(cb, diff, out=diff)
+        _scale(diff, 1.0 / (12 * h2))
+        np.multiply(8, w1, out=tmp)
+        np.subtract(w0, tmp, out=tmp)
+        tmp += np.multiply(8, w3)
+        tmp -= w4
+        np.multiply(0.5 * y[2:-2], tmp, out=tmp)
+        _scale(tmp, 1.0 / (12 * h))
+        diff -= tmp
         for i in (1, n - 2):
             lin[i] = cb * (w[i - 1] - 2 * w[i] + w[i + 1]) / h2 - 0.5 * y[i] * (
                 w[i + 1] - w[i - 1]
             ) / (2 * h)
     else:
-        lin[1:-1] = cb * (w[:-2] - 2 * w[1:-1] + w[2:]) / h2 - 0.5 * y[1:-1] * (
-            w[2:] - w[:-2]
-        ) / (2 * h)
+        wl, wc, wr = w[:-2], w[1:-1], w[2:]
+        diff = lin[1:-1]
+        tmp = np.empty(n - 2, dtype=np.complex128)
+        np.multiply(2, wc, out=diff)
+        np.subtract(wl, diff, out=diff)
+        diff += wr
+        np.multiply(cb, diff, out=diff)
+        _scale(diff, 1.0 / h2)
+        np.subtract(wr, wl, out=tmp)
+        np.multiply(0.5 * y[1:-1], tmp, out=tmp)
+        _scale(tmp, 1.0 / (2 * h))
+        diff -= tmp
     react = np.zeros(n, dtype=np.complex128)
     if reaction:
         cd = 1.0 + 1j * delta
-        mod2 = w.real**2 + w.imag**2
+        mod2 = w.real**2
+        mod2 += w.imag**2
         pm1h = (p - 1.0) / 2.0
         pw = mod2 if pm1h == 1.0 else mod2**pm1h
-        inner = cd * (pw - 1.0 / (p - 1.0)) * w
-        react[1:-1] = inner[1:-1]
-    rhs = w + half_ds * lin + c_new * react + c_old * prev
+        pw -= 1.0 / (p - 1.0)
+        inner = react[1:-1]
+        np.multiply(cd, pw[1:-1], out=inner)
+        inner *= w[1:-1]
+    rhs = lin
+    rhs *= half_ds
+    rhs += w
+    term = np.empty(n, dtype=np.complex128)
+    rhs += np.multiply(c_new, react, out=term)
+    rhs += np.multiply(c_old, prev, out=term)
     rhs[0] = w[0]
     rhs[-1] = w[-1]
     return rhs, react

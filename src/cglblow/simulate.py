@@ -1,10 +1,15 @@
 """Self-similar-variables simulator with phase modulation and mode tracking.
 
 The integrated field is w(y, s) on a uniform grid; the tracked error is
-q = exp(-i(nu sqrt(s) + mu log s + theta(s))) w - phi.  After every step a
-Newton iteration updates theta(s) so the unit projection of q vanishes,
-then the mode coordinates, shrinking-set combinations and norms are
-recorded.
+q = exp(-i(nu sqrt(s) + mu log s + theta(s))) w - phi.  After every step
+theta(s) is reset so the unit-mode coordinate q_0 of q vanishes; q_0 is
+R-linear in exp(-i theta), so that condition reads a cos + b sin = g and is
+solved in closed form (or reported as having no root).  Then the mode
+coordinates, shrinking-set combinations and norms are recorded.
+
+Every projection is a fixed linear map built once per ``Simulator``: the
+trapezoid projector onto the f_n, the sampled h_n / ht_n for the
+reconstruction and the real matrix of the triangular change of coordinates.
 
 A single run is sequential; shooting probes fan out over a process pool in
 :mod:`cglblow.shooting`.
@@ -26,7 +31,7 @@ from .profilefield import (
     initial_data,
     phi,
 )
-from .spectral import build_basis, rho_weight
+from .spectral import build_basis
 from .stepping import Stepper
 
 
@@ -103,6 +108,43 @@ class RunResult:
     state: SimState
 
 
+def _shrink_bounds(A: float, M: int):
+    """The shrinking-set bounds num / s**pow, fixed for a run.
+
+    Returns the sorted component names, the index of each component's
+    measurement in the vector (|q_0..q_M|, |qt_0..qt_M|, |Qt0|, |Q2|,
+    |Qt2|, |Q4|, |Qt4|, qe_norm, qminus_norm) that ``diagnose`` builds, and
+    the numerators and powers of s of the bounds.
+    """
+    bounds = {
+        "q0": (1.0, 1.5),
+        "q1": (A**4, 1.5),
+        "qt1": (A, 1.5),
+        "q3": (A**3, 1.5),
+        "qt3": (A**3, 1.5),
+        "Q2": (A**8, 1.75),
+        "Qt2": (A**10, 1.25),
+        "Q4": (A**7, 1.75),
+        "Qt4": (A**4, 1.75),
+        "Qt0": (A, 1.75),
+        "qe": (A ** (M + 2), 0.25),
+        "qminus": (A ** (M + 1), (M + 2) / 4.0),
+    }
+    for j in range(5, M + 1):
+        bounds[f"q{j}"] = bounds[f"qt{j}"] = (A**j, (j + 1) / 4.0)
+    labels = (
+        [f"q{n}" for n in range(M + 1)] + [f"qt{n}" for n in range(M + 1)]
+        + ["Qt0", "Q2", "Qt2", "Q4", "Qt4", "qe", "qminus"]
+    )
+    names = sorted(bounds)
+    return (
+        names,
+        np.array([labels.index(k) for k in names]),
+        np.array([bounds[k][0] for k in names]),
+        np.array([bounds[k][1] for k in names]),
+    )
+
+
 class Simulator:
     """Precomputed machinery for runs at one parameter set."""
 
@@ -115,7 +157,6 @@ class Simulator:
         self.params = pm
         self.fp = FloatParams.from_exact(pm)
         self.y = np.linspace(-config.L, config.L, config.N)
-        self.h = self.y[1] - self.y[0]
         self.basis = build_basis(
             config.M_track, pm.p, pm.delta, pm.beta
         )
@@ -124,18 +165,12 @@ class Simulator:
             pm, self.basis, mu=pm.mu, flavor=config.combo_flavor
         )
         self.combos = combos.float_map(self.fp.kappa)
-        # quadrature weights: trapezoid against the complex weight
-        rho = rho_weight(self.y, self.fp.beta)
-        wts = np.full(len(self.y), self.h)
-        wts[0] = wts[-1] = self.h / 2.0
-        self._proj = [
-            wts * rho * self.bf.eval_f(n, self.y) / self.bf.fnorm[n]
-            for n in range(config.M_track + 1)
-        ]
-        self._rho_w = wts * rho
-        self._h_vals = [self.bf.eval_h(n, self.y) for n in range(config.M_track + 1)]
-        self._ht_vals = [self.bf.eval_ht(n, self.y) for n in range(config.M_track + 1)]
+        self._proj = self.bf.projector(self.y)
+        self._modes = self.bf.mode_samples(self.y)
         self._weight_pow = 1.0 + np.abs(self.y) ** (config.M_track + 1)
+        self.bound_names, self._bound_at, self._bound_num, self._bound_pow = (
+            _shrink_bounds(config.A, config.M_track)
+        )
         self.stepper = Stepper(
             self.y, config.ds, self.fp.beta, self.fp.p, self.fp.delta,
             scheme=config.scheme, space_order=config.space_order,
@@ -157,55 +192,43 @@ class Simulator:
 
     # -- modulation ------------------------------------------------------------
 
-    def modulate(self, state: SimState, max_iter: int = 20,
-                 tol: float = 1e-11) -> bool:
-        """Newton update of theta killing the unit-mode coordinate of q.
+    def modulate(self, state: SimState) -> bool:
+        """Reset theta so the unit-mode coordinate q_0 of q vanishes.
 
         The constraint is the full triangular coordinate q_0 (the h_0
         coefficient of the unique Jordan decomposition), not just the bare
         weighted integral; the difference is the higher-mode feed-down of
-        the triangular change of basis.  Returns False (keeping the
-        previous theta) if Newton fails, which only happens far from the
-        profile.
+        the triangular change of basis.  With e = exp(-i Phi) the
+        coordinate q_0 of e w - phi is R-linear in e, so q_0 = 0 reads
+        a cos Phi + b sin Phi = g and has the two roots
+        Phi = atan2(b, a) +- arccos(g / |(a, b)|); the one nearest the
+        previous theta (up to a multiple of 2 pi) is taken.  Returns False,
+        keeping theta, when |g| > |(a, b)| and there is no root (w = 0, or
+        a field far from the profile).
         """
         s = state.s
-        M = self.config.M_track
-        Ww = np.array([np.sum(state.w * self._proj[n]) for n in range(M + 1)])
-        ph = self.phi_grid(s)
-        Pphi = np.array([np.sum(ph * self._proj[n]) for n in range(M + 1)])
+        Ww = self._proj @ state.w
+        Pphi = self._proj @ self.phi_grid(s)
+        a = self.bf.convert_Q(Ww)[0][0]
+        b = self.bf.convert_Q(-1j * Ww)[0][0]
+        g = self.bf.convert_Q(Pphi)[0][0]
+        r = np.hypot(a, b)
+        if not abs(g) <= r or r == 0.0:
+            return False
         base = self.fp.nu * np.sqrt(s) + self.fp.mu * np.log(s)
-        theta = state.theta
-
-        def q0_of(e):
-            q, _ = self.bf.convert_Q(e * Ww - Pphi)
-            return q[0]
-
-        for _ in range(max_iter):
-            e = np.exp(-1j * (base + theta))
-            Fv = q0_of(e)
-            if abs(Fv) <= tol:
-                state.theta = theta
-                return True
-            # the triangular map is R-linear, so the derivative is exact
-            qd, _ = self.bf.convert_Q(-1j * e * Ww)
-            dF = qd[0]
-            if dF == 0.0:
-                break
-            theta = theta - Fv / dF
-        return False
+        half = np.arccos(g / r)
+        roots = np.arctan2(b, a) + np.array([half, -half]) - base
+        roots += 2 * np.pi * np.round((state.theta - roots) / (2 * np.pi))
+        state.theta = float(roots[np.argmin(np.abs(roots - state.theta))])
+        return True
 
     # -- diagnostics -----------------------------------------------------------
 
     def project_q(self, state: SimState):
         e = np.exp(-1j * self.Phi(state.s, state.theta))
         q = e * state.w - self.phi_grid(state.s)
-        M = self.config.M_track
-        Q = np.array([np.sum(q * self._proj[n]) for n in range(M + 1)])
-        qn, qtn = self.bf.convert_Q(Q)
-        recon = np.zeros_like(q)
-        for n in range(M + 1):
-            recon += qn[n] * self._h_vals[n] + qtn[n] * self._ht_vals[n]
-        return q, qn, qtn, q - recon
+        qn, qtn = self.bf.convert_Q(self._proj @ q)
+        return q, qn, qtn, q - np.concatenate([qn, qtn]) @ self._modes
 
     def diagnose(self, state: SimState, theta_prime: float):
         s = state.s
@@ -217,36 +240,29 @@ class Simulator:
         Qt2 = qtn[2] - cb["At2"] / s
         Q4 = qn[4] - (cb["B4"] / s**1.5 + cb["C4"] * qtn[2] / rs)
         Qt4 = qtn[4] - (cb["Bt4"] / s**1.5 + cb["Ct4"] * qtn[2] / rs)
-        chi = cutoff_chi(self.y, s, self.config.K)
-        qe_norm = float(np.max(np.abs(q * (1.0 - chi))))
+        # 1 - chi vanishes on |y| <= K s^(1/4), so only the outer rows count
+        edge = self.config.K * s**0.25
+        lo = np.searchsorted(self.y, -edge, side="left")
+        hi = np.searchsorted(self.y, edge, side="right")
+        chi = cutoff_chi(np.concatenate([self.y[:lo], self.y[hi:]]), s,
+                         self.config.K)
+        q_out = np.concatenate([q[:lo], q[hi:]])
+        qe_norm = float(np.max(np.abs(q_out * (1.0 - chi)), initial=0.0))
         qminus_norm = float(np.max(np.abs(qminus) / self._weight_pow))
-        A, M = self.config.A, self.config.M_track
-        bounds = {
-            "q0": (abs(qn[0]), 1.0 / s**1.5),
-            "q1": (abs(qn[1]), A**4 / s**1.5),
-            "qt1": (abs(qtn[1]), A / s**1.5),
-            "q3": (abs(qn[3]), A**3 / s**1.5),
-            "qt3": (abs(qtn[3]), A**3 / s**1.5),
-            "Q2": (abs(Q2), A**8 / s**1.75),
-            "Qt2": (abs(Qt2), A**10 / s**1.25),
-            "Q4": (abs(Q4), A**7 / s**1.75),
-            "Qt4": (abs(Qt4), A**4 / s**1.75),
-            "Qt0": (abs(Qt0), A / s**1.75),
-            "qe": (qe_norm, A ** (M + 2) / s**0.25),
-            "qminus": (qminus_norm, A ** (M + 1) / s ** ((M + 2) / 4.0)),
-        }
-        for j in range(5, M + 1):
-            bounds[f"q{j}"] = (abs(qn[j]), A**j / s ** ((j + 1) / 4.0))
-            bounds[f"qt{j}"] = (abs(qtn[j]), A**j / s ** ((j + 1) / 4.0))
+        meas = np.abs(np.concatenate([
+            qn, qtn, [Qt0, Q2, Qt2, Q4, Qt4, qe_norm, qminus_norm],
+        ]))
+        bound = self._bound_num / s**self._bound_pow
+        ratios = dict(zip(self.bound_names,
+                          (meas[self._bound_at] / bound).tolist()))
         record = {
             "s": s, "theta": state.theta, "theta_prime": theta_prime,
             "Qt0": Qt0, "Q2": Q2, "Qt2": Qt2, "Q4": Q4, "Qt4": Qt4,
             "qe_norm": qe_norm, "qminus_norm": qminus_norm,
         }
-        for n in range(M + 1):
+        for n in range(self.config.M_track + 1):
             record[f"q{n}"] = qn[n]
             record[f"qt{n}"] = qtn[n]
-        ratios = {k: meas / bound for k, (meas, bound) in bounds.items()}
         return record, ratios
 
     # -- stepping ----------------------------------------------------------------
@@ -270,20 +286,24 @@ class Simulator:
     def run(self, spec: InitialDataSpec, stop_on_exit: bool = True,
             exit_grace: int = 10) -> RunResult:
         cfg = self.config
+        if spec.s0 != cfg.s0:
+            raise ValueError(
+                f"initial data at s0 = {spec.s0}, but the run starts at "
+                f"s0 = {cfg.s0}"
+            )
         state = self.initial_state(spec)
         self.stepper.reset_history()
-        self.modulate(state)
-        names = None
+        converged = self.modulate(state)
+        names = self.bound_names
         hist: dict = {}
         ratio_rows = []
         s_rows = []
         exit_s = None
         exit_component = None
         theta_hist = [state.theta]
-        nsteps = int(round((cfg.s_end - spec.s0) / cfg.ds))
+        nsteps = int(round((cfg.s_end - cfg.s0) / cfg.ds))
         record, ratios = self.diagnose(state, 0.0)
-        record["modulation_failed"] = 0.0
-        names = sorted(ratios)
+        record["modulation_failed"] = 0.0 if converged else 1.0
         self._append(hist, record)
         ratio_rows.append([ratios[k] for k in names])
         s_rows.append(state.s)

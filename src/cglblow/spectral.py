@@ -276,7 +276,12 @@ class BasisTable:
             if not is_zero(Q[n]):
                 rem = rem + Q[n] * hermite_f(n, self.beta)
         Q = list(Q) + [0] * max(0, self.M + 1 - len(Q))
-        adj = list(Q[: self.M + 1])
+        q, qt = self.coordinates(Q[: self.M + 1])
+        return ModeCoeffs(q=q, q_tilde=qt, Q=list(Q[: self.M + 1]), remainder=rem)
+
+    def coordinates(self, Q: list):
+        """Exact triangular (Q_n) -> (q_n, qt_n) back-substitution."""
+        adj = list(Q)
         q = [0] * (self.M + 1)
         qt = [0] * (self.M + 1)
         for n in range(self.M, -1, -1):
@@ -289,7 +294,7 @@ class BasisTable:
                 a_h = self.h_in_f[n][j] if j < len(self.h_in_f[n]) else 0
                 a_t = self.ht_in_f[n][j] if j < len(self.ht_in_f[n]) else 0
                 adj[j] = adj[j] - q_n * a_h - qt_n * a_t
-        return ModeCoeffs(q=q, q_tilde=qt, Q=list(Q[: self.M + 1]), remainder=rem)
+        return q, qt
 
     def reconstruct(self, modes: ModeCoeffs) -> Poly:
         acc = Poly.zero()
@@ -315,12 +320,34 @@ def project_poly(p: Poly, table: BasisTable) -> ModeCoeffs:
     return table.decompose(p)
 
 
+def trapezoid_weights(y: np.ndarray) -> np.ndarray:
+    """Weights w with sum(w * f) the trapezoid rule of f on the grid y."""
+    d = np.diff(y)
+    w = np.zeros(len(y))
+    w[:-1] += d
+    w[1:] += d
+    return 0.5 * w
+
+
+def _sampled(coeffs: list, y: np.ndarray) -> np.ndarray:
+    """One row per coefficient array: the polynomial's values on y."""
+    rows = np.empty((len(coeffs), len(y)), dtype=complex)
+    for row, c in zip(rows, coeffs):
+        row[:] = np.polyval(c[::-1], y)
+    return rows
+
+
 class BasisFloats:
-    """Float-precision basis data for grid projections."""
+    """Float-precision basis data for grid projections.
+
+    The triangular change of coordinates (Q_n) -> (q_n, qt_n) is R-linear;
+    it is stored as one real matrix acting on (Re Q, Im Q), whose columns
+    are the exact coordinates of the unit vectors and of i times them,
+    each rounded once.
+    """
 
     def __init__(self, table: BasisTable, kappa: float = None):
         self.M = table.M
-        self.delta = float(table.delta)
         self.beta = float(table.beta)
         self.f_coeffs = [np.array(f.to_complex_coeffs(kappa)) for f in table.f]
         self.h_coeffs = [np.array(h.to_complex_coeffs(kappa)) for h in table.h]
@@ -328,12 +355,15 @@ class BasisFloats:
             np.array(h.to_complex_coeffs(kappa)) for h in table.h_tilde
         ]
         self.fnorm = np.array([complex(v) for v in table.fnorm])
-        self.h_in_f = [
-            np.array([to_complex(c, kappa) for c in row]) for row in table.h_in_f
+        n = range(self.M + 1)
+        cols = [
+            table.coordinates([unit if j == k else 0 for j in n])
+            for unit in (GaussComplex(1), GaussComplex(0, 1))
+            for k in n
         ]
-        self.ht_in_f = [
-            np.array([to_complex(c, kappa) for c in row]) for row in table.ht_in_f
-        ]
+        self.convert = np.array([
+            [to_complex(v, kappa).real for v in q + qt] for q, qt in cols
+        ]).T
 
     def eval_f(self, n: int, y: np.ndarray) -> np.ndarray:
         return np.polyval(self.f_coeffs[n][::-1], y)
@@ -344,21 +374,34 @@ class BasisFloats:
     def eval_ht(self, n: int, y: np.ndarray) -> np.ndarray:
         return np.polyval(self.ht_coeffs[n][::-1], y)
 
+    def f_rows(self, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """(M+1) x len(y) rows weights * f_n(y) / <f_n, f_n>.
+
+        With quadrature weights (including the complex Gaussian weight)
+        ``f_rows(y, weights) @ samples`` is the vector of coordinates Q_n.
+        """
+        rows = _sampled(self.f_coeffs, y)
+        rows *= weights
+        rows /= self.fnorm[:, None]
+        return rows
+
+    def projector(self, y: np.ndarray) -> np.ndarray:
+        """Trapezoid-rule projector on the grid y: ``projector(y) @ q`` is Q."""
+        return self.f_rows(y, trapezoid_weights(y) * rho_weight(y, self.beta))
+
+    def mode_samples(self, y: np.ndarray) -> np.ndarray:
+        """2(M+1) x len(y) rows h_0 .. h_M, ht_0 .. ht_M on the grid y.
+
+        ``concatenate([q, qt]) @ mode_samples(y)`` is the Jordan-basis
+        reconstruction.
+        """
+        return _sampled(self.h_coeffs + self.ht_coeffs, y)
+
     def convert_Q(self, Q: np.ndarray):
-        """Triangular (Q_n) -> (q_n, qt_n) back-substitution."""
-        M = self.M
-        adj = np.array(Q, dtype=complex)
-        q = np.zeros(M + 1)
-        qt = np.zeros(M + 1)
-        for n in range(M, -1, -1):
-            a = adj[n]
-            qt[n] = a.real
-            q[n] = a.imag - self.delta * a.real
-            for j in range(n):
-                hf = self.h_in_f[n][j] if j < len(self.h_in_f[n]) else 0.0
-                tf = self.ht_in_f[n][j] if j < len(self.ht_in_f[n]) else 0.0
-                adj[j] -= q[n] * hf + qt[n] * tf
-        return q, qt
+        """Triangular (Q_n) -> (q_n, qt_n) change of coordinates."""
+        Q = np.asarray(Q)
+        x = self.convert @ np.concatenate([Q.real, Q.imag])
+        return x[: self.M + 1], x[self.M + 1:]
 
 
 def project_sampled(
@@ -389,13 +432,8 @@ def project_sampled(
         raise GridTooNarrow(
             f"|rho| = {tail:.2e} at the grid edge exceeds {tail_tol:.0e}"
         )
-    M = bf.M
-    Q = np.zeros(M + 1, dtype=complex)
     if quadrature == "trapezoid":
-        rho = rho_weight(y, beta)
-        wq = q_arr * rho
-        for n in range(M + 1):
-            Q[n] = np.trapezoid(wq * bf.eval_f(n, y), y) / bf.fnorm[n]
+        Q = bf.projector(y) @ q_arr
     elif quadrature == "gauss-hermite":
         from scipy.interpolate import CubicSpline
         from scipy.special import roots_hermite
@@ -411,15 +449,11 @@ def project_sampled(
         # rho with the Gaussian removed: a pure phase over the GH weight.
         phase = np.exp(1j * beta * yn**2 / (4.0 * (1.0 + beta**2)))
         pref = scale / np.sqrt(4.0 * np.pi * (1.0 + 1j * beta))
-        for n in range(M + 1):
-            integ = qv * bf.eval_f(n, yn) * phase
-            Q[n] = pref * np.sum(w * integ) / bf.fnorm[n]
+        Q = bf.f_rows(yn, pref * w * phase) @ qv
     else:
         raise ValueError(f"unknown quadrature rule {quadrature!r}")
     q, qt = bf.convert_Q(Q)
-    recon = np.zeros_like(q_arr)
-    for n in range(M + 1):
-        recon += q[n] * bf.eval_h(n, y) + qt[n] * bf.eval_ht(n, y)
+    recon = np.concatenate([q, qt]) @ bf.mode_samples(y)
     return ModeCoeffs(
         q=list(q), q_tilde=list(qt), Q=list(Q), remainder=q_arr - recon
     )

@@ -13,13 +13,48 @@ from cglblow.simulate import (
     linear_eigenmode_error,
 )
 from cglblow.stepping import KERNELS, Stepper
-from cglblow.spectral import hermite_f
+from cglblow.spectral import hermite_f, project_sampled
 
 
 @pytest.fixture(scope="module")
 def pm():
     pm = derive_params(3, 1)
     return pm.with_mu(mu_critical(pm).mu)
+
+
+def cn_rhs_expression(w, prev, y, h, p, delta, beta, half_ds, c_new, c_old,
+                      order, reaction):
+    """The expression form of ``cn_rhs``, the reference for its in-place one."""
+    n = len(w)
+    cb = 1.0 + 1j * beta
+    lin = np.zeros(n, dtype=np.complex128)
+    h2 = h * h
+    if order == 4 and n >= 5:
+        lin[2:-2] = cb * (
+            -w[:-4] + 16 * w[1:-3] - 30 * w[2:-2] + 16 * w[3:-1] - w[4:]
+        ) / (12 * h2) - 0.5 * y[2:-2] * (
+            w[:-4] - 8 * w[1:-3] + 8 * w[3:-1] - w[4:]
+        ) / (12 * h)
+        for i in (1, n - 2):
+            lin[i] = cb * (w[i - 1] - 2 * w[i] + w[i + 1]) / h2 - 0.5 * y[i] * (
+                w[i + 1] - w[i - 1]
+            ) / (2 * h)
+    else:
+        lin[1:-1] = cb * (w[:-2] - 2 * w[1:-1] + w[2:]) / h2 - 0.5 * y[1:-1] * (
+            w[2:] - w[:-2]
+        ) / (2 * h)
+    react = np.zeros(n, dtype=np.complex128)
+    if reaction:
+        cd = 1.0 + 1j * delta
+        mod2 = w.real**2 + w.imag**2
+        pm1h = (p - 1.0) / 2.0
+        pw = mod2 if pm1h == 1.0 else mod2**pm1h
+        inner = cd * (pw - 1.0 / (p - 1.0)) * w
+        react[1:-1] = inner[1:-1]
+    rhs = w + half_ds * lin + c_new * react + c_old * prev
+    rhs[0] = w[0]
+    rhs[-1] = w[-1]
+    return rhs, react
 
 
 def small_config(pm, **kw):
@@ -99,6 +134,34 @@ class TestStepper:
         assert np.max(np.abs(implicit + explicit - 2 * w)[1:-1]) < 1e-12
         assert np.array_equal(implicit[[0, -1]], w[[0, -1]])
 
+    @pytest.mark.parametrize("p", [3.0, 2.0, 1.5])
+    @pytest.mark.parametrize("space_order", [2, 4])
+    @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
+    def test_cn_rhs_matches_expression_form(self, scheme, space_order, p,
+                                            monkeypatch):
+        # every call of a short run (imex2: a first step, then
+        # Adams-Bashforth steps) gives the bits of the expression form
+        diffs = []
+        in_place = KERNELS.cn_rhs
+
+        def both(*args):
+            got = in_place(*args)
+            want = cn_rhs_expression(*args)
+            diffs.append(max(np.max(np.abs(g - w)) for g, w in zip(got, want)))
+            return got
+
+        monkeypatch.setattr(KERNELS, "cn_rhs", both)
+        rng = np.random.default_rng(4)
+        y = np.linspace(-30, 30, 801)
+        w = np.exp(-(y**2) / 16.0) * (1.0 + 0.3j) + 0.1 * (
+            rng.standard_normal(len(y)) + 1j * rng.standard_normal(len(y))
+        )
+        stp = Stepper(y, 1e-3, 0.5, p, 1.0, scheme=scheme,
+                      space_order=space_order)
+        for _ in range(3):
+            w = stp.step(w, 0.1, -0.2j)
+        assert len(diffs) == 3 and max(diffs) == 0.0
+
     @pytest.mark.parametrize("factor, rows", [
         (KERNELS.tri_factor, 3), (KERNELS.penta_factor, 5),
     ])
@@ -136,7 +199,16 @@ class TestSingleStep:
 
 
 class TestModulation:
-    def test_phase_recovery(self, pm):
+    # past the first case the previous theta sits 1e-2 away, across +-pi
+    # for the last two, so the choice of root and the 2 pi shift are both
+    # exercised
+    @pytest.mark.parametrize("theta_star, theta_prev", [
+        (0.137, 0.0),
+        (0.137, 0.127),
+        (np.pi - 1e-3, np.pi + 9e-3),
+        (-np.pi + 1e-3, -np.pi - 9e-3),
+    ])
+    def test_phase_recovery(self, pm, theta_star, theta_prev):
         from cglblow.profilefield import initial_data
 
         cfg = small_config(pm)
@@ -144,15 +216,33 @@ class TestModulation:
         spec = InitialDataSpec(s0=cfg.s0, d0_tilde=0.3, d1_tilde=-0.2,
                                K=cfg.K, A=cfg.A)
         psi = initial_data(spec, sim.fp, sim.combos, sim.bf, sim.y).psi
-        theta_star = 0.137
         w = np.exp(1j * (sim.Phi(cfg.s0, theta_star))) * (
             sim.phi_grid(cfg.s0) + psi
         )
-        st = SimState(w=w, s=cfg.s0, theta=0.0)
+        st = SimState(w=w, s=cfg.s0, theta=theta_prev)
         assert sim.modulate(st)
         assert abs(st.theta - theta_star) < 1e-9
         _, qn, _, _ = sim.project_q(st)
         assert abs(qn[0]) < 1e-9
+
+    def test_no_root_keeps_theta(self, pm):
+        # w = 0: q_0 = -(unit coordinate of phi) for every theta
+        cfg = small_config(pm)
+        sim = Simulator(cfg)
+        st = SimState(w=np.zeros(cfg.N, dtype=complex), s=cfg.s0, theta=0.3)
+        assert not sim.modulate(st)
+        assert st.theta == 0.3
+
+    def test_run_records_failed_modulation(self, pm, monkeypatch):
+        cfg = small_config(pm, N=512, s_end=100.003)
+        sim = Simulator(cfg)
+        monkeypatch.setattr(sim, "initial_state", lambda spec: SimState(
+            w=np.zeros(cfg.N, dtype=complex), s=cfg.s0, theta=0.0))
+        spec = InitialDataSpec(s0=cfg.s0, d0_tilde=0.0, d1_tilde=0.0,
+                               K=cfg.K, A=cfg.A)
+        res = sim.run(spec, stop_on_exit=False)
+        assert res.history["modulation_failed"] == [1.0] * 4
+        assert res.history["theta"] == [0.0] * 4
 
     def test_q0_held_at_zero_along_run(self, pm):
         cfg = small_config(pm, s_end=100.2)
@@ -176,6 +266,19 @@ class TestDiagnose:
         want = abs(sim.combos["At2"]) / cfg.s0 * cfg.s0**1.25 / cfg.A**10
         assert abs(ratios["Qt2"] - want) < 1e-12 + 0.01 * want
         assert record["qe_norm"] < 1e-12
+
+    def test_project_q_matches_project_sampled(self, pm):
+        cfg = small_config(pm)
+        sim = Simulator(cfg)
+        spec = InitialDataSpec(s0=cfg.s0, d0_tilde=0.2, d1_tilde=-0.1,
+                               K=cfg.K, A=cfg.A)
+        st = sim.initial_state(spec)
+        sim.modulate(st)
+        q, qn, qtn, qminus = sim.project_q(st)
+        m = project_sampled(q, sim.y, sim.bf)
+        assert np.max(np.abs(qn - m.q)) < 1e-12
+        assert np.max(np.abs(qtn - m.q_tilde)) < 1e-12
+        assert np.max(np.abs(qminus - m.remainder)) < 1e-12 * np.max(np.abs(qminus))
 
     def test_null_mode_combination(self, pm):
         cfg = small_config(pm)
@@ -234,6 +337,15 @@ class TestRunLaws:
         tp = np.abs(np.array(h["theta_prime"]))[50:]
         envelope = cfg.A**10 / s[50:] ** 1.25
         assert np.all(tp <= envelope)
+
+    def test_initial_data_must_start_the_run(self, pm):
+        # a spec past s_end used to run zero steps and read as trapped
+        cfg = small_config(pm, N=512, s_end=100.01)
+        sim = Simulator(cfg)
+        spec = InitialDataSpec(s0=100.02, d0_tilde=0.0, d1_tilde=0.0,
+                               K=cfg.K, A=cfg.A)
+        with pytest.raises(ValueError, match="s0"):
+            sim.run(spec)
 
     def test_determinism(self, pm):
         cfg = small_config(pm, s_end=100.05)
@@ -326,7 +438,7 @@ class TestNullModeDecayRate:
         st = sim.initial_state(spec)
         chi = cutoff_chi(2 * sim.y, cfg.s0, cfg.K)
         st.w = st.w + np.exp(1j * sim.Phi(cfg.s0, st.theta)) * 1e-4 * (
-            sim._ht_vals[2] * chi
+            sim.bf.eval_ht(2, sim.y) * chi
         )
         sim.modulate(st)
         ss, qq = [], []

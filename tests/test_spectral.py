@@ -228,6 +228,63 @@ class TestProjectSampled:
         assert consts.max() <= 4.0 * np.median(consts)
 
 
+def convert_Q_loop(table, Q):
+    """Float back-substitution (Q_n) -> (q_n, qt_n), the reference loop."""
+    from cglblow.exact import to_complex
+
+    M, delta = table.M, float(table.delta)
+    h_in_f = [[to_complex(c) for c in row] for row in table.h_in_f]
+    ht_in_f = [[to_complex(c) for c in row] for row in table.ht_in_f]
+    adj = np.array(Q, dtype=complex)
+    q, qt = np.zeros(M + 1), np.zeros(M + 1)
+    for n in range(M, -1, -1):
+        qt[n] = adj[n].real
+        q[n] = adj[n].imag - delta * adj[n].real
+        for j in range(n):
+            hf = h_in_f[n][j] if j < len(h_in_f[n]) else 0.0
+            tf = ht_in_f[n][j] if j < len(ht_in_f[n]) else 0.0
+            adj[j] -= q[n] * hf + qt[n] * tf
+    return q, qt
+
+
+class TestConvertQ:
+    @pytest.fixture(params=[6, 8])
+    def table(self, request):
+        return build_basis(request.param, F(3), F(1), F(1, 2))
+
+    def test_matches_back_substitution(self, table):
+        bf = table.float_views()
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            Q = rng.standard_normal(table.M + 1) + 1j * rng.standard_normal(table.M + 1)
+            want = np.concatenate(convert_Q_loop(table, Q))
+            got = np.concatenate(bf.convert_Q(Q))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_matches_exact_decompose(self, table):
+        bf = table.float_views()
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            coeffs = [gc(int(a), int(b)) for a, b in
+                      rng.integers(-9, 9, size=(table.M + 1, 2))]
+            m = table.decompose(Poly(coeffs))
+            Q = np.array([complex(v) for v in m.Q])
+            want = np.array([complex(v).real for v in m.q + m.q_tilde])
+            got = np.concatenate(bf.convert_Q(Q))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_real_linear(self, table):
+        bf = table.float_views()
+        rng = np.random.default_rng(9)
+        Q1, Q2 = rng.standard_normal((2, table.M + 1)) + 1j * rng.standard_normal(
+            (2, table.M + 1))
+        a, b = 0.7, -2.3
+        got = np.concatenate(bf.convert_Q(a * Q1 + b * Q2))
+        want = (a * np.concatenate(bf.convert_Q(Q1))
+                + b * np.concatenate(bf.convert_Q(Q2)))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestSemigroupKernel:
     def test_point_value(self):
         v = semigroup_kernel(np.log(2.0), 0.0, 0.0, 0.0)
