@@ -241,66 +241,41 @@ def initial_data(
     combos: dict,
     basis_floats,
     y: np.ndarray,
-    order: str = "first",
+    proj: np.ndarray,
 ) -> InitialData:
     """The shooting initial field psi on the grid.
 
     ``combos`` is the float map of the shrinking-set combination constants;
-    ``basis_floats`` the float basis views.  d0 is solved from the unit
+    ``basis_floats`` the float basis views and ``proj`` their projector on
+    y (``basis_floats.projector(y)``).  d0 is solved from the unit
     projection constraint P_{0,M}(psi) = 0.
 
-    ``order`` controls which slow-drift offsets are seeded: "full" keeps
-    every printed term, "first" drops the s0^(-3/2) refinements.  At desk
-    scales the degree-4 refinement terms are pointwise large at the cutoff
-    edge (the asymptotic ordering needs far larger s0), and seeding them
-    detonates the nonlinearity, so "first" is the practical default; the
+    Only the first-order slow-drift offsets are seeded; the s0^(-3/2)
+    refinements are dropped.  At desk scales the degree-4 refinement terms
+    are pointwise large at the cutoff edge (the asymptotic ordering needs
+    far larger s0), and seeding them detonates the nonlinearity; the
     dropped offsets are far inside their shrinking-set bounds either way.
     """
-    from .spectral import project_sampled
-
-    if order not in ("first", "full"):
-        raise ValueError(f"unknown initial-data order {order!r}")
     s0, A = spec.s0, spec.A
     chi2 = cutoff_chi(2.0 * np.asarray(y), s0, spec.K)
     bf = basis_floats
-    refine = 1.0 if order == "full" else 0.0
 
-    coeff_t0 = (
-        A / s0**1.75 * spec.d0_tilde
-        + combos["At0"] / s0
-        + refine * combos["Bt0"] / s0**1.5
-        + refine * combos["Ct0"] * combos["At2"] / s0**1.5
-    )
+    coeff_t0 = A / s0**1.75 * spec.d0_tilde + combos["At0"] / s0
     coeff_t1 = A / s0**1.5 * spec.d1_tilde
     coeff_t2 = combos["At2"] / s0
-    coeff_h2 = (
-        combos["A2"] / s0
-        + refine * combos["B2c"] / s0**1.5
-        + refine * combos["C2c"] * combos["At2"] / s0**1.5
-    )
-    coeff_t4 = refine * (
-        combos["Bt4"] / s0**1.5 + combos["Ct4"] * combos["At2"] / s0**1.5
-    )
-    coeff_h4 = refine * (
-        combos["B4"] / s0**1.5 + combos["C4"] * combos["At2"] / s0**1.5
-    )
+    coeff_h2 = combos["A2"] / s0
 
-    terms = {
-        "t0": coeff_t0, "t1": coeff_t1, "t2": coeff_t2,
-        "h2": coeff_h2, "t4": coeff_t4, "h4": coeff_h4,
-    }
+    terms = {"t0": coeff_t0, "t1": coeff_t1, "t2": coeff_t2, "h2": coeff_h2}
     body = (
         coeff_t0 * bf.eval_ht(0, y)
         + coeff_t1 * bf.eval_ht(1, y)
         + coeff_t2 * bf.eval_ht(2, y)
         + coeff_h2 * bf.eval_h(2, y)
-        + coeff_t4 * bf.eval_ht(4, y)
-        + coeff_h4 * bf.eval_h(4, y)
     )
 
     # d0 solves P_{0,M}(psi) = 0 for the h_0 direction
     def p0(field):
-        return project_sampled(field, y, bf).q[0]
+        return bf.convert_Q(proj @ field)[0][0]
 
     proj_chi = p0(1j * chi2)
     if abs(proj_chi) < 1e-8:

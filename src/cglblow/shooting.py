@@ -8,12 +8,17 @@ expanding directions,
 evaluated at the first shrinking-set exit (or the window end).  A coarse
 grid over [-2, 2]^2 is scanned; a grid cell whose corners realize all four
 sign quadrants of the map is then bisected on the quadrant pattern, and
-the pair with the latest exit wins.
+the pair with the latest exit wins.  Probes are keyed by integer lattice
+indices: a coarse index times 2**bisect_levels, so every bisection
+midpoint is an integer halving.
 
-Probes are independent runs over immutable tables, so they fan out over a
-process pool; the pool size is the ``workers`` argument, else
-CGLBLOW_WORKERS, else the CPU count capped at 8.  A count below 1 is an
-error.
+A search builds one ``Simulator`` at probe resolution and every probe runs
+on it.  Probes are independent runs, so they fan out over a process pool
+whose workers inherit that Simulator; the pool size is the ``workers``
+argument, else CGLBLOW_WORKERS, else the CPU count capped at 8.  A count
+below 1 is an error.  Each worker's BLAS should run one thread
+(OPENBLAS_NUM_THREADS=1 and the like), else the workers oversubscribe the
+cores.
 """
 
 from __future__ import annotations
@@ -51,9 +56,9 @@ class ShootResult:
 _WORKER_SIM = None
 
 
-def _init_worker(cfg_payload):
+def _init_worker(sim: Simulator):
     global _WORKER_SIM
-    _WORKER_SIM = Simulator(cfg_payload)
+    _WORKER_SIM = sim
 
 
 def _run_probe(args):
@@ -92,12 +97,12 @@ def worker_count(workers: Optional[int] = None) -> int:
     return workers
 
 
-def _scan(cfg: SimConfig, pairs, workers: int) -> list:
+def _scan(sim: Simulator, pairs, workers: int) -> list:
     if workers <= 1:
-        _init_worker(cfg)
+        _init_worker(sim)
         return [_run_probe(p) for p in pairs]
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(cfg,)
+        max_workers=workers, initializer=_init_worker, initargs=(sim,)
     ) as pool:
         return list(pool.map(_run_probe, pairs))
 
@@ -111,8 +116,14 @@ def _quadrant(pr: ProbeResult):
     return (s0, s1)
 
 
-def _covers_quadrants(four) -> bool:
-    return {_quadrant(p) for p in four} == QUADRANTS
+def _first_quadrant_cell(probes: dict, cells):
+    """The first cell (i0, i1, j0, j1) whose corner probes cover all four
+    sign quadrants, or None."""
+    for i0, i1, j0, j1 in cells:
+        four = [probes[i, j] for i in (i0, i1) for j in (j0, j1)]
+        if {_quadrant(p) for p in four} == QUADRANTS:
+            return i0, i1, j0, j1
+    return None
 
 
 def shoot(config: SimConfig, grid_n: int = 8, refine: bool = True,
@@ -126,72 +137,56 @@ def shoot(config: SimConfig, grid_n: int = 8, refine: bool = True,
     the degree argument); the cell is then bisected, keeping a sub-cell
     with the full quadrant pattern, until ``bisect_levels`` halvings.
 
+    One ``Simulator`` is built for the probe configuration (which validates
+    it before any pool starts) and shared by every probe of every scan.
     ``probe_N``/``probe_ds`` allow cheaper probe runs than the certified
     configuration (recorded in the metadata); the returned best pair should
     be re-run at full resolution by the caller.
     """
     nworkers = worker_count(workers)
-    cfg = replace(
+    sim = Simulator(replace(
         config,
         N=config.N if probe_N is None else probe_N,
         ds=config.ds if probe_ds is None else probe_ds,
-    )
-    cfg.validate()
-    vals = np.linspace(-2.0, 2.0, grid_n)
-    pairs = [(float(a), float(b)) for a in vals for b in vals]
-    probes = _scan(cfg, pairs, nworkers)
-    grid = {(round(p.d0, 12), round(p.d1, 12)): p for p in probes}
-
+    ))
+    cfg = sim.config
+    # lattice index -> d value; coarse index i sits at i * unit
+    unit = 2**bisect_levels
+    at = {i * unit: float(v)
+          for i, v in enumerate(np.linspace(-2.0, 2.0, grid_n))}
+    keys = [(i, j) for i in at for j in at]
+    probes = dict(zip(keys, _scan(sim, [(at[i], at[j]) for i, j in keys],
+                                  nworkers)))
+    last = (grid_n - 1) * unit
     corner_signs = {}
-    for pr in probes:
-        if (abs(pr.d0), abs(pr.d1)) == (2.0, 2.0):
+    for i in (0, last):
+        for j in (0, last):
+            pr = probes[i, j]
             corner_signs[(pr.d0, pr.d1)] = (np.sign(pr.phi0), np.sign(pr.phi1))
 
-    refined = False
+    cell = None
     if refine:
-        cell = None
-        for i in range(grid_n - 1):
-            for j in range(grid_n - 1):
-                four = [
-                    grid[(round(float(vals[i + a]), 12),
-                          round(float(vals[j + b]), 12))]
-                    for a in (0, 1) for b in (0, 1)
-                ]
-                if _covers_quadrants(four):
-                    cell = (float(vals[i]), float(vals[i + 1]),
-                            float(vals[j]), float(vals[j + 1]))
-                    break
-            if cell:
-                break
-        if cell:
-            refined = True
-            x0, x1, y0, y1 = cell
-            for _ in range(bisect_levels):
-                xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-                new_pts = [
-                    (xm, ym), (x0, ym), (x1, ym), (xm, y0), (xm, y1)
-                ]
-                new_probes = _scan(cfg, new_pts, min(nworkers, len(new_pts)))
-                probes.extend(new_probes)
-                lut = {(round(p.d0, 12), round(p.d1, 12)): p
-                       for p in probes}
+        cell = _first_quadrant_cell(probes, [
+            (i, i + unit, j, j + unit)
+            for i in range(0, last, unit) for j in range(0, last, unit)
+        ])
+    refined = cell is not None
+    for _ in range(bisect_levels):
+        if cell is None:
+            break
+        x0, x1, y0, y1 = cell
+        xm, ym = (x0 + x1) // 2, (y0 + y1) // 2
+        at[xm] = 0.5 * (at[x0] + at[x1])
+        at[ym] = 0.5 * (at[y0] + at[y1])
+        keys = [(xm, ym), (x0, ym), (x1, ym), (xm, y0), (xm, y1)]
+        probes.update(zip(keys, _scan(sim, [(at[i], at[j]) for i, j in keys],
+                                      min(nworkers, len(keys)))))
+        cell = _first_quadrant_cell(probes, [
+            (a0, a1, b0, b1)
+            for a0, a1 in ((x0, xm), (xm, x1)) for b0, b1 in ((y0, ym), (ym, y1))
+        ])
 
-                def P(x, y):
-                    return lut[(round(x, 12), round(y, 12))]
-
-                found = None
-                for (a0, a1) in ((x0, xm), (xm, x1)):
-                    for (b0, b1) in ((y0, ym), (ym, y1)):
-                        four = [P(a0, b0), P(a0, b1), P(a1, b0), P(a1, b1)]
-                        if _covers_quadrants(four):
-                            found = (a0, a1, b0, b1)
-                            break
-                    if found:
-                        break
-                if not found:
-                    break
-                x0, x1, y0, y1 = found
-
+    probes = list(probes.values())
     best = max(probes, key=lambda r: r.exit_s)
     meta = {
         "grid_n": grid_n,

@@ -50,9 +50,6 @@ class SimConfig:
     M_track: int = 6
     scheme: str = "imex2"
     space_order: int = 2
-    diag_every: int = 1
-    combo_flavor: str = "selfconsistent"
-    init_order: str = "first"
 
     def validate(self):
         if not 0.0 < self.ds <= 1e-3:
@@ -153,7 +150,7 @@ class Simulator:
         self.config = config
         pm = config.params
         if pm.mu is None:
-            pm = pm.with_mu(mu_critical(pm, flavor=config.combo_flavor).mu)
+            pm = pm.with_mu(mu_critical(pm).mu)
         self.params = pm
         self.fp = FloatParams.from_exact(pm)
         self.y = np.linspace(-config.L, config.L, config.N)
@@ -161,9 +158,7 @@ class Simulator:
             config.M_track, pm.p, pm.delta, pm.beta
         )
         self.bf = self.basis.float_views()
-        combos = shrink_combo_constants(
-            pm, self.basis, mu=pm.mu, flavor=config.combo_flavor
-        )
+        combos = shrink_combo_constants(pm, self.basis, mu=pm.mu)
         self.combos = combos.float_map(self.fp.kappa)
         self._proj = self.bf.projector(self.y)
         self._modes = self.bf.mode_samples(self.y)
@@ -186,7 +181,7 @@ class Simulator:
 
     def initial_state(self, spec: InitialDataSpec) -> SimState:
         psi = initial_data(spec, self.fp, self.combos, self.bf, self.y,
-                           order=self.config.init_order).psi
+                           self._proj).psi
         w = np.exp(1j * self.Phi(spec.s0, 0.0)) * (self.phi_grid(spec.s0) + psi)
         return SimState(w=w, s=spec.s0, theta=0.0, theta_prev=0.0)
 
@@ -311,20 +306,19 @@ class Simulator:
             self.step(state)
             converged = self.modulate(state)
             theta_hist.append(state.theta)
-            if it % cfg.diag_every == 0 or it == nsteps:
-                span = min(len(theta_hist) - 1, 10)
-                tp = (theta_hist[-1] - theta_hist[-1 - span]) / (span * cfg.ds)
-                record, ratios = self.diagnose(state, tp)
-                record["modulation_failed"] = 0.0 if converged else 1.0
-                self._append(hist, record)
-                ratio_rows.append([ratios[k] for k in names])
-                s_rows.append(state.s)
-                worst = max(ratios, key=lambda k: ratios[k])
-                if ratios[worst] > 1.0 and exit_s is None:
-                    exit_s = state.s
-                    exit_component = worst
-                if exit_s is not None and stop_on_exit and it > exit_grace:
-                    break
+            span = min(len(theta_hist) - 1, 10)
+            tp = (theta_hist[-1] - theta_hist[-1 - span]) / (span * cfg.ds)
+            record, ratios = self.diagnose(state, tp)
+            record["modulation_failed"] = 0.0 if converged else 1.0
+            self._append(hist, record)
+            ratio_rows.append([ratios[k] for k in names])
+            s_rows.append(state.s)
+            worst = max(ratios, key=lambda k: ratios[k])
+            if ratios[worst] > 1.0 and exit_s is None:
+                exit_s = state.s
+                exit_component = worst
+            if exit_s is not None and stop_on_exit and it > exit_grace:
+                break
         report = ShrinkReport(
             names=names,
             s=np.array(s_rows),
@@ -336,8 +330,8 @@ class Simulator:
             "scheme": cfg.scheme,
             "space_order": cfg.space_order,
             "M_track": cfg.M_track,
-            "combo_flavor": cfg.combo_flavor,
-            "init_order": cfg.init_order,
+            "combo_flavor": "selfconsistent",
+            "init_order": "first",
             "mu": self.fp.mu,
             "cutoff": "quintic C2 blend on [1, 2]",
         }

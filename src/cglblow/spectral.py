@@ -42,6 +42,10 @@ class GridTooNarrow(ValueError):
     """Sampling grid does not cover the weight's support to tolerance."""
 
 
+# largest |rho| allowed at either end of a sampling grid
+TAIL_TOL = 1e-14
+
+
 @dataclass(frozen=True)
 class WeightParams:
     """The complex Gaussian weight parameter."""
@@ -63,6 +67,15 @@ def rho_weight_abs(y: np.ndarray, beta: float) -> np.ndarray:
     return np.exp(-np.asarray(y) ** 2 / (4.0 * (1.0 + beta**2))) / np.sqrt(
         4.0 * np.pi * np.sqrt(1.0 + beta**2)
     )
+
+
+def _check_grid_edge(y: np.ndarray, beta: float):
+    """Raise GridTooNarrow unless |rho| <= TAIL_TOL at both ends of y."""
+    tail = rho_weight_abs(np.array([abs(y[0]), abs(y[-1])]), beta).max()
+    if tail > TAIL_TOL:
+        raise GridTooNarrow(
+            f"|rho| = {tail:.2e} at the grid edge exceeds {TAIL_TOL:.0e}"
+        )
 
 
 def hermite_f(n: int, beta: Fraction) -> Poly:
@@ -386,7 +399,11 @@ class BasisFloats:
         return rows
 
     def projector(self, y: np.ndarray) -> np.ndarray:
-        """Trapezoid-rule projector on the grid y: ``projector(y) @ q`` is Q."""
+        """Trapezoid-rule projector on the grid y: ``projector(y) @ q`` is Q.
+
+        Raises GridTooNarrow when y does not cover the weight's support.
+        """
+        _check_grid_edge(y, self.beta)
         return self.f_rows(y, trapezoid_weights(y) * rho_weight(y, self.beta))
 
     def mode_samples(self, y: np.ndarray) -> np.ndarray:
@@ -410,14 +427,14 @@ def project_sampled(
     table_or_floats,
     quadrature: str = "trapezoid",
     gh_nodes: int = 200,
-    tail_tol: float = 1e-14,
 ) -> ModeCoeffs:
     """Numeric projection of grid samples onto the Jordan basis.
 
     ``quadrature`` is "trapezoid" (grid-native; spectrally accurate for the
     exponentially decaying integrand) or "gauss-hermite" (the samples are
     spline-interpolated onto Hermite nodes of the real weight, with the
-    residual complex phase folded into the integrand).
+    residual complex phase folded into the integrand).  Either rule raises
+    GridTooNarrow when |rho| at an end of y exceeds ``TAIL_TOL``.
     """
     bf = (
         table_or_floats
@@ -427,17 +444,13 @@ def project_sampled(
     y = np.asarray(y, dtype=float)
     q_arr = np.asarray(samples, dtype=complex)
     beta = bf.beta
-    tail = rho_weight_abs(np.array([abs(y[0]), abs(y[-1])]), beta).max()
-    if tail > tail_tol:
-        raise GridTooNarrow(
-            f"|rho| = {tail:.2e} at the grid edge exceeds {tail_tol:.0e}"
-        )
     if quadrature == "trapezoid":
         Q = bf.projector(y) @ q_arr
     elif quadrature == "gauss-hermite":
         from scipy.interpolate import CubicSpline
         from scipy.special import roots_hermite
 
+        _check_grid_edge(y, beta)
         x, w = roots_hermite(gh_nodes)
         scale = 2.0 * np.sqrt(1.0 + beta**2)
         yn = scale * x

@@ -237,14 +237,14 @@ class TestInitialData:
         from cglblow.spectral import project_sampled
 
         spec = InitialDataSpec(s0=100.0, d0_tilde=0.7, d1_tilde=-0.4, K=12.0, A=20.0)
-        data = initial_data(spec, fp, combos, bf, y)
+        data = initial_data(spec, fp, combos, bf, y, bf.projector(y))
         q0 = project_sampled(data.psi, y, bf).q[0]
         assert abs(q0) < 1e-10
 
     def test_outer_support_empty(self, machinery):
         fp, combos, bf, y = machinery
         spec = InitialDataSpec(s0=100.0, d0_tilde=1.0, d1_tilde=1.0, K=12.0, A=20.0)
-        data = initial_data(spec, fp, combos, bf, y)
+        data = initial_data(spec, fp, combos, bf, y, bf.projector(y))
         outside = np.abs(y) > 12.0 * 100.0**0.25
         assert np.max(np.abs(data.psi[outside])) == 0.0
 
@@ -253,7 +253,7 @@ class TestInitialData:
         d0s = []
         for s0 in (100.0, 400.0):
             spec = InitialDataSpec(s0=s0, d0_tilde=1.0, d1_tilde=1.0, K=12.0, A=20.0)
-            d0s.append(abs(initial_data(spec, fp, combos, bf, y).d0))
+            d0s.append(abs(initial_data(spec, fp, combos, bf, y, bf.projector(y)).d0))
         assert d0s[1] < d0s[0]
 
     def test_domain_validation(self):

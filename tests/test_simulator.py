@@ -215,7 +215,8 @@ class TestModulation:
         sim = Simulator(cfg)
         spec = InitialDataSpec(s0=cfg.s0, d0_tilde=0.3, d1_tilde=-0.2,
                                K=cfg.K, A=cfg.A)
-        psi = initial_data(spec, sim.fp, sim.combos, sim.bf, sim.y).psi
+        psi = initial_data(spec, sim.fp, sim.combos, sim.bf, sim.y,
+                           sim.bf.projector(sim.y)).psi
         w = np.exp(1j * (sim.Phi(cfg.s0, theta_star))) * (
             sim.phi_grid(cfg.s0) + psi
         )
@@ -421,6 +422,37 @@ class TestShooting:
             assert all(a < b for a, b in zip(vals, vals[1:]))
         # the trapped direction survives longest
         assert res.best.exit_s > min(p.exit_s for p in corners)
+
+    def test_worker_count_does_not_change_the_search(self, pm):
+        from cglblow.shooting import shoot
+
+        cfg = small_config(pm, N=1024, s_end=100.6)
+        one, two = (
+            shoot(cfg, grid_n=3, refine=True, bisect_levels=2, workers=w)
+            for w in (1, 2)
+        )
+        assert one.refined and two.refined
+        # both bisection levels ran: 3 x 3 coarse probes plus 5 per level
+        assert len(one.probes) == 9 + 2 * 5
+        assert one.probes == two.probes
+        assert one.best == two.best
+        assert one.corner_signs == two.corner_signs
+
+    def test_one_simulator_per_search(self, pm, monkeypatch):
+        from cglblow.shooting import shoot
+
+        built = []
+        init = Simulator.__init__
+
+        def counted(self, config):
+            built.append(config)
+            init(self, config)
+
+        monkeypatch.setattr(Simulator, "__init__", counted)
+        cfg = small_config(pm, N=1024, s_end=100.6)
+        res = shoot(cfg, grid_n=3, refine=True, bisect_levels=2, workers=1)
+        assert len(res.probes) == 9 + 2 * 5
+        assert len(built) == 1
 
 
 class TestNullModeDecayRate:
