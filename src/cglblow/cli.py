@@ -315,7 +315,7 @@ def cmd_shoot(cfg, args) -> int:
     if args.s0_study:
         from .simulate import s0_scaling_study
 
-        payload["s0_scaling"] = s0_scaling_study(sc.params)
+        payload["s0_scaling"] = s0_scaling_study(sc)
     out = Path(cfg["output.dir"])
     out.mkdir(parents=True, exist_ok=True)
     path = out / "shoot.json"

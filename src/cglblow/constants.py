@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from .exact import (
@@ -414,13 +415,20 @@ class ProjTables:
     Lt: dict
 
 
-def projection_tables(params, basis: BasisTable, wt: WTables) -> ProjTables:
+@cache
+def projection_tables(params, basis: BasisTable) -> ProjTables:
     """All letter tables; entries are proved real by the exactness check.
 
     Odd (n, j) combinations vanish by parity, so only even indices are
     tabulated; each source polynomial is decomposed once and read off for
-    every n.
+    every n.  The tables are computed once per process and key, and
+    callers must not modify them; they do not depend on mu, so
+    :class:`_Assembly` asks for them with mu unset.
     """
+    wt = potential_polys(params)
+    bad = [k for k in ("W11", "W12", "W21", "W22") if not wt.matches[k]]
+    if bad:
+        raise AssertionError(f"potential transcription mismatch: {bad}")
     out = {name: {} for name in "C D E Ff Ct Dt Et Ft K L Kt Lt".split()}
 
     def put(name, key, value):
@@ -606,13 +614,7 @@ class _Assembly:
         self.basis = basis
         self.mu = mu
         self.lt02_printed = lt02_printed
-        self.wt = potential_polys(params)
-        bad = [
-            k for k in ("W11", "W12", "W21", "W22") if not self.wt.matches[k]
-        ]
-        if bad:
-            raise AssertionError(f"potential transcription mismatch: {bad}")
-        self.proj = projection_tables(params, basis, self.wt)
+        self.proj = projection_tables(params.with_mu(None), basis)
         self.rest = rest_expansion(params, basis, mu)
         self.bq = b_quadratic_constants(params, basis, self.rest)
         self._assemble()
@@ -751,8 +753,7 @@ def _b2_root_from_s32(params, basis) -> Fraction:
     vals = {}
     for bval in (F(1), F(2)):
         pm2 = _params_with_rational_b(params, bval)
-        basis2 = basis  # basis depends only on (beta, delta)
-        asm = _Assembly(pm2, basis2, pm2.ext(0))
+        asm = _Assembly(pm2, basis, pm2.ext(0))
         v = to_ext(KappaGraded(asm.coef_s32.value, 0), pm2)
         if not is_zero(v.c1) or not is_zero(imag_part(v)):
             raise AssertionError("s^(-3/2) coefficient not a real rational")
@@ -782,13 +783,13 @@ def _params_with_rational_b(params, bval: Fraction) -> ProfileParams:
     )
 
 
-def cancellation_residuals(params, basis: Optional[BasisTable] = None) -> dict:
+def cancellation_residuals(params) -> dict:
     """Just the four targeted ODE coefficients, one exact pass (mu = 0).
 
     All four must be exactly zero at the critical parameters with the
     derived b^2; mu does not enter any of them.
     """
-    basis = basis or build_basis(6, params.p, params.delta, params.beta)
+    basis = build_basis(6, params.p, params.delta, params.beta)
     asm = _Assembly(params, basis, params.ext(0))
     return {
         "coef_1_over_s": asm.coef_1_over_s,
@@ -798,12 +799,12 @@ def cancellation_residuals(params, basis: Optional[BasisTable] = None) -> dict:
     }
 
 
-def ode_coefficients(params, basis: Optional[BasisTable] = None) -> OdeCoefficients:
+def ode_coefficients(params) -> OdeCoefficients:
     """The four targeted cancellations plus Htilde1/Htilde2, all exact.
 
     Independence from mu is verified by assembling at two values.
     """
-    basis = basis or build_basis(6, params.p, params.delta, params.beta)
+    basis = build_basis(6, params.p, params.delta, params.beta)
     asm0 = _Assembly(params, basis, params.ext(0))
     asm1 = _Assembly(params, basis, params.ext(1))
     for name in ("coef_q2_sqrt", "coef_q2sq", "coef_1_over_s", "coef_s32",
@@ -833,8 +834,7 @@ class MuResult:
     flavor: str = "selfconsistent"
 
 
-def mu_critical(params, basis: Optional[BasisTable] = None,
-                flavor: str = "selfconsistent") -> MuResult:
+def mu_critical(params, flavor: str = "selfconsistent") -> MuResult:
     """The unique mu killing the s^-2 forcing of the null-mode combination.
 
     The target is affine in mu; three exact evaluations extract the affine
@@ -842,7 +842,7 @@ def mu_critical(params, basis: Optional[BasisTable] = None,
     back for a final exact zero residual.  ``flavor`` picks the L~_{0,2}
     convention entering Htilde1 (see OdeCoefficients).
     """
-    basis = basis or build_basis(6, params.p, params.delta, params.beta)
+    basis = build_basis(6, params.p, params.delta, params.beta)
     printed = flavor == "printed"
     if flavor not in ("selfconsistent", "printed"):
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -865,18 +865,18 @@ def mu_critical(params, basis: Optional[BasisTable] = None,
     return MuResult(mu=mu, a0=a0, a1=a1, residual=residual, flavor=flavor)
 
 
-def shrink_combo_constants(params, basis: Optional[BasisTable] = None,
-                           mu: Optional[ExtScalar] = None,
-                           flavor: str = "selfconsistent") -> ShrinkCombos:
-    """Combination constants of the shrinking set at the given (or derived) mu."""
+def shrink_combo_constants(params,
+                           basis: Optional[BasisTable] = None) -> ShrinkCombos:
+    """Shrinking-set combination constants at params.mu (derived if unset).
+
+    ``basis`` defaults to the degree-6 table; the simulator passes its own
+    table of degree M_track.
+    """
     if params.beta == 0:
         raise DomainError("beta = 0: c_2 vanishes and the combinations degenerate")
     basis = basis or build_basis(6, params.p, params.delta, params.beta)
-    if mu is None:
-        mu = params.mu if params.mu is not None else mu_critical(
-            params, basis, flavor=flavor
-        ).mu
-    return _Assembly(params, basis, mu, flavor == "printed").combos
+    mu = params.mu if params.mu is not None else mu_critical(params).mu
+    return _Assembly(params, basis, mu).combos
 
 
 # ---------------------------------------------------------------------------
@@ -1201,17 +1201,15 @@ def transcribed_constants(params, mu: ExtScalar) -> dict:
     return out
 
 
-def transcription_report(params, basis: Optional[BasisTable] = None,
-                         mu: Optional[ExtScalar] = None) -> dict:
+def transcription_report(params) -> dict:
     """Compare regenerated tables against the printed closed forms.
 
     Returns name -> (match: bool, expected_match: bool).  A False match
     with expected_match False is a documented deviation of the printed
     text; anything else failing indicates a genuine regression.
     """
-    basis = basis or build_basis(6, params.p, params.delta, params.beta)
-    if mu is None:
-        mu = params.ext(0)
+    basis = build_basis(6, params.p, params.delta, params.beta)
+    mu = params.ext(0)
     asm = _Assembly(params, basis, mu)
     tr = transcribed_constants(params, mu)
     pr, rs = asm.proj, asm.rest

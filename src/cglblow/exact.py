@@ -24,8 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-Rational = Fraction
-
 RationalLike = Union[int, Fraction]
 
 
@@ -171,11 +169,6 @@ class GaussComplex:
 
     def __str__(self):
         return format_scalar(self)
-
-
-GC_ZERO = GaussComplex(0)
-GC_ONE = GaussComplex(1)
-GC_I = GaussComplex(0, 1)
 
 
 class ExtScalar:

@@ -17,7 +17,7 @@ A single run is sequential; shooting probes fan out over a process pool in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -158,7 +158,7 @@ class Simulator:
             config.M_track, pm.p, pm.delta, pm.beta
         )
         self.bf = self.basis.float_views()
-        combos = shrink_combo_constants(pm, self.basis, mu=pm.mu)
+        combos = shrink_combo_constants(pm, self.basis)
         self.combos = combos.float_map(self.fp.kappa)
         self._proj = self.bf.projector(self.y)
         self._modes = self.bf.mode_samples(self.y)
@@ -281,11 +281,12 @@ class Simulator:
     def run(self, spec: InitialDataSpec, stop_on_exit: bool = True,
             exit_grace: int = 10) -> RunResult:
         cfg = self.config
-        if spec.s0 != cfg.s0:
-            raise ValueError(
-                f"initial data at s0 = {spec.s0}, but the run starts at "
-                f"s0 = {cfg.s0}"
-            )
+        for name in ("s0", "K", "A"):
+            if getattr(spec, name) != getattr(cfg, name):
+                raise ValueError(
+                    f"initial data at {name} = {getattr(spec, name)}, but the "
+                    f"run has {name} = {getattr(cfg, name)}"
+                )
         state = self.initial_state(spec)
         self.stepper.reset_history()
         converged = self.modulate(state)
@@ -344,7 +345,7 @@ class Simulator:
             hist.setdefault(k, []).append(v)
 
 
-def s0_scaling_study(params: ProfileParams, s0_values=(50.0, 100.0, 200.0),
+def s0_scaling_study(config: SimConfig, s0_values=(50.0, 100.0, 200.0),
                      window: float = 1.0, N: int = 2048,
                      ds: float = 1e-3) -> dict:
     """Worst shrinking-set ratios of the centered run as s0 varies.
@@ -352,19 +353,20 @@ def s0_scaling_study(params: ProfileParams, s0_values=(50.0, 100.0, 200.0),
     The construction only promises a trap for s0 large enough; this runs
     the (d0~, d1~) = (0, 0) data over a fixed window at each s0 and
     reports the per-component worst bound ratios, so the s0-dependence is
-    part of the shooting record rather than guesswork.
+    part of the shooting record rather than guesswork.  Each run is
+    ``config`` (its parameters, K, A, M_track and scheme) on a grid sized
+    for the cutoff radius at the end of the window.
     """
     out = {}
     for s0 in s0_values:
-        K = 12.0
-        L = 2 * K * (s0 + window) ** 0.25 + 12.0
-        cfg = SimConfig(params=params, L=L, N=N, ds=ds, s0=float(s0),
-                        s_end=float(s0) + window, K=K, A=20.0)
+        s0 = float(s0)
+        L = 2 * config.K * (s0 + window) ** 0.25 + 12.0
+        cfg = replace(config, L=L, N=N, ds=ds, s0=s0, s_end=s0 + window)
         sim = Simulator(cfg)
-        spec = InitialDataSpec(s0=float(s0), d0_tilde=0.0, d1_tilde=0.0,
-                               K=K, A=20.0)
+        spec = InitialDataSpec(s0=s0, d0_tilde=0.0, d1_tilde=0.0,
+                               K=cfg.K, A=cfg.A)
         res = sim.run(spec, stop_on_exit=False)
-        out[float(s0)] = {
+        out[s0] = {
             k: float(res.report.max_ratio(k)) for k in res.report.names
         }
     return out

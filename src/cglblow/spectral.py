@@ -22,8 +22,9 @@ points (sampled projections, the semigroup kernel) use numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -44,17 +45,6 @@ class GridTooNarrow(ValueError):
 
 # largest |rho| allowed at either end of a sampling grid
 TAIL_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class WeightParams:
-    """The complex Gaussian weight parameter."""
-
-    beta: Fraction
-
-    def variance(self) -> GaussComplex:
-        # sigma^2 of the weight seen as a (complex) Gaussian: 2(1+i beta).
-        return GaussComplex(2, 2 * self.beta)
 
 
 def rho_weight(y: np.ndarray, beta: float) -> np.ndarray:
@@ -211,12 +201,6 @@ class ModeCoeffs:
     Q: list
     remainder: object = None
 
-    def as_floats(self, kappa: float = None):
-        qf = [to_complex(v, kappa).real for v in self.q]
-        qtf = [to_complex(v, kappa).real for v in self.q_tilde]
-        Qf = [to_complex(v, kappa) for v in self.Q]
-        return qf, qtf, Qf
-
 
 class BasisTable:
     """Exact Jordan basis up to degree M, with float views for the solver."""
@@ -274,16 +258,13 @@ class BasisTable:
                 raise ArithmeticError("f-expansion failed to reduce degree")
         return out
 
-    def f_expand(self, p: Poly) -> list:
-        return self._f_expand_gc(p)
-
     def decompose(self, p: Poly) -> ModeCoeffs:
         """Exact P = sum(q_n h_n + qt_n ht_n) + remainder over the table.
 
         The remainder is the exact part of the f-expansion beyond degree M
         (zero whenever deg P <= M).
         """
-        Q = self.f_expand(p)
+        Q = self._f_expand_gc(p)
         rem = Poly.zero(p.var)
         for n in range(self.M + 1, len(Q)):
             if not is_zero(Q[n]):
@@ -323,8 +304,13 @@ class BasisTable:
         return BasisFloats(self, kappa)
 
 
+@cache
 def build_basis(M: int, p, delta, beta) -> BasisTable:
-    """Construct the Jordan basis table for the given parameters."""
+    """The Jordan basis table for the given parameters, built once per process.
+
+    The key is the exact inputs, so int and Fraction arguments of the same
+    value share one table; callers must not modify it.
+    """
     return BasisTable(M, Fraction(p), Fraction(delta), Fraction(beta))
 
 

@@ -188,10 +188,9 @@ def verification_report(p, delta, full: bool = True) -> list:
             ("b2/matches-cubic-literature", b_critical(p, delta) == b_pskk_sq(delta),
              "p = 3 closed form")
         )
-    basis = build_basis(6, pm.p, pm.delta, pm.beta)
     checks.extend(basis_checks(p, delta))
 
-    ode = ode_coefficients(pm, basis)
+    ode = ode_coefficients(pm)
     for name in ("coef_1_over_s", "coef_q2_over_sqrt_s", "coef_q2sq", "coef_s32"):
         checks.append((f"ode/{name}-vanishes", _zero(getattr(ode, name)), "exact"))
     checks.append(
@@ -213,7 +212,7 @@ def verification_report(p, delta, full: bool = True) -> list:
     )
 
     for flavor in ("selfconsistent", "printed"):
-        mu = mu_critical(pm, basis, flavor=flavor)
+        mu = mu_critical(pm, flavor=flavor)
         checks.append(
             (f"mu/{flavor}/a0-nonzero", not mu.a0.is_zero(), str(mu.a0))
         )
@@ -235,7 +234,7 @@ def verification_report(p, delta, full: bool = True) -> list:
          "component sum matches the corrected bracket")
     )
     if full:
-        rep = transcription_report(pm, basis)
+        rep = transcription_report(pm)
         for name, (match, expected) in sorted(rep.items()):
             if expected:
                 checks.append((f"print/{name}", match, "regenerated == printed"))

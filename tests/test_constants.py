@@ -159,9 +159,8 @@ class TestMu:
     def test_a0_structure(self):
         # a0 = kappa (H1 + 1) / c2 since the rest of the target is mu-free
         pm = derive_params(3, 1)
-        basis = build_basis(6, pm.p, pm.delta, pm.beta)
-        ode = ode_coefficients(pm, basis)
-        mr = mu_critical(pm, basis)
+        ode = ode_coefficients(pm)
+        mr = mu_critical(pm)
         c2 = 2 * pm.beta * (1 + pm.delta**2)
         want = (ode.Htilde1_selfconsistent + 1) * pm.kappa / pm.ext(c2)
         assert mr.a0 == want
@@ -203,8 +202,8 @@ class TestShrinkCombos:
     def test_A2_is_rest_projection(self):
         pm = derive_params(3, 1)
         basis = build_basis(6, pm.p, pm.delta, pm.beta)
-        mu = mu_critical(pm, basis).mu
-        combos = shrink_combo_constants(pm, basis, mu=mu)
+        mu = mu_critical(pm).mu
+        combos = shrink_combo_constants(pm.with_mu(mu), basis)
         from cglblow.constants import rest_expansion
 
         rest = rest_expansion(pm, basis, mu)
@@ -264,15 +263,52 @@ class TestBQuadratic:
 
 class TestS0Study:
     def test_ratios_recorded(self):
-        from cglblow.simulate import s0_scaling_study
+        from cglblow.simulate import SimConfig, s0_scaling_study
 
         pm = derive_params(3, 1)
         pm = pm.with_mu(mu_critical(pm).mu)
-        study = s0_scaling_study(pm, s0_values=(50.0, 100.0),
+        study = s0_scaling_study(SimConfig(params=pm), s0_values=(50.0, 100.0),
                                  window=0.25, N=1024)
         assert set(study) == {50.0, 100.0}
         for ratios in study.values():
             assert all(v < 1.0 for v in ratios.values())
+
+    def test_runs_use_the_config_K_and_A(self, monkeypatch):
+        from cglblow import simulate
+
+        built = []
+
+        class Recording(simulate.Simulator):
+            def __init__(self, config):
+                built.append(config)
+                super().__init__(config)
+
+        monkeypatch.setattr(simulate, "Simulator", Recording)
+        pm = derive_params(3, 1)
+        pm = pm.with_mu(mu_critical(pm).mu)
+        cfg = simulate.SimConfig(params=pm, K=10.0, A=15.0)
+        simulate.s0_scaling_study(cfg, s0_values=(50.0, 100.0),
+                                  window=0.01, N=512)
+        assert [(c.s0, c.K, c.A) for c in built] == [
+            (50.0, 10.0, 15.0), (100.0, 10.0, 15.0)
+        ]
+
+
+class TestCaches:
+    def test_pure_stages_computed_once_per_pair(self):
+        from cglblow.constants import projection_tables
+        from cglblow.simulate import SimConfig, Simulator
+
+        pm = derive_params(3, 1)
+        mu = mu_critical(pm).mu
+        tables = projection_tables.cache_info().misses
+        bases = build_basis.cache_info().misses
+        assert mu_critical(pm).mu == mu
+        ode_coefficients(pm)
+        transcription_report(pm)
+        Simulator(SimConfig(params=pm.with_mu(mu), N=512))
+        assert projection_tables.cache_info().misses == tables
+        assert build_basis.cache_info().misses == bases
 
 
 class TestFullMBound:

@@ -223,7 +223,7 @@ class TestCutoff:
 @pytest.fixture(scope="module")
 def machinery(pm):
     basis = build_basis(6, pm.p, pm.delta, pm.beta)
-    combos = shrink_combo_constants(pm, basis, mu=pm.mu)
+    combos = shrink_combo_constants(pm, basis)
     fp = FloatParams.from_exact(pm)
     bf = basis.float_views()
     y = np.linspace(-88, 88, 4097)

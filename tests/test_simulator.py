@@ -348,6 +348,16 @@ class TestRunLaws:
         with pytest.raises(ValueError, match="s0"):
             sim.run(spec)
 
+    @pytest.mark.parametrize("name", ["K", "A"])
+    def test_initial_data_must_match_the_shrinking_set(self, pm, name):
+        cfg = small_config(pm, N=512, s_end=100.01)
+        sim = Simulator(cfg)
+        knobs = dict(s0=cfg.s0, d0_tilde=0.0, d1_tilde=0.0, K=cfg.K, A=cfg.A)
+        knobs[name] += 1.0
+        spec = InitialDataSpec(**knobs)
+        with pytest.raises(ValueError, match=f"{name} = "):
+            sim.run(spec)
+
     def test_determinism(self, pm):
         cfg = small_config(pm, s_end=100.05)
         spec = InitialDataSpec(s0=cfg.s0, d0_tilde=0.1, d1_tilde=0.1,

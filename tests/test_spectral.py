@@ -116,6 +116,9 @@ class TestJordanBasis:
         basis = build_basis(6, F(3), F(1), F(1, 2))
         assert basis.h[2] == Poly([gc(F(1, 2), F(-5, 2)), gc(0), gc(0, 1)])
 
+    def test_int_and_fraction_share_one_table(self):
+        assert build_basis(6, 3, 1, F(1, 2)) is build_basis(6, F(3), F(1), F(1, 2))
+
     def test_jordan_relations_all_n(self):
         basis = build_basis(8, F(2), F(1), F(1, 3))
         for n in range(9):
