@@ -111,8 +111,9 @@ def b_pskk_sq(delta) -> Fraction:
 class ProfileParams:
     """All scalar parameters derived from (p, delta); exact plus float views.
 
-    mu is populated by :func:`mu_critical`; until then it is None and the
-    tables that need it are evaluated with an explicit mu argument.
+    mu is populated by :func:`mu_critical`; until then it is None.  The
+    cached exact stages are keyed on the parameters with mu unset, and mu
+    enters the tables only as an exact affine shift (see :class:`_Assembly`).
     """
 
     p: Fraction
@@ -306,7 +307,10 @@ def rest_series(params, mu: ExtScalar, tmax: int = 4):
     """The rest term (per unit kappa) and the phase-derivative multiplier.
 
     Returns (rstar_hat, theta_hat): R* = kappa * rstar_hat + theta'(s) *
-    kappa * theta_hat with t = s^(-1/2), exactly to t-order tmax.
+    kappa * theta_hat with t = s^(-1/2), exactly to t-order tmax.  The
+    phase mu log s enters exactly as theta' does, through mu/s: rstar_hat
+    is affine in mu with slope t^2 * theta_hat.  :func:`rest_expansion`
+    uses that; this direct form at one mu is the second route.
     """
     p, delta, beta = params.p, params.delta, params.beta
     w, g, gc, t, fmod, gpow = _profile_series(params, tmax)
@@ -346,14 +350,26 @@ class RestTables:
 
     R[(k, j)] multiplies h_k at order s^-(j+1)/..., i.e. the t-order is
     j+1; Theta[(k, j)] the analogous theta'-multiplier coefficients.  All
-    entries carry kappa-grade one.
+    entries carry kappa-grade one.  R and Rt are affine in mu with the
+    exact slopes R_mu and Rt_mu; :meth:`at` reads them at a given mu from
+    the mu = 0 tables that :func:`rest_expansion` returns.
     """
 
     R: dict
     Rt: dict
     Theta: dict
     Theta_t: dict
-    poly: dict
+    R_mu: dict
+    Rt_mu: dict
+
+    def at(self, mu: ExtScalar) -> "RestTables":
+        """The tables at mu, R + mu R_mu (Theta does not depend on mu)."""
+        m = KappaGraded(mu, 0)
+        return replace(
+            self,
+            R={k: v + m * self.R_mu[k] for k, v in self.R.items()},
+            Rt={k: v + m * self.Rt_mu[k] for k, v in self.Rt.items()},
+        )
 
 
 def _graded_poly(p: Poly, grade: int, params=None) -> Poly:
@@ -367,12 +383,10 @@ def _graded_poly(p: Poly, grade: int, params=None) -> Poly:
     return Poly([lift(c) for c in p.coeffs], p.var)
 
 
-def rest_expansion(params, basis: BasisTable, mu: ExtScalar) -> RestTables:
-    """Regenerate the rest-term tables by exact series expansion."""
-    rstar, theta_hat = rest_series(params, mu)
+def _rest_modes(params, basis: BasisTable, rstar) -> tuple:
+    """(R, Rt): the t-orders 1..4 of a rest series over the Jordan basis."""
     R: dict = {}
     Rt: dict = {}
-    poly: dict = {}
     for j in range(0, 4):
         pj = rstar.t_coefficient(j + 1)
         if pj.degree > 2 * j:
@@ -381,11 +395,26 @@ def rest_expansion(params, basis: BasisTable, mu: ExtScalar) -> RestTables:
             )
         if any(k % 2 == 1 and not is_zero(c) for k, c in enumerate(pj.coeffs)):
             raise AssertionError("rest expansion produced odd powers")
-        poly[j] = pj
         modes = basis.decompose(_graded_poly(pj, 1, params))
         for k in range(0, 2 * j + 1):
             R[(k, j)] = modes.q[k]
             Rt[(k, j)] = modes.q_tilde[k]
+    return R, Rt
+
+
+@cache
+def rest_expansion(params, basis: BasisTable) -> RestTables:
+    """Regenerate the rest-term tables by exact series expansion.
+
+    Returns the tables at mu = 0 with their exact mu slopes, the same
+    decomposition applied to t^2 * theta_hat (see :func:`rest_series`).
+    Computed once per process and key; callers ask with mu unset, as for
+    :func:`projection_tables`, and must not modify the tables.
+    """
+    rstar, theta_hat = rest_series(params, params.ext(0))
+    R, Rt = _rest_modes(params, basis, rstar)
+    t = TSeries.term(params.ext(1), 1, 0, rstar.tmax)
+    R_mu, Rt_mu = _rest_modes(params, basis, t * t * theta_hat)
     Theta: dict = {}
     Theta_t: dict = {}
     for j in (0, 1):
@@ -394,7 +423,8 @@ def rest_expansion(params, basis: BasisTable, mu: ExtScalar) -> RestTables:
         for k in range(0, min(2 * (j + 1), basis.M) + 1):
             Theta[(k, j)] = modes.q[k]
             Theta_t[(k, j)] = modes.q_tilde[k]
-    return RestTables(R=R, Rt=Rt, Theta=Theta, Theta_t=Theta_t, poly=poly)
+    return RestTables(R=R, Rt=Rt, Theta=Theta, Theta_t=Theta_t,
+                      R_mu=R_mu, Rt_mu=Rt_mu)
 
 
 @dataclass
@@ -467,13 +497,20 @@ class BQuadTables:
     B2: KappaGraded
 
 
-def b_quadratic_constants(params, basis: BasisTable, rest: RestTables) -> BQuadTables:
+@cache
+def b_quadratic_constants(params, basis: BasisTable) -> BQuadTables:
     """Quadratic term constants, regenerated from the second-order expansion.
 
     The quadratic kernel at the profile's core value kappa is
       (1+i delta)/(8 kappa) [ (p-3) qbar^2 + 2(p+1) q qbar + (p+1) q^2 ],
-    projected on ht_2 after substituting the slowly forced modes.
+    projected on ht_2 after substituting the slowly forced modes A2 =
+    R_{2,1} and At0 = -R~_{0,1}.  Neither moves with mu: at that t-order
+    the mu slope is the constant -i, whose decomposition is all R_{0,1}.
+    So the constants are computed once per process and key, with mu unset.
     """
+    rest = rest_expansion(params, basis)
+    if not (is_zero(rest.R_mu[(2, 1)]) and is_zero(rest.Rt_mu[(0, 1)])):
+        raise AssertionError("R_{2,1} or R~_{0,1} depends on mu")
     p, d = params.p, params.delta
     cd = GaussComplex(1, d)
     names = {"qt0": basis.h_tilde[0], "q2": basis.h[2], "qt2": basis.h_tilde[2]}
@@ -595,6 +632,10 @@ def htilde1_plus_32_closed_form(p, delta) -> Fraction:
 class _Assembly:
     """One full exact pass of the table pipeline at a fixed mu.
 
+    The projection, rest and quadratic stages are cached per (params,
+    basis) with mu unset; this is the one place mu enters them, as the
+    affine shift of the rest tables (:meth:`RestTables.at`).
+
     ``lt02_printed`` switches the value of the phase-projection constant
     L~_{0,2} used inside the slow feedback of the unit mode: False takes
     the regenerated projection -beta(1+delta^2) (self-consistent with the
@@ -614,9 +655,10 @@ class _Assembly:
         self.basis = basis
         self.mu = mu
         self.lt02_printed = lt02_printed
-        self.proj = projection_tables(params.with_mu(None), basis)
-        self.rest = rest_expansion(params, basis, mu)
-        self.bq = b_quadratic_constants(params, basis, self.rest)
+        key = params.with_mu(None)
+        self.proj = projection_tables(key, basis)
+        self.rest = rest_expansion(key, basis).at(mu)
+        self.bq = b_quadratic_constants(key, basis)
         self._assemble()
 
     def _assemble(self):
@@ -839,7 +881,9 @@ def mu_critical(params, flavor: str = "selfconsistent") -> MuResult:
 
     The target is affine in mu; three exact evaluations extract the affine
     map, guard against hidden quadratic terms, and the root is substituted
-    back for a final exact zero residual.  ``flavor`` picks the L~_{0,2}
+    back for a final exact zero residual.  The series stages are computed
+    once per (params, basis), so each evaluation costs one assembly over
+    the rest tables shifted to its mu.  ``flavor`` picks the L~_{0,2}
     convention entering Htilde1 (see OdeCoefficients).
     """
     basis = build_basis(6, params.p, params.delta, params.beta)
@@ -872,8 +916,6 @@ def shrink_combo_constants(params,
     ``basis`` defaults to the degree-6 table; the simulator passes its own
     table of degree M_track.
     """
-    if params.beta == 0:
-        raise DomainError("beta = 0: c_2 vanishes and the combinations degenerate")
     basis = basis or build_basis(6, params.p, params.delta, params.beta)
     mu = params.mu if params.mu is not None else mu_critical(params).mu
     return _Assembly(params, basis, mu).combos

@@ -17,6 +17,7 @@ A single run is sequential; shooting probes fan out over a process pool in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -54,6 +55,12 @@ class SimConfig:
     def validate(self):
         if not 0.0 < self.ds <= 1e-3:
             raise ValueError(f"ds must be in (0, 1e-3], got {self.ds}")
+        if not self.s0 > 1.0:
+            raise ValueError(f"s0 must be > 1, got {self.s0}")
+        if not (math.isfinite(self.K) and self.K >= 1.0):
+            raise ValueError(f"K must be finite and >= 1, got {self.K}")
+        if not (math.isfinite(self.A) and self.A > 0.0):
+            raise ValueError(f"A must be finite and > 0, got {self.A}")
         if not (self.s_end - self.s0) / self.ds > 0.5:  # run takes round() steps
             raise ValueError(
                 f"[s0, s_end] = [{self.s0}, {self.s_end}] holds no step of "

@@ -206,7 +206,7 @@ class TestShrinkCombos:
         combos = shrink_combo_constants(pm.with_mu(mu), basis)
         from cglblow.constants import rest_expansion
 
-        rest = rest_expansion(pm, basis, mu)
+        rest = rest_expansion(pm, basis).at(mu)
         assert combos.A2 == rest.R[(2, 1)]
         assert combos.At0 == -1 * rest.Rt[(0, 1)]
 
@@ -231,13 +231,12 @@ class TestTranscription:
 
 class TestBQuadratic:
     def test_spot_values_at_3_1(self):
-        from cglblow.constants import b_quadratic_constants, rest_expansion
+        from cglblow.constants import b_quadratic_constants
         from cglblow.exact import KappaGraded
 
         pm = derive_params(3, 1)
         basis = build_basis(6, pm.p, pm.delta, pm.beta)
-        rest = rest_expansion(pm, basis, pm.ext(0))
-        bq = b_quadratic_constants(pm, basis, rest)
+        bq = b_quadratic_constants(pm, basis)
         # Btilde2 = (4(p - d^2) - d b (6 + 4p + 2 d^2))/kappa = -2/kappa
         assert bq.Btilde2 == KappaGraded(pm.ext(-2), -1)
         # the q2^2 kernel coefficient: (32 - 64 d b)/(8 kappa) = 0 here
@@ -252,13 +251,103 @@ class TestBQuadratic:
 
         pm = derive_params(3, 2)  # beta = -1/8: 32 - 64 d b != 0
         basis = build_basis(6, pm.p, pm.delta, pm.beta)
-        rest = rest_expansion(pm, basis, pm.ext(0))
-        bq = b_quadratic_constants(pm, basis, rest)
-        R21 = rest.R[(2, 1)]
+        bq = b_quadratic_constants(pm, basis)
+        R21 = rest_expansion(pm, basis).R[(2, 1)]
         want = R21 * R21 * (
             F(32 - 64 * pm.delta * pm.beta, 8)
         ) / pm.kappa
         assert bq.B2 == want
+
+
+AFFINE_PAIRS = [(F(3), F(1)), (F(3), F(2)), (F(5, 2), F(1, 3)),
+                (F(4), F(1)), (F(2), F(1))]
+
+
+class TestAffineMu:
+    """The rest tables at mu are the mu = 0 tables shifted by mu R_mu."""
+
+    @pytest.mark.parametrize("p,d", AFFINE_PAIRS[:4])
+    def test_shift_matches_direct_decomposition(self, p, d):
+        from cglblow.constants import (
+            _rest_modes, b_quadratic_constants, rest_expansion, rest_series,
+        )
+
+        pm = derive_params(p, d)
+        basis = build_basis(6, pm.p, pm.delta, pm.beta)
+        tables = rest_expansion(pm, basis)
+        bq = b_quadratic_constants(pm, basis)
+        quad = bq.quad
+        for mu in (pm.ext(0), pm.ext(1), pm.ext(2), mu_critical(pm).mu):
+            R, Rt = _rest_modes(pm, basis, rest_series(pm, mu)[0])
+            shifted = tables.at(mu)
+            assert shifted.R == R and shifted.Rt == Rt
+            assert shifted.Theta == tables.Theta
+            # the quadratic constants from the direct tables at this mu
+            A2, At0 = R[(2, 1)], -Rt[(0, 1)]
+            assert bq.Btilde2 == quad[("qt2", "qt2")]
+            assert bq.B1 == quad[("q2", "qt2")] * A2 + quad[("qt0", "qt2")] * At0
+            assert bq.B2 == (
+                quad[("q2", "q2")] * A2 * A2
+                + quad[("qt0", "q2")] * At0 * A2
+                + quad[("qt0", "qt0")] * At0 * At0
+            )
+
+    @pytest.mark.parametrize("p,d", AFFINE_PAIRS)
+    def test_printed_mu_terms(self, p, d):
+        # the printed R01 and Rt22 carry the -kappa mu terms explicitly
+        from cglblow.constants import rest_expansion, transcribed_constants
+
+        pm = derive_params(p, d)
+        basis = build_basis(6, pm.p, pm.delta, pm.beta)
+        for mu in (pm.ext(1), mu_critical(pm).mu):
+            rest = rest_expansion(pm, basis).at(mu)
+            tr = transcribed_constants(pm, mu)
+            assert (rest.R[(0, 1)] - tr["R01"]).is_zero()
+            assert (rest.Rt[(2, 2)] - tr["Rt22"]).is_zero()
+
+    def test_quadratic_guard_raises(self, monkeypatch):
+        from dataclasses import replace
+
+        from cglblow import constants
+
+        pm = derive_params(3, 2)
+        basis = build_basis(6, pm.p, pm.delta, pm.beta)
+        rest = constants.rest_expansion(pm, basis)
+        moved = replace(rest, R_mu={**rest.R_mu, (2, 1): rest.R_mu[(0, 1)]})
+        monkeypatch.setattr(constants, "rest_expansion",
+                            lambda params, basis: moved)
+        with pytest.raises(AssertionError, match="depends on mu"):
+            constants.b_quadratic_constants.__wrapped__(pm, basis)
+
+    def test_affinity_guard_raises(self, monkeypatch):
+        from cglblow.constants import RestTables
+
+        at = RestTables.at
+        monkeypatch.setattr(RestTables, "at", lambda self, mu: at(self, mu * mu))
+        with pytest.raises(AssertionError, match="not affine"):
+            mu_critical(derive_params(3, 1))
+
+    def test_independence_guard_raises(self, monkeypatch):
+        from cglblow.constants import RestTables
+
+        at = RestTables.at
+        monkeypatch.setattr(RestTables, "at", lambda self, mu: at(self, 2 * mu))
+        with pytest.raises(AssertionError, match="depends on mu"):
+            ode_coefficients(derive_params(3, 1))
+
+    def test_w_transcription_guard_raises(self, monkeypatch):
+        from dataclasses import replace
+
+        from cglblow import constants
+
+        pm = derive_params(3, 1)
+        wt = potential_polys(pm)
+        bad = replace(wt, matches={**wt.matches, "W12": False})
+        monkeypatch.setattr(constants, "potential_polys", lambda params: bad)
+        with pytest.raises(AssertionError, match="transcription mismatch"):
+            constants.projection_tables.__wrapped__(
+                pm, build_basis(6, pm.p, pm.delta, pm.beta)
+            )
 
 
 class TestS0Study:
@@ -296,19 +385,24 @@ class TestS0Study:
 
 class TestCaches:
     def test_pure_stages_computed_once_per_pair(self):
-        from cglblow.constants import projection_tables
+        from cglblow.constants import (
+            b_quadratic_constants, projection_tables, rest_expansion,
+        )
         from cglblow.simulate import SimConfig, Simulator
 
+        stages = (build_basis, projection_tables, rest_expansion,
+                  b_quadratic_constants)
         pm = derive_params(3, 1)
         mu = mu_critical(pm).mu
-        tables = projection_tables.cache_info().misses
-        bases = build_basis.cache_info().misses
+        # the b^2 determination probes two synthetic-b parameter sets,
+        # which are keys of their own: compute them before counting
+        ode_coefficients(pm)
+        misses = [f.cache_info().misses for f in stages]
         assert mu_critical(pm).mu == mu
         ode_coefficients(pm)
         transcription_report(pm)
         Simulator(SimConfig(params=pm.with_mu(mu), N=512))
-        assert projection_tables.cache_info().misses == tables
-        assert build_basis.cache_info().misses == bases
+        assert [f.cache_info().misses for f in stages] == misses
 
 
 class TestFullMBound:
@@ -336,9 +430,9 @@ class TestFloatCrossValidation:
 
         pm = derive_params(3, 1)
         mu = mu_critical(pm).mu
-        pm = pm.with_mu(mu)
         basis = build_basis(6, pm.p, pm.delta, pm.beta)
-        rest = rest_expansion(pm, basis, mu)
+        rest = rest_expansion(pm, basis).at(mu)
+        pm = pm.with_mu(mu)
         fp = FloatParams.from_exact(pm)
         kap = fp.kappa
         bf = basis.float_views()

@@ -180,6 +180,16 @@ def test_fourth_order_needs_five_points(pm):
         Simulator(small_config(pm, N=4, space_order=4))
 
 
+@pytest.mark.parametrize("name, value", [
+    ("A", -20.0), ("A", 0.0), ("A", float("inf")), ("A", float("nan")),
+    ("K", 0.5), ("K", float("inf")), ("s0", 1.0), ("s0", 0.5),
+])
+def test_validate_rejects_bad_trap_parameters(pm, name, value):
+    # caught before the exact set-up and the Simulator build
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        small_config(pm, **{name: value}).validate()
+
+
 class TestSingleStep:
     def test_profile_residual_oracle(self, pm):
         # one step from the pure profile moves w by about ds * ||R*||
