@@ -3,10 +3,17 @@
 The tower has four levels, each closed under field operations where that
 makes sense:
 
-    Fraction                     rationals (stdlib, always reduced)
-    GaussComplex                 a + b*i with rational a, b
+    Fraction                     rationals (stdlib)
+    GaussComplex                 (a + b*i)/d with plain ints a, b, d
     ExtScalar                    c0 + c1*B where B**2 is a fixed rational
     KappaGraded                  value * kappa**grade, kappa kept symbolic
+
+A GaussComplex is kept in one integer normal form, d > 0 and
+gcd(a, b, d) == 1, so each operation is integer arithmetic plus one gcd
+reduction, and equality compares three ints.  Its parts read back as
+Fractions (``re``, ``im``).  Equal values hash alike across the levels: a
+real GaussComplex like its Fraction, an ExtScalar without B-part like its
+c0, a KappaGraded of grade 0 (or of value zero) like its value.
 
 ``B`` stands for the profile coefficient whose square is rational but which
 is itself irrational; a degree-2 extension is enough for every identity we
@@ -22,6 +29,7 @@ float pipeline.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Sequence, Union
 
 RationalLike = Union[int, Fraction]
@@ -48,118 +56,135 @@ def _as_fraction(x) -> Fraction:
 
 
 class GaussComplex:
-    """Gaussian rational: exact complex number with rational re/im parts."""
+    """Gaussian rational (a + b*i)/d, held as three plain ints.
 
-    __slots__ = ("re", "im")
+    The form is canonical: d > 0, gcd(a, b, d) == 1, and zero is (0, 0, 1),
+    so equality compares the three ints.  Every operation does its integer
+    arithmetic and reduces once with a gcd of the parts (a sum of unequal
+    denominators reduces against their common factor only, see ``_sum``).
+    ``re`` and ``im`` read the parts back as ``Fraction``.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        re, im = _as_fraction(re), _as_fraction(im)
+        p, q = re.denominator, im.denominator
+        # over the least common denominator, reduced parts give gcd 1
+        g = gcd(p, q)
+        d = p // g * q
+        _set_a(self, re.numerator * (d // p))
+        _set_b(self, im.numerator * (d // q))
+        _set_d(self, d)
 
     def __setattr__(self, *a):
         raise AttributeError("GaussComplex is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self._a == 0 and self._b == 0
 
     def conj(self) -> "GaussComplex":
-        return GaussComplex(self.re, -self.im)
+        return _gauss_raw(self._a, -self._b, self._d)
 
     def real_part(self) -> "GaussComplex":
-        return GaussComplex(self.re)
+        return _gauss(self._a, 0, self._d)
 
     def imag_part(self) -> "GaussComplex":
-        return GaussComplex(self.im)
+        return _gauss(self._b, 0, self._d)
 
     # -- arithmetic --------------------------------------------------------
 
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, GaussComplex):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GaussComplex(x)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return GaussComplex(self.re + o.re, self.im + o.im)
+        return _sum(self._a, self._b, self._d, *o)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussComplex(-self.re, -self.im)
+        return _gauss_raw(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return GaussComplex(self.re - o.re, self.im - o.im)
+        a, b, d = o
+        return _sum(self._a, self._b, self._d, -a, -b, d)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return _sum(*o, -self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return GaussComplex(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a, b, d = o
+        sa, sb = self._a, self._b
+        if b == 0:
+            return _gauss(sa * a, sb * a, self._d * d)
+        return _gauss(sa * a - sb * b, sa * b + sb * a, self._d * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise DivideByZero("division by zero GaussComplex")
-        return GaussComplex(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
+        return _divide(self._a, self._b, self._d, *o)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return o / self
+        return _divide(*o, self._a, self._b, self._d)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
+        if n < 0 and self.is_zero():
+            raise DivideByZero("division by zero GaussComplex")
+        a, b, k = self._a, self._b, abs(n)
+        # (a + b i)**k by squaring on the Gaussian integer, d**k beside it
+        ra, rb = 1, 0
+        while k:
+            if k & 1:
+                ra, rb = ra * a - rb * b, ra * b + rb * a
+            k >>= 1
+            if k:
+                a, b = a * a - b * b, 2 * a * b
+        d = self._d ** abs(n)
         if n < 0:
-            return GaussComplex(1) / self ** (-n)
-        out = GaussComplex(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+            return _gauss(ra * d, -rb * d, ra * ra + rb * rb)
+        return _gauss(ra, rb, d)
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._a == o[0] and self._b == o[1] and self._d == o[2]
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes like its Fraction (and an int), as it compares
+        if self._b == 0:
+            return hash(self.re)
+        return hash((self._a, self._b, self._d))
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._d, self._b / self._d)
 
     def __reduce__(self):
         return (GaussComplex, (self.re, self.im))
@@ -169,6 +194,82 @@ class GaussComplex:
 
     def __str__(self):
         return format_scalar(self)
+
+
+_set_a = GaussComplex._a.__set__
+_set_b = GaussComplex._b.__set__
+_set_d = GaussComplex._d.__set__
+_new = object.__new__
+
+
+def _gauss_raw(a: int, b: int, d: int) -> GaussComplex:
+    """(a + b*i)/d from ints already in canonical form."""
+    x = _new(GaussComplex)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
+
+
+def _gauss(a: int, b: int, d: int) -> GaussComplex:
+    """(a + b*i)/d from ints with d > 0, reduced by one gcd."""
+    # d first: it is the smallest part as a rule, and gcd stops at 1
+    g = gcd(d, a, b)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _gauss_raw(a, b, d)
+
+
+def _parts(x):
+    """(a, b, d) of a scalar that promotes to GaussComplex, else None."""
+    if isinstance(x, GaussComplex):
+        return x._a, x._b, x._d
+    if isinstance(x, int):
+        return int(x), 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    return None
+
+
+def _sum(a1: int, b1: int, d1: int, a2: int, b2: int, d2: int):
+    """(a1 + b1 i)/d1 + (a2 + b2 i)/d2.
+
+    Over the least common denominator g*s*t (d1 = g*s, d2 = g*t), a prime
+    of s or t cannot divide both numerator parts, so only g can share a
+    factor with them: the reducing gcd runs on g, never on the large
+    denominator of a long sum.
+    """
+    if d1 == d2:
+        return _gauss(a1 + a2, b1 + b2, d1)
+    g = gcd(d1, d2)
+    if g == 1:
+        return _gauss_raw(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+    s, t = d1 // g, d2 // g
+    a, b = a1 * t + a2 * s, b1 * t + b2 * s
+    g = gcd(g, a, b)
+    if g != 1:
+        a //= g
+        b //= g
+        d2 //= g
+    return _gauss_raw(a, b, s * d2)
+
+
+def _divide(a1: int, b1: int, d1: int, a2: int, b2: int, d2: int):
+    """(a1 + b1 i)/d1 divided by (a2 + b2 i)/d2."""
+    if b2 == 0:
+        if a2 == 0:
+            raise DivideByZero("division by zero GaussComplex")
+        if a2 < 0:
+            a2, d2 = -a2, -d2
+        return _gauss(a1 * d2, b1 * d2, d1 * a2)
+    # multiply through by the conjugate; the norm a2^2 + b2^2 is positive
+    return _gauss(
+        (a1 * a2 + b1 * b2) * d2,
+        (b1 * a2 - a1 * b2) * d2,
+        d1 * (a2 * a2 + b2 * b2),
+    )
 
 
 class ExtScalar:
@@ -199,14 +300,14 @@ class ExtScalar:
         return self.c0.is_zero() and self.c1.is_zero()
 
     def conj(self) -> "ExtScalar":
-        return ExtScalar(self.c0.conj(), self.c1.conj(), self.modulus)
+        return _ext(self.c0.conj(), self.c1.conj(), self.modulus)
 
     def real_part(self) -> "ExtScalar":
         # B itself is real, so Re(c0 + c1 B) = Re(c0) + Re(c1) B.
-        return ExtScalar(self.c0.real_part(), self.c1.real_part(), self.modulus)
+        return _ext(self.c0.real_part(), self.c1.real_part(), self.modulus)
 
     def imag_part(self) -> "ExtScalar":
-        return ExtScalar(self.c0.imag_part(), self.c1.imag_part(), self.modulus)
+        return _ext(self.c0.imag_part(), self.c1.imag_part(), self.modulus)
 
     def _coerce(self, x):
         if isinstance(x, ExtScalar):
@@ -214,28 +315,28 @@ class ExtScalar:
                 raise KindMismatch("ExtScalar moduli differ")
             m = self.modulus if not self.is_zero() else x.modulus
             if x.modulus != m:
-                return ExtScalar(x.c0, x.c1, m)
+                return _ext(x.c0, x.c1, m)
             return x
         if isinstance(x, (int, Fraction, GaussComplex)):
-            return ExtScalar(_gc(x), 0, self.modulus)
+            return _ext(_gc(x), _ZERO, self.modulus)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ExtScalar(self.c0 + o.c0, self.c1 + o.c1, self.modulus)
+        return _ext(self.c0 + o.c0, self.c1 + o.c1, self.modulus)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExtScalar(-self.c0, -self.c1, self.modulus)
+        return _ext(-self.c0, -self.c1, self.modulus)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ExtScalar(self.c0 - o.c0, self.c1 - o.c1, self.modulus)
+        return _ext(self.c0 - o.c0, self.c1 - o.c1, self.modulus)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -244,7 +345,7 @@ class ExtScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ExtScalar(
+        return _ext(
             self.c0 * o.c0 + self.c1 * o.c1 * self.modulus,
             self.c0 * o.c1 + self.c1 * o.c0,
             self.modulus,
@@ -259,7 +360,7 @@ class ExtScalar:
             if self.is_zero():
                 raise DivideByZero("division by zero ExtScalar")
             raise DivideByZero("non-invertible ExtScalar (norm vanishes)")
-        return ExtScalar(self.c0 / n, -self.c1 / n, self.modulus)
+        return _ext(self.c0 / n, -self.c1 / n, self.modulus)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -278,7 +379,7 @@ class ExtScalar:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = ExtScalar(1, 0, self.modulus)
+        out = _ext(_ONE, _ZERO, self.modulus)
         base = self
         while n:
             if n & 1:
@@ -297,6 +398,9 @@ class ExtScalar:
         return self.c0 == o.c0 and self.c1 == o.c1
 
     def __hash__(self):
+        # with no B-part it equals c0 (whatever the modulus), so hash alike
+        if self.c1.is_zero():
+            return hash(self.c0)
         return hash((self.c0, self.c1, self.modulus))
 
     def __complex__(self):
@@ -311,6 +415,20 @@ class ExtScalar:
 
     def __str__(self):
         return format_scalar(self)
+
+
+_set_c0 = ExtScalar.c0.__set__
+_set_c1 = ExtScalar.c1.__set__
+_set_modulus = ExtScalar.modulus.__set__
+
+
+def _ext(c0: GaussComplex, c1: GaussComplex, modulus: Fraction) -> ExtScalar:
+    """ExtScalar from parts that are already GaussComplex and Fraction."""
+    x = _new(ExtScalar)
+    _set_c0(x, c0)
+    _set_c1(x, c1)
+    _set_modulus(x, modulus)
+    return x
 
 
 class KappaGraded:
@@ -400,7 +518,10 @@ class KappaGraded:
         return o / self
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        try:
+            o = self._coerce(other)
+        except KindMismatch:
+            return False
         if o is None:
             return NotImplemented
         if self.is_zero() and o.is_zero():
@@ -408,6 +529,9 @@ class KappaGraded:
         return self.grade == o.grade and self.value == o.value
 
     def __hash__(self):
+        # grade 0 equals its ungraded value, and zero equals zero at any grade
+        if self.grade == 0 or self.value.is_zero():
+            return hash(self.value)
         return hash((self.value, self.grade))
 
     def to_complex(self, kappa: float) -> complex:
@@ -426,7 +550,11 @@ class KappaGraded:
 def _gc(x) -> GaussComplex:
     if isinstance(x, GaussComplex):
         return x
-    return GaussComplex(_as_fraction(x))
+    return GaussComplex(x)
+
+
+_ZERO = GaussComplex(0)
+_ONE = GaussComplex(1)
 
 
 def kappa_unit(modulus: RationalLike) -> KappaGraded:

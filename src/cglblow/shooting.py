@@ -16,13 +16,14 @@ A search builds one ``Simulator`` at probe resolution and every probe runs
 on it.  Probes are independent runs, so they fan out over a process pool
 whose workers inherit that Simulator; the pool size is the ``workers``
 argument, else CGLBLOW_WORKERS, else the CPU count capped at 8.  A count
-below 1 is an error.  Each worker's BLAS should run one thread
-(OPENBLAS_NUM_THREADS=1 and the like), else the workers oversubscribe the
-cores.
+below 1 is an error.  Each pool worker sets the OpenBLAS that numpy and
+scipy bundle to one thread as it starts, so the workers do not
+oversubscribe the cores; a serial search leaves the caller's BLAS as it is.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -55,9 +56,43 @@ class ShootResult:
 
 _WORKER_SIM = None
 
+# set-threads entry points of the OpenBLAS builds that numpy (ILP64) and
+# scipy (LP64) bundle
+_BLAS_SET_THREADS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+)
 
-def _init_worker(sim: Simulator):
+
+def _loaded_openblas() -> list:
+    """Paths of the OpenBLAS libraries mapped into this process (Linux)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {ln.split()[-1] for ln in fh if "openblas" in ln.lower()}
+    except OSError:
+        return []
+    return sorted(p for p in paths if p.startswith("/"))
+
+
+def _pin_blas() -> None:
+    """Run numpy's and scipy's OpenBLAS on one thread; skip what is absent."""
+    for path in _loaded_openblas():
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_SET_THREADS:
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = (ctypes.c_int,), None
+                fn(1)
+                break
+
+
+def _init_worker(sim: Simulator, pin_blas: bool = False):
     global _WORKER_SIM
+    if pin_blas:
+        _pin_blas()
     _WORKER_SIM = sim
 
 
@@ -102,7 +137,7 @@ def _scan(sim: Simulator, pairs, workers: int) -> list:
         _init_worker(sim)
         return [_run_probe(p) for p in pairs]
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(sim,)
+        max_workers=workers, initializer=_init_worker, initargs=(sim, True)
     ) as pool:
         return list(pool.map(_run_probe, pairs))
 

@@ -1,8 +1,8 @@
 """Test-process settings shared by every test module.
 
-BLAS runs one thread per process: the shooting tests fork pool workers,
-and with a threaded BLAS in each of them the workers oversubscribe the
-cores.  Set before numpy is first imported, which reads these once.
+BLAS runs one thread in the test process, so its timings stay steady on a
+small shared machine (shooting pool workers pin their own BLAS).  Set
+before numpy is first imported, which reads these once.
 """
 
 import os

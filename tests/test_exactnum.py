@@ -1,6 +1,9 @@
 """Exact scalar tower and polynomial algebra."""
 
+import operator
+import pickle
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -11,14 +14,18 @@ from cglblow.exact import (
     ExtScalar,
     GaussComplex,
     KappaGraded,
+    KindMismatch,
     MixedKappaGrade,
     Poly,
     binomial_series,
     format_poly,
     format_scalar,
+    imag_part,
+    is_zero,
     kappa_unit,
     parse_poly,
     parse_scalar,
+    real_part,
 )
 
 MOD = F(1, 63)
@@ -183,3 +190,241 @@ class TestProfilePowerExpansion:
             series = binomial_series(gamma, u, 4)
             assert series.coeff(2) == gamma * w
             assert series.coeff(4) == gamma * (gamma - GaussComplex(1)) * F(1, 2) * w**2
+
+
+class RefGauss:
+    """The Fraction-pair Gaussian rational that GaussComplex replaced.
+
+    Kept as a reference: every operation of the integer form must give the
+    value this one gives.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", F(re))
+        object.__setattr__(self, "im", F(im))
+
+    @staticmethod
+    def _coerce(x):
+        if isinstance(x, RefGauss):
+            return x
+        if isinstance(x, (int, F)):
+            return RefGauss(x)
+        return None
+
+    def is_zero(self):
+        return self.re == 0 and self.im == 0
+
+    def conj(self):
+        return RefGauss(self.re, -self.im)
+
+    def real_part(self):
+        return RefGauss(self.re)
+
+    def imag_part(self):
+        return RefGauss(self.im)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return RefGauss(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RefGauss(-self.re, -self.im)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return RefGauss(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        return RefGauss(self.re * o.re - self.im * o.im,
+                        self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        n = o.re * o.re + o.im * o.im
+        if n == 0:
+            raise DivideByZero("division by zero GaussComplex")
+        return RefGauss((self.re * o.re + self.im * o.im) / n,
+                        (self.im * o.re - self.re * o.im) / n)
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) / self
+
+    def __pow__(self, n):
+        if n < 0:
+            return RefGauss(1) / self ** (-n)
+        out, base = RefGauss(1), self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.re == o.re and self.im == o.im
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+
+def ref(x):
+    return RefGauss(x.re, x.im) if isinstance(x, GaussComplex) else x
+
+
+def assert_canonical(x):
+    a, b, d = x._a, x._b, x._d
+    assert type(a) is int and type(b) is int and type(d) is int
+    assert d > 0 and gcd(a, b, d) == 1
+
+
+def assert_same(x, r):
+    assert isinstance(x, GaussComplex)
+    assert_canonical(x)
+    assert (x.re, x.im) == (r.re, r.im)
+    assert type(x.re) is F and type(x.im) is F
+
+
+# wide denominators reach every branch of the sum (equal, coprime, and
+# sharing a factor) and large enough parts to exercise the reductions
+wide = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+parts = st.one_of(rationals, wide)
+gaussians = st.builds(GaussComplex, parts, parts)
+operands = st.one_of(gaussians, st.integers(-30, 30), parts)
+
+
+class TestAgainstFractionPair:
+    @given(gaussians, operands)
+    @settings(max_examples=300, deadline=None)
+    def test_arithmetic(self, x, y):
+        rx, ry = ref(x), ref(y)
+        for op in (operator.add, operator.sub, operator.mul):
+            assert_same(op(x, y), op(rx, ry))
+            assert_same(op(y, x), op(ry, rx))
+        for num, den, rnum, rden in ((x, y, rx, ry), (y, x, ry, rx)):
+            if is_zero(den):
+                with pytest.raises(DivideByZero):
+                    num / den
+            else:
+                assert_same(num / den, rnum / rden)
+
+    @given(gaussians, st.integers(-7, 7))
+    @settings(max_examples=200, deadline=None)
+    def test_powers(self, x, n):
+        if x.is_zero() and n < 0:
+            with pytest.raises(DivideByZero):
+                x ** n
+            return
+        assert_same(x ** n, ref(x) ** n)
+
+    @given(gaussians)
+    @settings(max_examples=200, deadline=None)
+    def test_unary(self, x):
+        rx = ref(x)
+        assert_same(-x, -rx)
+        assert_same(x.conj(), rx.conj())
+        assert_same(real_part(x), rx.real_part())
+        assert_same(imag_part(x), rx.imag_part())
+        assert x.is_zero() == rx.is_zero()
+        assert complex(x) == complex(rx)
+
+    @given(gaussians, st.one_of(st.integers(-30, 30), parts))
+    @settings(max_examples=200, deadline=None)
+    def test_equality_with_rationals(self, x, q):
+        assert (x == q) == (ref(x) == q)
+        assert (q == x) == (x == q)
+        assert GaussComplex(q) == q and q == GaussComplex(q)
+        assert GaussComplex(q, 1) != q
+        assert (x == GaussComplex(x.re, x.im)) and not (x != x + 0)
+
+    @given(gaussians)
+    @settings(max_examples=200, deadline=None)
+    def test_pickle_roundtrip(self, x):
+        back = pickle.loads(pickle.dumps(x))
+        assert_canonical(back)
+        assert back == x and hash(back) == hash(x)
+        assert x.__reduce__() == (GaussComplex, (x.re, x.im))
+
+    @given(gaussians)
+    @settings(max_examples=200, deadline=None)
+    def test_format_parse_roundtrip(self, x):
+        rx = ref(x)
+        s = format_scalar(x)
+        assert s == (f"{rx.re.numerator}/{rx.re.denominator} + "
+                     f"({rx.im.numerator}/{rx.im.denominator})i")
+        back = parse_scalar(s)
+        assert_canonical(back)
+        assert back == x
+        assert repr(x) == f"GaussComplex({rx.re!r}, {rx.im!r})"
+
+    def test_zero_is_canonical(self):
+        for z in (GaussComplex(), GaussComplex(F(0, 7), 0), gc(F(1, 3)) - F(1, 3),
+                  gc(F(1, 2), F(1, 2)) * 0):
+            assert (z._a, z._b, z._d) == (0, 0, 1)
+
+    def test_immutable(self):
+        x = gc(1, 2)
+        with pytest.raises(AttributeError):
+            x.re = F(3)
+        with pytest.raises(AttributeError):
+            x._a = 3
+
+
+@st.composite
+def tower_values(draw):
+    """One small Gaussian value in a random level of the tower."""
+    re = draw(st.sampled_from([0, 1, -1, 3, F(1, 2), F(-3, 2)]))
+    im = draw(st.sampled_from([0, 0, 1, F(1, 2)]))
+    kinds = ["gauss", "ext", "kappa"]
+    if im == 0:
+        kinds += ["fraction"] + (["int"] if re == int(re) else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "int":
+        return int(re)
+    if kind == "fraction":
+        return F(re)
+    g = GaussComplex(re, im)
+    if kind == "gauss":
+        return g
+    c1 = GaussComplex(draw(st.sampled_from([0, 0, 1, F(-1, 2)])))
+    e = ExtScalar(g, c1, draw(st.sampled_from([MOD, F(2)])))
+    if kind == "ext":
+        return e
+    return KappaGraded(e, draw(st.sampled_from([0, 0, 1, -1])))
+
+
+class TestHashAgreesWithEquality:
+    def test_reported_cases(self):
+        assert len({GaussComplex(3), 3}) == 1
+        assert hash(GaussComplex(F(1, 2))) == hash(F(1, 2))
+        assert hash(ExtScalar(0, 0, 2)) == hash(ExtScalar(0, 0, 3))
+        c0 = gc(1, 2)
+        assert ExtScalar(c0, 0, MOD) == c0
+        assert hash(ExtScalar(c0, 0, MOD)) == hash(c0)
+        z1, z2 = KappaGraded(ext(0), 1), KappaGraded(ext(0), 2)
+        assert z1 == z2 and hash(z1) == hash(z2)
+
+    def test_unequal_moduli_compare_unequal(self):
+        a = KappaGraded(ExtScalar(1, 0, 2), 0)
+        assert a != ExtScalar(1, 0, 3) and ExtScalar(1, 0, 3) != a
+        with pytest.raises(KindMismatch):
+            a + ExtScalar(1, 0, 3)
+
+    @given(tower_values(), tower_values())
+    @settings(max_examples=300, deadline=None)
+    def test_equal_values_hash_equal(self, a, b):
+        if a == b:
+            assert b == a
+            assert hash(a) == hash(b)

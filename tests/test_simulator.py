@@ -1,5 +1,10 @@
 """Time stepping, modulation, diagnostics, shooting, final profile."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -457,6 +462,44 @@ class TestShooting:
         assert one.probes == two.probes
         assert one.best == two.best
         assert one.corner_signs == two.corner_signs
+
+    def test_pool_initializer_pins_blas_to_one_thread(self):
+        # a fresh process without the BLAS thread variables, so OpenBLAS
+        # starts on all cores; the serial path must leave it there
+        code = """if True:
+            import ctypes, json
+            import numpy, scipy.linalg
+            from cglblow import shooting
+
+            def threads():
+                out = []
+                for path in shooting._loaded_openblas():
+                    lib = ctypes.CDLL(path)
+                    for name in ("scipy_openblas_get_num_threads64_",
+                                 "scipy_openblas_get_num_threads"):
+                        fn = getattr(lib, name, None)
+                        if fn is not None:
+                            fn.argtypes, fn.restype = (), ctypes.c_int
+                            out.append(fn())
+                            break
+                return out
+
+            before = threads()
+            shooting._init_worker(None)
+            serial = threads()
+            shooting._init_worker(None, True)
+            print(json.dumps([before, serial, threads()]))
+        """
+        env = {k: v for k, v in os.environ.items() if k not in
+               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        before, serial, pinned = json.loads(proc.stdout)
+        if not before:
+            pytest.skip("no OpenBLAS get-threads symbol in this process")
+        assert serial == before
+        assert pinned == [1] * len(before)
 
     def test_one_simulator_per_search(self, pm, monkeypatch):
         from cglblow.shooting import shoot
