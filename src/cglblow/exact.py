@@ -310,13 +310,20 @@ class ExtScalar:
         return _ext(self.c0.imag_part(), self.c1.imag_part(), self.modulus)
 
     def _coerce(self, x):
+        """``x`` as an ExtScalar of the result's modulus, or None.
+
+        An exact zero takes the modulus of the other operand, so the
+        operators build their results with the coerced operand's modulus.
+        """
         if isinstance(x, ExtScalar):
-            if x.modulus != self.modulus and not (x.is_zero() or self.is_zero()):
-                raise KindMismatch("ExtScalar moduli differ")
-            m = self.modulus if not self.is_zero() else x.modulus
-            if x.modulus != m:
-                return _ext(x.c0, x.c1, m)
-            return x
+            # identity first: operands of one computation share the modulus
+            # object, and Fraction equality is a Python-level call
+            if (x.modulus is self.modulus or x.modulus == self.modulus
+                    or self.is_zero()):
+                return x
+            if x.is_zero():
+                return _ext(x.c0, x.c1, self.modulus)
+            raise KindMismatch("ExtScalar moduli differ")
         if isinstance(x, (int, Fraction, GaussComplex)):
             return _ext(_gc(x), _ZERO, self.modulus)
         return None
@@ -325,7 +332,7 @@ class ExtScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _ext(self.c0 + o.c0, self.c1 + o.c1, self.modulus)
+        return _ext(self.c0 + o.c0, self.c1 + o.c1, o.modulus)
 
     __radd__ = __add__
 
@@ -336,7 +343,7 @@ class ExtScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _ext(self.c0 - o.c0, self.c1 - o.c1, self.modulus)
+        return _ext(self.c0 - o.c0, self.c1 - o.c1, o.modulus)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -346,9 +353,9 @@ class ExtScalar:
         if o is None:
             return NotImplemented
         return _ext(
-            self.c0 * o.c0 + self.c1 * o.c1 * self.modulus,
+            self.c0 * o.c0 + self.c1 * o.c1 * o.modulus,
             self.c0 * o.c1 + self.c1 * o.c0,
-            self.modulus,
+            o.modulus,
         )
 
     __rmul__ = __mul__

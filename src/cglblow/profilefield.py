@@ -247,8 +247,9 @@ def initial_data(
 
     ``combos`` is the float map of the shrinking-set combination constants;
     ``basis_floats`` the float basis views and ``proj`` their projector on
-    y (``basis_floats.projector(y)``).  d0 is solved from the unit
-    projection constraint P_{0,M}(psi) = 0.
+    y (``basis_floats.projector(y)``, the one the simulator and
+    ``project_sampled`` use).  d0 is solved from the unit projection
+    constraint P_{0,M}(psi) = 0.
 
     Only the first-order slow-drift offsets are seeded; the s0^(-3/2)
     refinements are dropped.  At desk scales the degree-4 refinement terms

@@ -10,6 +10,12 @@ coordinates, shrinking-set combinations and norms are recorded.
 Every projection is a fixed linear map built once per ``Simulator``: the
 trapezoid projector onto the f_n, the sampled h_n / ht_n for the
 reconstruction and the real matrix of the triangular change of coordinates.
+The projector keeps only the band of grid points on which the complex
+Gaussian weight is not negligible (1568 of 8192 at p=3, delta=1, L=88), so
+the modulation evaluates phi on that band alone.  The full-grid phi of the
+diagnostics is evaluated on one half of the symmetric grid and mirrored,
+phi being even in y, and the boundary data of a step use one end value
+for both ends.
 
 A single run is sequential; shooting probes fan out over a process pool in
 :mod:`cglblow.shooting`.
@@ -168,6 +174,8 @@ class Simulator:
         combos = shrink_combo_constants(pm, self.basis)
         self.combos = combos.float_map(self.fp.kappa)
         self._proj = self.bf.projector(self.y)
+        self._y_band = self.y[self._proj.band]
+        self._y_half = self.y[config.N // 2:]
         self._modes = self.bf.mode_samples(self.y)
         self._weight_pow = 1.0 + np.abs(self.y) ** (config.M_track + 1)
         self.bound_names, self._bound_at, self._bound_num, self._bound_pow = (
@@ -184,7 +192,14 @@ class Simulator:
         return self.fp.nu * np.sqrt(s) + self.fp.mu * np.log(s) + theta
 
     def phi_grid(self, s: float) -> np.ndarray:
-        return phi(self.y, EvalContext(self.fp, s))
+        """phi(y, s) on the grid, from its values on the half y >= 0.
+
+        phi is even in y and the grid is symmetric up to rounding, so the
+        left half is the right one mirrored (the middle point of an odd N is
+        kept once).
+        """
+        right = phi(self._y_half, EvalContext(self.fp, s))
+        return np.concatenate([right[::-1][: self.config.N // 2], right])
 
     def initial_state(self, spec: InitialDataSpec) -> SimState:
         psi = initial_data(spec, self.fp, self.combos, self.bf, self.y,
@@ -210,7 +225,7 @@ class Simulator:
         """
         s = state.s
         Ww = self._proj @ state.w
-        Pphi = self._proj @ self.phi_grid(s)
+        Pphi = self._proj.rows @ phi(self._y_band, EvalContext(self.fp, s))
         a = self.bf.convert_Q(Ww)[0][0]
         b = self.bf.convert_Q(-1j * Ww)[0][0]
         g = self.bf.convert_Q(Pphi)[0][0]
@@ -246,10 +261,11 @@ class Simulator:
         edge = self.config.K * s**0.25
         lo = np.searchsorted(self.y, -edge, side="left")
         hi = np.searchsorted(self.y, edge, side="right")
-        chi = cutoff_chi(np.concatenate([self.y[:lo], self.y[hi:]]), s,
-                         self.config.K)
-        q_out = np.concatenate([q[:lo], q[hi:]])
-        qe_norm = float(np.max(np.abs(q_out * (1.0 - chi)), initial=0.0))
+        qe_norm = 0.0
+        for out in (slice(0, lo), slice(hi, None)):
+            chi = cutoff_chi(self.y[out], s, self.config.K)
+            qe_norm = max(qe_norm, float(np.max(np.abs(q[out] * (1.0 - chi)),
+                                                initial=0.0)))
         qminus_norm = float(np.max(np.abs(qminus) / self._weight_pow))
         meas = np.abs(np.concatenate([
             qn, qtn, [Qt0, Q2, Qt2, Q4, Qt4, qe_norm, qminus_norm],
@@ -272,10 +288,9 @@ class Simulator:
     def step(self, state: SimState):
         s_new = state.s + self.config.ds
         e = np.exp(1j * self.Phi(s_new, state.theta))
-        ctx = EvalContext(self.fp, s_new)
-        bc_l = e * phi(self.y[0], ctx)
-        bc_r = e * phi(self.y[-1], ctx)
-        w_new = self.stepper.step(state.w, bc_l, bc_r)
+        # phi is even and y[-1] = -y[0] exactly, so one value serves both ends
+        bc = e * phi(self.y[0], EvalContext(self.fp, s_new))
+        w_new = self.stepper.step(state.w, bc, bc)
         if not np.all(np.isfinite(w_new)):
             raise FloatingPointError(f"scheme blow-up at s = {s_new}")
         state.theta_prev = state.theta

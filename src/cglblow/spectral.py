@@ -336,6 +336,21 @@ def _sampled(coeffs: list, y: np.ndarray) -> np.ndarray:
     return rows
 
 
+@dataclass(frozen=True)
+class GridProjector:
+    """The columns ``band`` of a grid projector; ``proj @ q`` is Q.
+
+    ``rows`` is (M+1) x (band length) and acts on ``q[band]``, so q is a
+    field on the whole grid.
+    """
+
+    rows: np.ndarray
+    band: slice
+
+    def __matmul__(self, q: np.ndarray) -> np.ndarray:
+        return self.rows @ q[self.band]
+
+
 class BasisFloats:
     """Float-precision basis data for grid projections.
 
@@ -384,13 +399,24 @@ class BasisFloats:
         rows /= self.fnorm[:, None]
         return rows
 
-    def projector(self, y: np.ndarray) -> np.ndarray:
+    def projector(self, y: np.ndarray) -> GridProjector:
         """Trapezoid-rule projector on the grid y: ``projector(y) @ q`` is Q.
 
-        Raises GridTooNarrow when y does not cover the weight's support.
+        Only the weight's support is kept: the contiguous band of columns of
+        the full matrix ``f_rows(y, trapezoid_weights(y) * rho)`` in which
+        some entry exceeds 2**-52 / N times its row's largest entry (N =
+        len(y)).  No dropped entry exceeds that share, so for any q the
+        dropped terms of row n add up to at most 2**-52 max_j |P_nj| max|q|,
+        one rounding of the largest term the row can have.  Raises
+        GridTooNarrow when y does not cover the weight's support.
         """
         _check_grid_edge(y, self.beta)
-        return self.f_rows(y, trapezoid_weights(y) * rho_weight(y, self.beta))
+        rows = self.f_rows(y, trapezoid_weights(y) * rho_weight(y, self.beta))
+        mag = np.abs(rows)
+        cut = (2.0**-52 / len(y)) * mag.max(axis=1, keepdims=True)
+        cols = np.flatnonzero((mag > cut).any(axis=0))
+        band = slice(int(cols[0]), int(cols[-1]) + 1)
+        return GridProjector(rows[:, band].copy(), band)
 
     def mode_samples(self, y: np.ndarray) -> np.ndarray:
         """2(M+1) x len(y) rows h_0 .. h_M, ht_0 .. ht_M on the grid y.

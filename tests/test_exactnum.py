@@ -113,6 +113,39 @@ class TestScalarArith:
         assert prod.c0 == c0 and prod.c1 == c1
 
 
+class TestExtScalarModuli:
+    OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+    def test_equal_but_distinct_moduli(self):
+        a = ExtScalar(gc(1, 2), gc(3, -1), F(7, 3))
+        b = ExtScalar(gc(-1, 1), gc(1, 1), F(14, 6))
+        assert b.modulus == a.modulus and b.modulus is not a.modulus
+        for op in self.OPS:
+            for x, y in ((a, b), (b, a)):
+                got = op(x, y)
+                want = op(x, ExtScalar(y.c0, y.c1, x.modulus))
+                assert (got.c0, got.c1, got.modulus) == (want.c0, want.c1,
+                                                         want.modulus)
+                assert abs(complex(got) - op(complex(x), complex(y))) < 1e-12
+
+    def test_exact_zero_takes_the_other_modulus(self):
+        z = ExtScalar(0, 0, F(5))
+        x = ExtScalar(gc(1, -2), gc(2, 1), F(3))
+        cases = [
+            (z + x, x), (x + z, x), (x - z, x), (z - x, -x),
+            (x * z, z), (z * x, z), (z / x, z),
+        ]
+        for got, want in cases:
+            assert got == want
+            assert abs(complex(got) - complex(want)) < 1e-12
+            if not want.is_zero():
+                assert got.modulus == F(3)
+        with pytest.raises(DivideByZero):
+            x / z
+        with pytest.raises(KindMismatch):
+            x + ExtScalar(1, 1, F(5))
+
+
 class TestPoly:
     def test_derivative(self):
         p = Poly([gc(-2, -1), gc(0), gc(1)])  # y^2 - 2(1+i/2)

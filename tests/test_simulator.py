@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cglblow.constants import derive_params, mu_critical
-from cglblow.profilefield import EvalContext, InitialDataSpec, rest_Rstar
+from cglblow.profilefield import EvalContext, InitialDataSpec, phi, rest_Rstar
 from cglblow.simulate import (
     SimConfig,
     SimState,
@@ -211,6 +211,28 @@ class TestSingleStep:
         rnorm = np.max(np.abs(rest_Rstar(sim.y, ctx)))
         dq = np.max(np.abs(q))
         assert 0.2 * cfg.ds * rnorm < dq < 5.0 * cfg.ds * rnorm
+
+
+class TestProfileOnTheGrid:
+    @pytest.mark.parametrize("N", [2048, 2047])
+    def test_phi_grid_is_even_and_matches_phi(self, pm, N):
+        sim = Simulator(small_config(pm, N=N))
+        for s in (100.0, 100.37, 104.9):
+            g = sim.phi_grid(s)
+            want = phi(sim.y, EvalContext(sim.fp, s))
+            assert np.array_equal(g, g[::-1])
+            assert np.array_equal(g[N // 2:], want[N // 2:])
+            # the grid is symmetric to a rounding of its end points, which
+            # moves the mirrored half by a few ulp
+            assert np.all(np.abs(g - want) <= 16 * np.spacing(np.abs(want)))
+
+    @pytest.mark.parametrize("N", [2048, 2047, 8192])
+    def test_boundary_values_equal(self, pm, N):
+        sim = Simulator(small_config(pm, N=N))
+        assert sim.y[-1] == -sim.y[0]
+        for s in (100.001, 100.37, 104.9):
+            ctx = EvalContext(sim.fp, s)
+            assert phi(sim.y[0], ctx) == phi(sim.y[-1], ctx)
 
 
 class TestModulation:

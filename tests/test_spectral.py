@@ -19,6 +19,7 @@ from cglblow.spectral import (
     rho_weight,
     semigroup_apply,
     semigroup_kernel,
+    trapezoid_weights,
 )
 
 
@@ -229,6 +230,54 @@ class TestProjectSampled:
         # large low-order coefficients); what matters is stability
         assert consts.max() < 2000.0
         assert consts.max() <= 4.0 * np.median(consts)
+
+
+class TestGridProjector:
+    """The projector's band against the full trapezoid matrix."""
+
+    @pytest.fixture(scope="class", params=[
+        (3, 1), (F(3, 2), F(1, 2)), (7, 4), (2, F(1, 3)),
+    ], ids=lambda pd: f"p={pd[0]},delta={pd[1]}")
+    def bf(self, request):
+        from cglblow.constants import derive_params
+
+        pm = derive_params(*request.param)
+        return build_basis(6, pm.p, pm.delta, pm.beta).float_views()
+
+    @staticmethod
+    def full_matrix(bf, y):
+        return bf.f_rows(y, trapezoid_weights(y) * rho_weight(y, bf.beta))
+
+    @pytest.mark.parametrize("N", [1024, 8192, 1001])
+    def test_band_is_the_support(self, bf, N):
+        y = np.linspace(-88.0, 88.0, N)
+        full = self.full_matrix(bf, y)
+        proj = bf.projector(y)
+        assert np.array_equal(proj.rows, full[:, proj.band])
+        assert proj.band.start == N - proj.band.stop
+        mag = np.abs(full)
+        cut = (2.0**-52 / N) * mag.max(axis=1)
+        dropped = np.ones(N, dtype=bool)
+        dropped[proj.band] = False
+        assert np.all(mag[:, dropped] <= cut[:, None])
+        # the band is the smallest one: both end columns are needed
+        for j in (proj.band.start, proj.band.stop - 1):
+            assert np.any(mag[:, j] > cut)
+
+    @pytest.mark.parametrize("N", [1024, 8192, 1001])
+    def test_band_Q_matches_full_matrix(self, bf, N):
+        # to the rounding scale of a dot product: 1e-15 of the row's
+        # absolute sum times max|q|
+        y = np.linspace(-88.0, 88.0, N)
+        full = self.full_matrix(bf, y)
+        proj = bf.projector(y)
+        row_sum = np.abs(full).sum(axis=1)
+        rng = np.random.default_rng(N)
+        noise = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        # the second field grows like the Jordan modes beyond the band
+        for q in (noise, noise * (1.0 + np.abs(y)) ** 7):
+            err = np.abs(proj @ q - full @ q)
+            assert np.all(err <= 1e-15 * row_sum * np.max(np.abs(q)))
 
 
 def convert_Q_loop(table, Q):
