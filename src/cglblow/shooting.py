@@ -15,14 +15,17 @@ midpoint is an integer halving.
 A search builds one ``Simulator`` at probe resolution and every probe runs
 on it.  Probes are independent runs, so they fan out over a process pool
 whose workers inherit that Simulator; the pool size is the ``workers``
-argument, else CGLBLOW_WORKERS, else the CPU count capped at 8.  A count
-below 1 is an error.  Each pool worker sets the OpenBLAS that numpy and
-scipy bundle to one thread as it starts, so the workers do not
-oversubscribe the cores; a serial search leaves the caller's BLAS as it is.
+argument, else CGLBLOW_WORKERS, else the number of CPUs the process may
+run on, capped at 8.  A count below 1 is an error.  One pool serves the
+coarse scan and every bisection level of a search.  Each pool worker sets
+the OpenBLAS that numpy and scipy bundle to one thread as it starts, so the
+workers do not oversubscribe the cores; a serial search leaves the caller's
+BLAS as it is.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -115,12 +118,19 @@ def _run_probe(args):
     )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def worker_count(workers: Optional[int] = None) -> int:
     """The pool size: ``workers``, else CGLBLOW_WORKERS, else min(CPUs, 8)."""
     if workers is None:
         env = os.environ.get("CGLBLOW_WORKERS", "").strip()
         if not env:
-            return min(os.cpu_count() or 1, 8)
+            return min(_usable_cpus(), 8)
         try:
             workers = int(env)
         except ValueError:
@@ -132,14 +142,21 @@ def worker_count(workers: Optional[int] = None) -> int:
     return workers
 
 
-def _scan(sim: Simulator, pairs, workers: int) -> list:
+def _pool(sim: Simulator, workers: int):
+    """A process pool whose workers hold ``sim``; no pool when serial."""
+    if workers <= 1:
+        return contextlib.nullcontext()
+    return ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=(sim, True)
+    )
+
+
+def _scan(sim: Simulator, pairs, workers: int, *, pool) -> list:
+    """Probe every pair: in this process if serial, else on ``pool``."""
     if workers <= 1:
         _init_worker(sim)
         return [_run_probe(p) for p in pairs]
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(sim, True)
-    ) as pool:
-        return list(pool.map(_run_probe, pairs))
+    return list(pool.map(_run_probe, pairs))
 
 
 QUADRANTS = {(-1, -1), (-1, 1), (1, -1), (1, 1)}
@@ -173,7 +190,8 @@ def shoot(config: SimConfig, grid_n: int = 8, refine: bool = True,
     with the full quadrant pattern, until ``bisect_levels`` halvings.
 
     One ``Simulator`` is built for the probe configuration (which validates
-    it before any pool starts) and shared by every probe of every scan.
+    it before any pool starts) and shared by every probe of every scan;
+    with more than one worker, one process pool runs all the scans.
     ``probe_N``/``probe_ds`` allow cheaper probe runs than the certified
     configuration (recorded in the metadata); the returned best pair should
     be re-run at full resolution by the caller.
@@ -189,37 +207,41 @@ def shoot(config: SimConfig, grid_n: int = 8, refine: bool = True,
     unit = 2**bisect_levels
     at = {i * unit: float(v)
           for i, v in enumerate(np.linspace(-2.0, 2.0, grid_n))}
-    keys = [(i, j) for i in at for j in at]
-    probes = dict(zip(keys, _scan(sim, [(at[i], at[j]) for i, j in keys],
-                                  nworkers)))
-    last = (grid_n - 1) * unit
-    corner_signs = {}
-    for i in (0, last):
-        for j in (0, last):
-            pr = probes[i, j]
-            corner_signs[(pr.d0, pr.d1)] = (np.sign(pr.phi0), np.sign(pr.phi1))
+    with _pool(sim, nworkers) as pool:
+        keys = [(i, j) for i in at for j in at]
+        probes = dict(zip(keys, _scan(sim, [(at[i], at[j]) for i, j in keys],
+                                      nworkers, pool=pool)))
+        last = (grid_n - 1) * unit
+        corner_signs = {}
+        for i in (0, last):
+            for j in (0, last):
+                pr = probes[i, j]
+                corner_signs[(pr.d0, pr.d1)] = (np.sign(pr.phi0),
+                                                np.sign(pr.phi1))
 
-    cell = None
-    if refine:
-        cell = _first_quadrant_cell(probes, [
-            (i, i + unit, j, j + unit)
-            for i in range(0, last, unit) for j in range(0, last, unit)
-        ])
-    refined = cell is not None
-    for _ in range(bisect_levels):
-        if cell is None:
-            break
-        x0, x1, y0, y1 = cell
-        xm, ym = (x0 + x1) // 2, (y0 + y1) // 2
-        at[xm] = 0.5 * (at[x0] + at[x1])
-        at[ym] = 0.5 * (at[y0] + at[y1])
-        keys = [(xm, ym), (x0, ym), (x1, ym), (xm, y0), (xm, y1)]
-        probes.update(zip(keys, _scan(sim, [(at[i], at[j]) for i, j in keys],
-                                      min(nworkers, len(keys)))))
-        cell = _first_quadrant_cell(probes, [
-            (a0, a1, b0, b1)
-            for a0, a1 in ((x0, xm), (xm, x1)) for b0, b1 in ((y0, ym), (ym, y1))
-        ])
+        cell = None
+        if refine:
+            cell = _first_quadrant_cell(probes, [
+                (i, i + unit, j, j + unit)
+                for i in range(0, last, unit) for j in range(0, last, unit)
+            ])
+        refined = cell is not None
+        for _ in range(bisect_levels):
+            if cell is None:
+                break
+            x0, x1, y0, y1 = cell
+            xm, ym = (x0 + x1) // 2, (y0 + y1) // 2
+            at[xm] = 0.5 * (at[x0] + at[x1])
+            at[ym] = 0.5 * (at[y0] + at[y1])
+            keys = [(xm, ym), (x0, ym), (x1, ym), (xm, y0), (xm, y1)]
+            probes.update(zip(keys, _scan(
+                sim, [(at[i], at[j]) for i, j in keys],
+                min(nworkers, len(keys)), pool=pool)))
+            cell = _first_quadrant_cell(probes, [
+                (a0, a1, b0, b1)
+                for a0, a1 in ((x0, xm), (xm, x1))
+                for b0, b1 in ((y0, ym), (ym, y1))
+            ])
 
     probes = list(probes.values())
     best = max(probes, key=lambda r: r.exit_s)

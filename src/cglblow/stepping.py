@@ -10,6 +10,10 @@ Courant number sits right at 1, where explicit central drift under AB2 is
 unstable (AB2 has no imaginary-axis stability).  The drift coefficients do
 not depend on s, so the banded matrix is LU-factored exactly once, in
 ``Stepper.__init__``; the kernels live in :mod:`cglblow._kernels_np`.
+That module loads scipy's LAPACK extension file directly rather than
+importing scipy.linalg, whose package init costs a fresh process about
+0.3 s and 28 MB; it falls back to ``scipy.linalg.lapack`` when the file
+cannot be loaded on its own.  Both routes give the same routines.
 """
 
 from __future__ import annotations

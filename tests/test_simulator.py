@@ -180,6 +180,82 @@ class TestStepper:
         assert rel < 1e-4
 
 
+def scipy_lapack_solve(bands, rhs):
+    """Factor and solve with ``scipy.linalg.lapack`` imported the usual way."""
+    from scipy.linalg import lapack
+
+    if len(bands) == 3:
+        *fact, info = lapack.zgttrf(bands[2, :-1], bands[1], bands[0, 1:])
+        assert info == 0
+        x, info = lapack.zgttrs(*fact, rhs)
+    else:
+        ab = np.zeros((7, bands.shape[1]), dtype=np.complex128)
+        ab[2:] = bands
+        lu, ipiv, info = lapack.zgbtrf(ab, 2, 2)
+        assert info == 0
+        x, info = lapack.zgbtrs(lu, 2, 2, rhs, ipiv)
+    assert info == 0
+    return x
+
+
+class TestLapackLoader:
+    def test_run_path_leaves_scipy_linalg_unimported(self):
+        code = """if True:
+            import sys
+            import cglblow.cli, cglblow.simulate, cglblow.shooting
+            from cglblow.stepping import Stepper
+            import numpy as np
+
+            y = np.linspace(-10, 10, 201)
+            for order in (2, 4):
+                stp = Stepper(y, 1e-3, 0.5, 3.0, 1.0, space_order=order)
+                w = stp.step(np.exp(-y**2).astype(complex), 0.1, -0.2j)
+                assert np.all(np.isfinite(w))
+            assert "scipy.linalg" not in sys.modules
+        """
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    @staticmethod
+    def solves(space_order):
+        """(rhs, Stepper solve) pairs on a Stepper's own bands."""
+        rng = np.random.default_rng(5)
+        y = np.linspace(-30, 30, 801)
+        stp = Stepper(y, 1e-3, 0.5, 3.0, 1.0, scheme="imex2",
+                      space_order=space_order)
+        out = []
+        for _ in range(3):
+            rhs = rng.standard_normal(len(y)) + 1j * rng.standard_normal(len(y))
+            out.append((rhs, stp._solve(stp._fact, rhs)))
+        return stp._bands(), out
+
+    @pytest.mark.parametrize("space_order", [2, 4])
+    def test_solves_match_scipy_lapack_bit_for_bit(self, space_order):
+        bands, solved = self.solves(space_order)
+        for rhs, x in solved:
+            assert np.array_equal(x, scipy_lapack_solve(bands, rhs))
+
+    @pytest.mark.parametrize("space_order", [2, 4])
+    @pytest.mark.parametrize("found", ["nothing", "a broken file"])
+    def test_fallback_gives_the_same_solves(self, space_order, found,
+                                            tmp_path, monkeypatch):
+        from scipy.linalg import lapack
+
+        located = None
+        if found == "a broken file":
+            broken = tmp_path / "_flapack.so"
+            broken.write_bytes(b"not a shared object")
+            located = str(broken)
+        fallback = KERNELS._load_lapack(lambda: located)
+        assert fallback is lapack and KERNELS.lapack is not lapack
+        direct = self.solves(space_order)[1]
+        monkeypatch.setattr(KERNELS, "lapack", fallback)
+        via_fallback = self.solves(space_order)[1]
+        for (rhs, x), (rhs_f, x_f) in zip(direct, via_fallback):
+            assert np.array_equal(rhs, rhs_f) and np.array_equal(x, x_f)
+
+
 def test_fourth_order_needs_five_points(pm):
     with pytest.raises(ValueError, match="stencil"):
         Simulator(small_config(pm, N=4, space_order=4))
@@ -538,6 +614,38 @@ class TestShooting:
         res = shoot(cfg, grid_n=3, refine=True, bisect_levels=2, workers=1)
         assert len(res.probes) == 9 + 2 * 5
         assert len(built) == 1
+
+    def test_one_pool_per_search(self, pm, monkeypatch):
+        from cglblow import shooting
+
+        pools = []
+
+        class Counted(shooting.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(shooting, "ProcessPoolExecutor", Counted)
+        cfg = small_config(pm, N=1024, s_end=100.6)
+        res = shooting.shoot(cfg, grid_n=3, refine=True, bisect_levels=2,
+                             workers=2)
+        # the coarse scan and both bisection levels ran
+        assert res.refined and len(res.probes) == 9 + 2 * 5
+        assert len(pools) == 1
+        assert pools[0]["max_workers"] == 2
+
+    def test_default_worker_count_follows_the_affinity_mask(self,
+                                                            monkeypatch):
+        from cglblow.shooting import worker_count
+
+        monkeypatch.delenv("CGLBLOW_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        assert worker_count() == 2
+        # without an affinity call, the machine's count, capped at 8
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert worker_count() == 8
 
 
 class TestNullModeDecayRate:
