@@ -1,10 +1,13 @@
 """Stepping kernels: factor-once banded solves and the IMEX right side.
 
-The implicit matrix is constant, so it is LU-factored once with LAPACK's
-pivoted banded routines (``zgttrf`` for the tridiagonal 2nd-order operator,
-``zgbtrf`` for the pentadiagonal 4th-order one) and every step only runs
-the matching back-substitution.  Bands are given in the diagonal-ordered
-layout of ``scipy.linalg.solve_banded``: entry (i, j) at row nb + i - j.
+Both sides of the step read the stepper's one spatial operator L_h, held
+as bands in the diagonal-ordered layout of ``scipy.linalg.solve_banded``:
+entry (i, j) at row nb + i - j.  The implicit matrix I - wgt L_h is
+constant, so it is LU-factored once with LAPACK's pivoted banded routines
+(``zgttrf`` for the tridiagonal 2nd-order operator, ``zgbtrf`` for the
+pentadiagonal 4th-order one) and every step only runs the matching
+back-substitution.  The explicit side, ``cn_rhs``, applies L_h itself as a
+banded product in difference form.
 
 The four routines come from scipy's f2py LAPACK extension,
 ``scipy/linalg/_flapack``, which is loaded straight from its file.
@@ -108,66 +111,24 @@ def penta_solve_factored(fact, rhs):
     return x
 
 
-def _scale(z, r):
-    """z *= r in place for a complex array z and a real r = 1 / c.
-
-    numpy divides a complex number by the real c (as c + 0i, Smith's rule)
-    as (re * (1 / c), im * (1 / c)), so scaling the float64 view by 1 / c
-    gives the bits of ``z / c`` without the slow complex division loop.
-    """
-    v = z.view(np.float64)
-    v *= r
-
-
-def cn_rhs(w, prev, y, h, p, delta, beta, half_ds, c_new, c_old, order,
-           reaction):
+def cn_rhs(w, prev, op, p, delta, half_ds, c_new, c_old, reaction):
     """Explicit side of one IMEX step and the reaction term it used.
 
-    The stencils are written in place (``out=``) with the roundings of the
-    expression form, e.g. ``cb * (w[:-2] - 2 * w[1:-1] + w[2:]) / h2 -
-    0.5 * y[1:-1] * (w[2:] - w[:-2]) / (2 * h)`` at 2nd order, in the same
-    order, so the result is bit-identical to it.
+    ``op`` is the spatial operator L_h in the band layout above.  Its rows
+    sum to zero, so the linear part is applied in difference form,
+    ``sum_k op(i, i+k) (w[i+k] - w[i])`` over the off-diagonal bands: the
+    diagonal is never read, and a constant field gives exactly zero.
     """
-    n = len(w)
-    cb = 1.0 + 1j * beta
-    lin = np.empty(n, dtype=np.complex128)
-    lin[0] = lin[-1] = 0.0
-    h2 = h * h
-    if order == 4 and n >= 5:
-        w0, w1, w2, w3, w4 = w[:-4], w[1:-3], w[2:-2], w[3:-1], w[4:]
-        diff = lin[2:-2]
-        tmp = np.empty(n - 4, dtype=np.complex128)
-        np.negative(w0, out=diff)
-        diff += np.multiply(16, w1, out=tmp)
-        diff -= np.multiply(30, w2, out=tmp)
-        diff += np.multiply(16, w3, out=tmp)
-        diff -= w4
-        np.multiply(cb, diff, out=diff)
-        _scale(diff, 1.0 / (12 * h2))
-        np.multiply(8, w1, out=tmp)
-        np.subtract(w0, tmp, out=tmp)
-        tmp += np.multiply(8, w3)
-        tmp -= w4
-        np.multiply(0.5 * y[2:-2], tmp, out=tmp)
-        _scale(tmp, 1.0 / (12 * h))
-        diff -= tmp
-        for i in (1, n - 2):
-            lin[i] = cb * (w[i - 1] - 2 * w[i] + w[i + 1]) / h2 - 0.5 * y[i] * (
-                w[i + 1] - w[i - 1]
-            ) / (2 * h)
-    else:
-        wl, wc, wr = w[:-2], w[1:-1], w[2:]
-        diff = lin[1:-1]
-        tmp = np.empty(n - 2, dtype=np.complex128)
-        np.multiply(2, wc, out=diff)
-        np.subtract(wl, diff, out=diff)
-        diff += wr
-        np.multiply(cb, diff, out=diff)
-        _scale(diff, 1.0 / h2)
-        np.subtract(wr, wl, out=tmp)
-        np.multiply(0.5 * y[1:-1], tmp, out=tmp)
-        _scale(tmp, 1.0 / (2 * h))
-        diff -= tmp
+    n, nb = len(w), len(op) // 2
+    lin = np.zeros(n, dtype=np.complex128)
+    diff = np.empty(n, dtype=np.complex128)
+    term = np.empty(n, dtype=np.complex128)
+    for k in range(1, nb + 1):
+        # d[j] = w[j+k] - w[j] serves row j (entry (j, j+k) at row nb - k)
+        # and, negated, row j+k (entry (j+k, j) at row nb + k)
+        d = np.subtract(w[k:], w[:-k], out=diff[:n - k])
+        lin[:-k] += np.multiply(op[nb - k, k:], d, out=term[:n - k])
+        lin[k:] -= np.multiply(op[nb + k, :-k], d, out=term[:n - k])
     react = np.zeros(n, dtype=np.complex128)
     if reaction:
         cd = 1.0 + 1j * delta
@@ -182,7 +143,6 @@ def cn_rhs(w, prev, y, h, p, delta, beta, half_ds, c_new, c_old, order,
     rhs = lin
     rhs *= half_ds
     rhs += w
-    term = np.empty(n, dtype=np.complex128)
     rhs += np.multiply(c_new, react, out=term)
     rhs += np.multiply(c_old, prev, out=term)
     rhs[0] = w[0]

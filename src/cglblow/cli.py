@@ -292,8 +292,9 @@ def cmd_simulate(cfg, args) -> int:
 
 
 def cmd_shoot(cfg, args) -> int:
-    from .shooting import exit_sign_pattern, shoot, worker_count
+    from .shooting import check_grid_n, exit_sign_pattern, shoot, worker_count
 
+    check_grid_n(args.grid_n)
     workers = worker_count(args.workers)
     sc = _sim_config(cfg)
     res = shoot(
@@ -356,7 +357,7 @@ def main(argv=None) -> int:
                     help="shoot: cheaper probe step")
     ap.add_argument("--workers", type=int, default=None,
                     help="shoot: worker count >= 1 (default CGLBLOW_WORKERS, "
-                         "else min(CPU count, 8))")
+                         "else min(CPUs in the affinity mask, 8))")
     ap.add_argument("--s0-study", action="store_true",
                     help="shoot: record bound-ratio scaling over s0 in {50,100,200}")
     args = ap.parse_args(argv)

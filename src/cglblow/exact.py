@@ -718,9 +718,6 @@ class Poly:
     def real_part(self) -> "Poly":
         return Poly([real_part(c) for c in self.coeffs], self.var)
 
-    def truncate(self, degree: int) -> "Poly":
-        return Poly(self.coeffs[: degree + 1], self.var)
-
     def to_complex_coeffs(self, kappa: float = None) -> list:
         return [to_complex(c, kappa) for c in self.coeffs]
 
@@ -743,26 +740,6 @@ def binomial_coefficient(gamma, k: int):
     for j in range(2, k + 1):
         den *= j
     return num * Fraction(1, den)
-
-
-def binomial_series(gamma, u: Poly, order: int) -> Poly:
-    """Truncated expansion of (1 + u)**gamma to the given polynomial order.
-
-    ``u`` must have zero constant term so the expansion is a finite sum of
-    u-powers up to ``order``.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if not is_zero(u.coeff(0)):
-        raise ValueError("binomial_series needs a zero constant term in u")
-    acc = Poly([1], u.var)
-    upow = Poly([1], u.var)
-    for k in range(1, order + 1):
-        upow = (upow * u).truncate(order)
-        if upow.is_zero():
-            break
-        acc = acc + binomial_coefficient(gamma, k) * upow
-    return acc.truncate(order)
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,13 @@ def worker_count(workers: Optional[int] = None) -> int:
     return workers
 
 
+def check_grid_n(grid_n: int) -> int:
+    """``grid_n``, if the coarse scan has at least one cell to search."""
+    if grid_n < 2:
+        raise ValueError(f"grid_n must be >= 2, got {grid_n}")
+    return grid_n
+
+
 def _pool(sim: Simulator, workers: int):
     """A process pool whose workers hold ``sim``; no pool when serial."""
     if workers <= 1:
@@ -196,6 +203,9 @@ def shoot(config: SimConfig, grid_n: int = 8, refine: bool = True,
     configuration (recorded in the metadata); the returned best pair should
     be re-run at full resolution by the caller.
     """
+    check_grid_n(grid_n)
+    if bisect_levels < 0:
+        raise ValueError(f"bisect_levels must be >= 0, got {bisect_levels}")
     nworkers = worker_count(workers)
     sim = Simulator(replace(
         config,

@@ -1,19 +1,23 @@
 """IMEX time stepping for the self-similar flow.
 
-The full linear part (1+i beta) d2/dy2 - (y/2) d/dy is treated implicitly
-(backward Euler for the first-order scheme, Crank-Nicolson for the
-second-order one); only the reaction terms are explicit (forward Euler or
-two-step Adams-Bashforth).  Boundary values are pinned (Dirichlet).
+The full linear part L = (1+i beta) d2/dy2 - (y/2) d/dy is treated
+implicitly (backward Euler for the first-order scheme, Crank-Nicolson for
+the second-order one); only the reaction terms are explicit (forward Euler
+or two-step Adams-Bashforth).  Boundary values are pinned (Dirichlet).
 
 Keeping the drift implicit matters: at the production grid the advective
 Courant number sits right at 1, where explicit central drift under AB2 is
-unstable (AB2 has no imaginary-axis stability).  The drift coefficients do
-not depend on s, so the banded matrix is LU-factored exactly once, in
-``Stepper.__init__``; the kernels live in :mod:`cglblow._kernels_np`.
-That module loads scipy's LAPACK extension file directly rather than
-importing scipy.linalg, whose package init costs a fresh process about
-0.3 s and 28 MB; it falls back to ``scipy.linalg.lapack`` when the file
-cannot be loaded on its own.  Both routes give the same routines.
+unstable (AB2 has no imaginary-axis stability).
+
+The discrete operator L_h is written once, as bands, in
+``Stepper._operator``.  Both sides of the step read it: the implicit matrix
+I - wgt L_h is LU-factored exactly once, in ``Stepper.__init__`` (L_h does
+not depend on s), and the explicit side applies L_h in difference form.
+The kernels live in :mod:`cglblow._kernels_np`, which loads scipy's LAPACK
+extension file directly rather than importing scipy.linalg, whose package
+init costs a fresh process about 0.3 s and 28 MB; it falls back to
+``scipy.linalg.lapack`` when the file cannot be loaded on its own.  Both
+routes give the same routines.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ class Stepper:
         self.reaction = reaction
         self._prev_rhs = None
         self._zero = np.zeros(len(self.y), dtype=np.complex128)
+        self._op = self._operator()
         bands = self._bands()
         if space_order == 2:
             self._fact = KERNELS.tri_factor(bands)
@@ -59,25 +64,24 @@ class Stepper:
             self._fact = KERNELS.penta_factor(bands)
             self._solve = KERNELS.penta_solve_factored
 
-    # -- implicit operator ---------------------------------------------------
+    # -- spatial operator ----------------------------------------------------
 
-    def _bands(self) -> np.ndarray:
-        """I - wgt L_h in diagonal-ordered form (entry (i, j) at row nb + i - j).
+    def _operator(self) -> np.ndarray:
+        """L_h in diagonal-ordered form (entry (i, j) at row nb + i - j).
 
         L_h = (1+i beta) D2 - (y/2) D1 on the interior rows; the boundary
-        rows are identity rows (Dirichlet pins).  wgt is the full step for
-        imex1 and the half step for Crank-Nicolson.
+        rows are zero (their values are pinned).  Every row sums to zero
+        in exact arithmetic, which ``cn_rhs`` relies on.
         """
         n, nb = len(self.y), self.space_order // 2
-        wgt = self.ds if self.scheme == "imex1" else 0.5 * self.ds
         cb = 1.0 + 1j * self.beta
         h, h2 = self.h, self.h**2
-        bands = np.zeros((2 * nb + 1, n), dtype=np.complex128)
+        op = np.zeros((2 * nb + 1, n), dtype=np.complex128)
 
         def put(first, coef):
             # coef[off]: entries (i, i + off) of L_h for rows first .. n-1-first
             for off, c in coef.items():
-                bands[nb - off, first + off:n - first + off] = -wgt * c
+                op[nb - off, first + off:n - first + off] = c
 
         v = 0.5 * self.y[1:-1]
         put(1, {
@@ -94,8 +98,18 @@ class Stepper:
                 1: 16 * cb / (12 * h2) - v * 8 / (12 * h),
                 2: -cb / (12 * h2) + v / (12 * h),
             })
-        bands[nb, 1:-1] += 1.0
-        bands[nb, [0, -1]] = 1.0
+        return op
+
+    def _bands(self) -> np.ndarray:
+        """The implicit matrix I - wgt L_h, in the layout of ``_operator``.
+
+        wgt is the full step for imex1 and the half step for Crank-Nicolson;
+        the boundary rows come out as identity rows (Dirichlet pins).
+        """
+        wgt = self.ds if self.scheme == "imex1" else 0.5 * self.ds
+        bands = np.zeros_like(self._op)
+        bands[self.space_order // 2] = 1.0
+        bands -= wgt * self._op
         return bands
 
     # -- stepping ------------------------------------------------------------
@@ -116,8 +130,8 @@ class Stepper:
             half_ds, c_new, c_old = 0.5 * self.ds, 1.5 * self.ds, -0.5 * self.ds
             prev = self._prev_rhs
         rhs, react = KERNELS.cn_rhs(
-            w, prev, self.y, self.h, self.p, self.delta, self.beta,
-            half_ds, c_new, c_old, self.space_order, self.reaction,
+            w, prev, self._op, self.p, self.delta, half_ds, c_new, c_old,
+            self.reaction,
         )
         if self.scheme == "imex2":
             self._prev_rhs = react

@@ -70,6 +70,24 @@ class TestExitCodes:
         assert rc == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("grid_n", ["0", "1", "-3"])
+    def test_grid_without_a_cell_is_2(self, tmp_path, monkeypatch, capsys,
+                                      grid_n):
+        # rejected before the constants or the Simulator are built
+        import cglblow.cli as cli
+
+        def no_setup(cfg):
+            raise AssertionError("set-up ran")
+
+        monkeypatch.setattr(cli, "_sim_config", no_setup)
+        path = write_cfg(
+            tmp_path,
+            f"grid.N = 64\ns_end = 100.001\noutput.dir = {tmp_path / 'o'}\n",
+        )
+        assert main(["shoot", "--config", path, "--grid-n", grid_n]) == 2
+        assert "grid_n must be >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 @pytest.fixture(scope="module")
 def cfgfile(tmp_path_factory):

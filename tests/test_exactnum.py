@@ -17,7 +17,6 @@ from cglblow.exact import (
     KindMismatch,
     MixedKappaGrade,
     Poly,
-    binomial_series,
     format_poly,
     format_scalar,
     imag_part,
@@ -27,6 +26,7 @@ from cglblow.exact import (
     parse_scalar,
     real_part,
 )
+from cglblow.series import TSeries
 
 MOD = F(1, 63)
 
@@ -168,27 +168,32 @@ class TestPoly:
 
 
 class TestBinomialSeries:
+    """``TSeries.binom_pow``: (1 + u)**gamma truncated at the t-order."""
+
     def test_geometric(self):
-        x = Poly.monomial(1, gc(1))
-        assert binomial_series(gc(-1), x, 2) == Poly([gc(1), gc(-1), gc(1)])
+        t = TSeries.term(gc(1), 1, 0, 2)
+        got = t.binom_pow(gc(-1))
+        assert got.terms == {(0, 0): gc(1), (1, 0): gc(-1), (2, 0): gc(1)}
 
     def test_half_complex_exponent(self):
-        x = Poly.monomial(1, gc(1))
-        got = binomial_series(gc(F(1, 2), F(1, 2)), x, 1)
-        assert got == Poly([gc(1), gc(F(1, 2), F(1, 2))])
+        t = TSeries.term(gc(1), 1, 0, 1)
+        got = t.binom_pow(gc(F(1, 2), F(1, 2)))
+        assert got.terms == {(0, 0): gc(1), (1, 0): gc(F(1, 2), F(1, 2))}
 
     def test_requires_zero_constant_term(self):
+        u = TSeries.const(gc(1), 3) + TSeries.term(gc(1), 1, 0, 3)
         with pytest.raises(ValueError):
-            binomial_series(gc(1), Poly([gc(1), gc(1)]), 3)
+            u.binom_pow(gc(1))
 
     @given(rationals, rationals, st.integers(2, 6))
     @settings(max_examples=60, deadline=None)
     def test_composed_with_inverse_is_identity(self, a, b, order):
         gamma = GaussComplex(a, b)
-        u = Poly([gc(0), gc(1), gc(0, 1)])
-        fwd = binomial_series(gamma, u, order)
-        bwd = binomial_series(-gamma, u, order)
-        assert (fwd * bwd).truncate(order) == Poly([gc(1)])
+        u = (TSeries.term(gc(1), 1, 0, order)
+             + TSeries.term(gc(0, 1), 2, 1, order))
+        fwd = u.binom_pow(gamma)
+        bwd = u.binom_pow(-gamma)
+        assert (fwd * bwd).terms == {(0, 0): gc(1)}
 
 
 class TestDumpParse:
@@ -214,17 +219,17 @@ class TestProfilePowerExpansion:
     def test_matches_term_by_term_derivatives(self):
         # (1 + (b/(p-1)) z^2)^gamma to order z^4, with the z^2 and z^4
         # coefficients checked against the derivative oracle at z = 0:
-        # gamma*w and gamma(gamma-1)/2 * w^2 for w = b/(p-1)
-        from cglblow.exact import binomial_series
-
+        # gamma*w and gamma(gamma-1)/2 * w^2 for w = b/(p-1); z is the
+        # series variable t
         p = F(3)
         b = F(1, 8)  # any rational probe works here
         w = b / (p - 1)
         for gamma in (GaussComplex(F(-1, 2)), GaussComplex(F(-1, 2), F(-1, 2))):
-            u = Poly.monomial(2, GaussComplex(w))
-            series = binomial_series(gamma, u, 4)
-            assert series.coeff(2) == gamma * w
-            assert series.coeff(4) == gamma * (gamma - GaussComplex(1)) * F(1, 2) * w**2
+            u = TSeries.term(GaussComplex(w), 2, 0, 4)
+            series = u.binom_pow(gamma)
+            assert series.t_coefficient(2).coeff(0) == gamma * w
+            assert series.t_coefficient(4).coeff(0) == (
+                gamma * (gamma - GaussComplex(1)) * F(1, 2) * w**2)
 
 
 class RefGauss:

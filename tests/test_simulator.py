@@ -29,7 +29,8 @@ def pm():
 
 def cn_rhs_expression(w, prev, y, h, p, delta, beta, half_ds, c_new, c_old,
                       order, reaction):
-    """The expression form of ``cn_rhs``, the reference for its in-place one."""
+    """The explicit side written out from the stencils, the oracle for
+    ``cn_rhs``, which reads the same operator from the Stepper's bands."""
     n = len(w)
     cb = 1.0 + 1j * beta
     lin = np.zeros(n, dtype=np.complex128)
@@ -134,10 +135,25 @@ class TestStepper:
                 implicit[:len(w) - k] += bands[nb - k, k:] * w[k:]
             else:
                 implicit[-k:] += bands[nb - k, :k] * w[:k]
-        explicit, _ = KERNELS.cn_rhs(w, 0 * w, y, stp.h, 3.0, 1.0, 0.5,
-                                     0.5e-3, 0.0, 0.0, space_order, False)
+        explicit, _ = KERNELS.cn_rhs(w, 0 * w, stp._op, 3.0, 1.0, 0.5e-3,
+                                     0.0, 0.0, False)
         assert np.max(np.abs(implicit + explicit - 2 * w)[1:-1]) < 1e-12
         assert np.array_equal(implicit[[0, -1]], w[[0, -1]])
+
+    @pytest.mark.parametrize("space_order", [2, 4])
+    def test_cn_rhs_keeps_a_constant_field(self, space_order):
+        # every row of L_h sums to zero, so its action on a constant is
+        # exactly zero and the reaction-free explicit side is the identity
+        # (a product that also reads the diagonal leaves rounding residue
+        # on this grid at both orders)
+        y = np.linspace(-16, 16, 3201)
+        stp = Stepper(y, 1e-3, 0.5, 3.0, 1.0, scheme="imex2",
+                      space_order=space_order, reaction=False)
+        w = np.full(len(y), 0.7 - 1.3j)
+        rhs, react = KERNELS.cn_rhs(w, 0 * w, stp._op, 3.0, 1.0, 0.5e-3,
+                                    0.0, 0.0, False)
+        assert np.array_equal(rhs, w)
+        assert not react.any()
 
     @pytest.mark.parametrize("p", [3.0, 2.0, 1.5])
     @pytest.mark.parametrize("space_order", [2, 4])
@@ -145,19 +161,24 @@ class TestStepper:
     def test_cn_rhs_matches_expression_form(self, scheme, space_order, p,
                                             monkeypatch):
         # every call of a short run (imex2: a first step, then
-        # Adams-Bashforth steps) gives the bits of the expression form
+        # Adams-Bashforth steps) agrees with the expression form to
+        # rounding; the reaction term is the same to the bit
         diffs = []
-        in_place = KERNELS.cn_rhs
+        banded = KERNELS.cn_rhs
+        y = np.linspace(-30, 30, 801)
 
-        def both(*args):
-            got = in_place(*args)
-            want = cn_rhs_expression(*args)
-            diffs.append(max(np.max(np.abs(g - w)) for g, w in zip(got, want)))
-            return got
+        def both(w, prev, op, p, delta, half_ds, c_new, c_old, reaction):
+            rhs, react = banded(w, prev, op, p, delta, half_ds, c_new, c_old,
+                                reaction)
+            want, want_react = cn_rhs_expression(
+                w, prev, y, y[1] - y[0], p, delta, 0.5, half_ds, c_new,
+                c_old, space_order, reaction)
+            assert np.array_equal(react, want_react)
+            diffs.append(np.max(np.abs(rhs - want)) / np.max(np.abs(want)))
+            return rhs, react
 
         monkeypatch.setattr(KERNELS, "cn_rhs", both)
         rng = np.random.default_rng(4)
-        y = np.linspace(-30, 30, 801)
         w = np.exp(-(y**2) / 16.0) * (1.0 + 0.3j) + 0.1 * (
             rng.standard_normal(len(y)) + 1j * rng.standard_normal(len(y))
         )
@@ -165,7 +186,7 @@ class TestStepper:
                       space_order=space_order)
         for _ in range(3):
             w = stp.step(w, 0.1, -0.2j)
-        assert len(diffs) == 3 and max(diffs) == 0.0
+        assert len(diffs) == 3 and max(diffs) <= 1e-15
 
     @pytest.mark.parametrize("factor, rows", [
         (KERNELS.tri_factor, 3), (KERNELS.penta_factor, 5),
@@ -545,6 +566,21 @@ class TestShooting:
             assert all(a < b for a, b in zip(vals, vals[1:]))
         # the trapped direction survives longest
         assert res.best.exit_s > min(p.exit_s for p in corners)
+
+    @pytest.mark.parametrize("bad, match", [
+        (dict(grid_n=1), "grid_n"), (dict(grid_n=0), "grid_n"),
+        (dict(bisect_levels=-1), "bisect_levels"),
+    ])
+    def test_degenerate_lattice_is_rejected_before_set_up(self, pm, bad,
+                                                          match, monkeypatch):
+        import cglblow.shooting as shooting
+
+        def no_setup(config):
+            raise AssertionError("Simulator built")
+
+        monkeypatch.setattr(shooting, "Simulator", no_setup)
+        with pytest.raises(ValueError, match=match):
+            shooting.shoot(small_config(pm), workers=1, **bad)
 
     def test_worker_count_does_not_change_the_search(self, pm):
         from cglblow.shooting import shoot
