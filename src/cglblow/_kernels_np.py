@@ -118,19 +118,25 @@ def cn_rhs(w, prev, op, p, delta, half_ds, c_new, c_old, reaction):
     sum to zero, so the linear part is applied in difference form,
     ``sum_k op(i, i+k) (w[i+k] - w[i])`` over the off-diagonal bands: the
     diagonal is never read, and a constant field gives exactly zero.
+    Zero terms are skipped: L_h when ``half_ds`` is 0, the reaction term
+    (returned as None) without ``reaction``, and ``prev`` when it is None.
     """
     n, nb = len(w), len(op) // 2
-    lin = np.zeros(n, dtype=np.complex128)
-    diff = np.empty(n, dtype=np.complex128)
+    rhs = np.zeros(n, dtype=np.complex128)
     term = np.empty(n, dtype=np.complex128)
-    for k in range(1, nb + 1):
-        # d[j] = w[j+k] - w[j] serves row j (entry (j, j+k) at row nb - k)
-        # and, negated, row j+k (entry (j+k, j) at row nb + k)
-        d = np.subtract(w[k:], w[:-k], out=diff[:n - k])
-        lin[:-k] += np.multiply(op[nb - k, k:], d, out=term[:n - k])
-        lin[k:] -= np.multiply(op[nb + k, :-k], d, out=term[:n - k])
-    react = np.zeros(n, dtype=np.complex128)
+    if half_ds:
+        diff = np.empty(n, dtype=np.complex128)
+        for k in range(1, nb + 1):
+            # d[j] = w[j+k] - w[j] serves row j (entry (j, j+k) at row nb - k)
+            # and, negated, row j+k (entry (j+k, j) at row nb + k)
+            d = np.subtract(w[k:], w[:-k], out=diff[:n - k])
+            rhs[:-k] += np.multiply(op[nb - k, k:], d, out=term[:n - k])
+            rhs[k:] -= np.multiply(op[nb + k, :-k], d, out=term[:n - k])
+        rhs *= half_ds
+    rhs += w
+    react = None
     if reaction:
+        react = np.zeros(n, dtype=np.complex128)
         cd = 1.0 + 1j * delta
         mod2 = w.real**2
         mod2 += w.imag**2
@@ -140,11 +146,9 @@ def cn_rhs(w, prev, op, p, delta, half_ds, c_new, c_old, reaction):
         inner = react[1:-1]
         np.multiply(cd, pw[1:-1], out=inner)
         inner *= w[1:-1]
-    rhs = lin
-    rhs *= half_ds
-    rhs += w
-    rhs += np.multiply(c_new, react, out=term)
-    rhs += np.multiply(c_old, prev, out=term)
+        rhs += np.multiply(c_new, react, out=term)
+    if prev is not None:
+        rhs += np.multiply(c_old, prev, out=term)
     rhs[0] = w[0]
     rhs[-1] = w[-1]
     return rhs, react

@@ -250,13 +250,10 @@ def cmd_simulate(cfg, args) -> int:
     from .profilefield import InitialDataSpec
     from .simulate import Simulator
 
+    # the pair is checked before the costly set-up
+    spec = InitialDataSpec(d0_tilde=args.d0_tilde, d1_tilde=args.d1_tilde)
     sc = _sim_config(cfg)
-    sim = Simulator(sc)
-    spec = InitialDataSpec(
-        s0=sc.s0, d0_tilde=args.d0_tilde, d1_tilde=args.d1_tilde,
-        K=sc.K, A=sc.A,
-    )
-    res = sim.run(spec)
+    res = Simulator(sc).run(spec)
     h = res.history
     M = sc.M_track
     cols = (
@@ -345,9 +342,9 @@ def main(argv=None) -> int:
     ap.add_argument("--config", help="key = value configuration file")
     ap.add_argument("--output-dir", help="override output.dir")
     ap.add_argument("--d0-tilde", type=float, default=0.0,
-                    help="simulate: unit-mode shooting knob")
+                    help="simulate: unit-mode shooting knob in [-2, 2]")
     ap.add_argument("--d1-tilde", type=float, default=0.0,
-                    help="simulate: degree-one shooting knob")
+                    help="simulate: degree-one shooting knob in [-2, 2]")
     ap.add_argument("--grid-n", type=int, default=8, help="shoot: grid size")
     ap.add_argument("--no-refine", action="store_true",
                     help="shoot: skip the refinement round")

@@ -75,17 +75,13 @@ class EvalContext:
 
 @dataclass(frozen=True)
 class InitialDataSpec:
-    """Knobs of the prepared initial data."""
+    """The shooting pair (d0~, d1~), the only per-run knob of the data;
+    s0, K and A are fixed before the shooting, in the run's SimConfig."""
 
-    s0: float
     d0_tilde: float
     d1_tilde: float
-    K: float
-    A: float
 
     def __post_init__(self):
-        if self.s0 < 1:
-            raise ValueError("s0 must be >= 1")
         if not (abs(self.d0_tilde) <= 2 and abs(self.d1_tilde) <= 2):
             raise ValueError("(d0~, d1~) must lie in [-2, 2]^2")
 
@@ -237,19 +233,21 @@ class InitialData:
 
 def initial_data(
     spec: InitialDataSpec,
-    fp: FloatParams,
+    config,
     combos: dict,
     basis_floats,
     y: np.ndarray,
     proj: np.ndarray,
 ) -> InitialData:
-    """The shooting initial field psi on the grid.
+    """The shooting initial field psi at the run's initial time on the grid.
 
-    ``combos`` is the float map of the shrinking-set combination constants;
-    ``basis_floats`` the float basis views and ``proj`` their projector on
-    y (``basis_floats.projector(y)``, the one the simulator and
-    ``project_sampled`` use).  d0 is solved from the unit projection
-    constraint P_{0,M}(psi) = 0.
+    ``spec`` is the shooting pair; the initial time s0, the cutoff radius K
+    and the bound scale A are read from ``config``, the run's
+    ``simulate.SimConfig``.  ``combos`` is the float map of the
+    shrinking-set combination constants; ``basis_floats`` the float basis
+    views and ``proj`` their projector on y (``basis_floats.projector(y)``,
+    the one the simulator and ``project_sampled`` use).  d0 is solved from
+    the unit projection constraint P_{0,M}(psi) = 0.
 
     Only the first-order slow-drift offsets are seeded; the s0^(-3/2)
     refinements are dropped.  At desk scales the degree-4 refinement terms
@@ -257,8 +255,8 @@ def initial_data(
     far larger s0), and seeding them detonates the nonlinearity; the
     dropped offsets are far inside their shrinking-set bounds either way.
     """
-    s0, A = spec.s0, spec.A
-    chi2 = cutoff_chi(2.0 * np.asarray(y), s0, spec.K)
+    s0, A = config.s0, config.A
+    chi2 = cutoff_chi(2.0 * np.asarray(y), s0, config.K)
     bf = basis_floats
 
     coeff_t0 = A / s0**1.75 * spec.d0_tilde + combos["At0"] / s0

@@ -103,18 +103,17 @@ def _run_probe(args):
     d0, d1 = args
     sim = _WORKER_SIM
     cfg = sim.config
-    spec = InitialDataSpec(s0=cfg.s0, d0_tilde=d0, d1_tilde=d1,
-                           K=cfg.K, A=cfg.A)
-    res = sim.run(spec, stop_on_exit=True, exit_grace=0)
+    res = sim.run(InitialDataSpec(d0_tilde=d0, d1_tilde=d1),
+                  stop_on_exit=True, exit_grace=0)
+    # without grace the run ends on its exit record, else at s_end
     h = res.history
     s_star = res.report.exit_s if res.report.exit_s is not None else cfg.s_end
-    idx = int(np.argmin(np.abs(np.array(h["s"]) - s_star)))
     A = cfg.A
     return ProbeResult(
         d0=d0, d1=d1, exit_s=float(s_star),
         exit_component=res.report.exit_component,
-        phi0=float(h["Qt0"][idx] * s_star**1.75 / A),
-        phi1=float(h["qt1"][idx] * s_star**1.5 / A),
+        phi0=float(h["Qt0"][-1] * s_star**1.75 / A),
+        phi1=float(h["qt1"][-1] * s_star**1.5 / A),
     )
 
 

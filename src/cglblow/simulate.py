@@ -80,8 +80,10 @@ class SimConfig:
                 f"N = {self.N} is below the {n_min}-point stencil of "
                 f"space_order {self.space_order}"
             )
-        if self.L < 2 * self.K * self.s_end**0.25 + 10:
-            raise ValueError("L must cover the cutoff support plus margin")
+        if not (math.isfinite(self.L)
+                and self.L >= 2 * self.K * self.s_end**0.25 + 10):
+            raise ValueError(f"grid.L must be finite and cover the cutoff "
+                             f"support plus margin, got {self.L}")
         if self.M_track < 6 or self.M_track % 2:
             raise ValueError("M_track must be an even integer >= 6")
         if self.scheme not in ("imex1", "imex2"):
@@ -93,7 +95,6 @@ class SimState:
     w: np.ndarray
     s: float
     theta: float
-    theta_prev: float = 0.0
 
 
 @dataclass
@@ -202,10 +203,11 @@ class Simulator:
         return np.concatenate([right[::-1][: self.config.N // 2], right])
 
     def initial_state(self, spec: InitialDataSpec) -> SimState:
-        psi = initial_data(spec, self.fp, self.combos, self.bf, self.y,
+        s0 = self.config.s0
+        psi = initial_data(spec, self.config, self.combos, self.bf, self.y,
                            self._proj).psi
-        w = np.exp(1j * self.Phi(spec.s0, 0.0)) * (self.phi_grid(spec.s0) + psi)
-        return SimState(w=w, s=spec.s0, theta=0.0, theta_prev=0.0)
+        w = np.exp(1j * self.Phi(s0, 0.0)) * (self.phi_grid(s0) + psi)
+        return SimState(w=w, s=s0, theta=0.0)
 
     # -- modulation ------------------------------------------------------------
 
@@ -248,6 +250,8 @@ class Simulator:
         return q, qn, qtn, q - np.concatenate([qn, qtn]) @ self._modes
 
     def diagnose(self, state: SimState, theta_prime: float):
+        """The history record of ``state`` and its bound ratios, in the
+        order of ``bound_names``."""
         s = state.s
         cb = self.combos
         q, qn, qtn, qminus = self.project_q(state)
@@ -271,8 +275,7 @@ class Simulator:
             qn, qtn, [Qt0, Q2, Qt2, Q4, Qt4, qe_norm, qminus_norm],
         ]))
         bound = self._bound_num / s**self._bound_pow
-        ratios = dict(zip(self.bound_names,
-                          (meas[self._bound_at] / bound).tolist()))
+        ratios = meas[self._bound_at] / bound
         record = {
             "s": s, "theta": state.theta, "theta_prime": theta_prime,
             "Qt0": Qt0, "Q2": Q2, "Qt2": Qt2, "Q4": Q4, "Qt4": Qt4,
@@ -293,7 +296,6 @@ class Simulator:
         w_new = self.stepper.step(state.w, bc, bc)
         if not np.all(np.isfinite(w_new)):
             raise FloatingPointError(f"scheme blow-up at s = {s_new}")
-        state.theta_prev = state.theta
         state.w = w_new
         state.s = s_new
         return state
@@ -302,29 +304,26 @@ class Simulator:
 
     def run(self, spec: InitialDataSpec, stop_on_exit: bool = True,
             exit_grace: int = 10) -> RunResult:
+        """Run the shooting pair ``spec`` from the config's s0 to its s_end.
+
+        The history holds one record per step, the initial one included.
+        The exit is the first step past the initial record with a bound
+        ratio above 1, named by its largest ratio.  With ``stop_on_exit``
+        the run ends once it has exited and taken more than ``exit_grace``
+        steps, so with ``exit_grace=0`` its last record is the exit's.
+        """
         cfg = self.config
-        for name in ("s0", "K", "A"):
-            if getattr(spec, name) != getattr(cfg, name):
-                raise ValueError(
-                    f"initial data at {name} = {getattr(spec, name)}, but the "
-                    f"run has {name} = {getattr(cfg, name)}"
-                )
         state = self.initial_state(spec)
         self.stepper.reset_history()
         converged = self.modulate(state)
-        names = self.bound_names
-        hist: dict = {}
-        ratio_rows = []
-        s_rows = []
-        exit_s = None
-        exit_component = None
+        exit_s = exit_component = None
         theta_hist = [state.theta]
         nsteps = int(round((cfg.s_end - cfg.s0) / cfg.ds))
         record, ratios = self.diagnose(state, 0.0)
         record["modulation_failed"] = 0.0 if converged else 1.0
+        hist: dict = {}
         self._append(hist, record)
-        ratio_rows.append([ratios[k] for k in names])
-        s_rows.append(state.s)
+        ratio_rows = [ratios]
         for it in range(1, nsteps + 1):
             self.step(state)
             converged = self.modulate(state)
@@ -334,17 +333,16 @@ class Simulator:
             record, ratios = self.diagnose(state, tp)
             record["modulation_failed"] = 0.0 if converged else 1.0
             self._append(hist, record)
-            ratio_rows.append([ratios[k] for k in names])
-            s_rows.append(state.s)
-            worst = max(ratios, key=lambda k: ratios[k])
+            ratio_rows.append(ratios)
+            worst = int(np.argmax(ratios))
             if ratios[worst] > 1.0 and exit_s is None:
                 exit_s = state.s
-                exit_component = worst
+                exit_component = self.bound_names[worst]
             if exit_s is not None and stop_on_exit and it > exit_grace:
                 break
         report = ShrinkReport(
-            names=names,
-            s=np.array(s_rows),
+            names=self.bound_names,
+            s=np.array(hist["s"]),
             ratios=np.array(ratio_rows),
             exit_s=exit_s,
             exit_component=exit_component,
@@ -385,9 +383,8 @@ def s0_scaling_study(config: SimConfig, s0_values=(50.0, 100.0, 200.0),
         L = 2 * config.K * (s0 + window) ** 0.25 + 12.0
         cfg = replace(config, L=L, N=N, ds=ds, s0=s0, s_end=s0 + window)
         sim = Simulator(cfg)
-        spec = InitialDataSpec(s0=s0, d0_tilde=0.0, d1_tilde=0.0,
-                               K=cfg.K, A=cfg.A)
-        res = sim.run(spec, stop_on_exit=False)
+        res = sim.run(InitialDataSpec(d0_tilde=0.0, d1_tilde=0.0),
+                      stop_on_exit=False)
         out[s0] = {
             k: float(res.report.max_ratio(k)) for k in res.report.names
         }

@@ -62,7 +62,7 @@ def rho_weight_abs(y: np.ndarray, beta: float) -> np.ndarray:
 def _check_grid_edge(y: np.ndarray, beta: float):
     """Raise GridTooNarrow unless |rho| <= TAIL_TOL at both ends of y."""
     tail = rho_weight_abs(np.array([abs(y[0]), abs(y[-1])]), beta).max()
-    if tail > TAIL_TOL:
+    if not tail <= TAIL_TOL:  # a NaN edge fails too
         raise GridTooNarrow(
             f"|rho| = {tail:.2e} at the grid edge exceeds {TAIL_TOL:.0e}"
         )

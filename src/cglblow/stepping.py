@@ -54,7 +54,6 @@ class Stepper:
         self.space_order = space_order
         self.reaction = reaction
         self._prev_rhs = None
-        self._zero = np.zeros(len(self.y), dtype=np.complex128)
         self._op = self._operator()
         bands = self._bands()
         if space_order == 2:
@@ -120,15 +119,13 @@ class Stepper:
     def step(self, w: np.ndarray, bc_left: complex, bc_right: complex) -> np.ndarray:
         """Advance one ds; boundary values are for the new time level."""
         w = np.ascontiguousarray(w, dtype=np.complex128)
+        prev = self._prev_rhs  # None for imex1 and on a first imex2 step
         if self.scheme == "imex1":
             half_ds, c_new, c_old = 0.0, self.ds, 0.0
-            prev = self._zero
-        elif self._prev_rhs is None:
+        elif prev is None:
             half_ds, c_new, c_old = 0.5 * self.ds, self.ds, 0.0
-            prev = self._zero
         else:
             half_ds, c_new, c_old = 0.5 * self.ds, 1.5 * self.ds, -0.5 * self.ds
-            prev = self._prev_rhs
         rhs, react = KERNELS.cn_rhs(
             w, prev, self._op, self.p, self.delta, half_ds, c_new, c_old,
             self.reaction,

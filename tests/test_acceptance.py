@@ -215,8 +215,7 @@ class TestAcceptance:
             (-1, -1), (-1, 1), (1, -1), (1, 1)
         }
         sim = Simulator(cfg)
-        spec = InitialDataSpec(s0=cfg.s0, d0_tilde=sh.best.d0,
-                               d1_tilde=sh.best.d1, K=cfg.K, A=cfg.A)
+        spec = InitialDataSpec(d0_tilde=sh.best.d0, d1_tilde=sh.best.d1)
         run = sim.run(spec)
         h = run.history
         s = np.array(h["s"])

@@ -43,7 +43,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("bad", [
         "ds = 0", "ds = -1e-3", "s_end = 100", "s_end = 99",
         "s_end = 100.0001", "s_end = inf", "grid.N = 2",
-        "A = -20", "A = 0", "K = 0.5", "s0 = 1",
+        "A = -20", "A = 0", "K = 0.5", "s0 = 1", "grid.L = nan",
+        "grid.L = inf",
     ])
     def test_bad_step_config_is_2(self, tmp_path, capsys, bad):
         path = write_cfg(tmp_path, f"{bad}\noutput.dir = {tmp_path / 'o'}\n")
@@ -86,6 +87,23 @@ class TestExitCodes:
         )
         assert main(["shoot", "--config", path, "--grid-n", grid_n]) == 2
         assert "grid_n must be >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--d0-tilde", "3"), ("--d1-tilde", "-2.5"), ("--d0-tilde", "nan"),
+    ])
+    def test_pair_outside_the_square_is_2(self, tmp_path, monkeypatch,
+                                          capsys, flag, value):
+        # rejected before the constants or the Simulator are built
+        import cglblow.cli as cli
+
+        def no_setup(cfg):
+            raise AssertionError("set-up ran")
+
+        monkeypatch.setattr(cli, "_sim_config", no_setup)
+        path = write_cfg(tmp_path, f"output.dir = {tmp_path / 'o'}\n")
+        assert main(["simulate", "--config", path, flag, value]) == 2
+        assert "[-2, 2]^2" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
 

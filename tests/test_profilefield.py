@@ -1,5 +1,7 @@
 """Float evaluation of the profile, potentials, nonlinearity and rest term."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from cglblow.profilefield import (
     rest_R,
     rest_Rstar,
 )
+from cglblow.simulate import SimConfig
 from cglblow.spectral import build_basis
 
 
@@ -227,35 +230,37 @@ def machinery(pm):
     fp = FloatParams.from_exact(pm)
     bf = basis.float_views()
     y = np.linspace(-88, 88, 4097)
-    return fp, combos.float_map(fp.kappa), bf, y
+    cfg = SimConfig(params=pm, s0=100.0, K=12.0, A=20.0)
+    return cfg, combos.float_map(fp.kappa), bf, y
 
 
 class TestInitialData:
 
     def test_unit_projection_killed(self, machinery):
-        fp, combos, bf, y = machinery
+        cfg, combos, bf, y = machinery
         from cglblow.spectral import project_sampled
 
-        spec = InitialDataSpec(s0=100.0, d0_tilde=0.7, d1_tilde=-0.4, K=12.0, A=20.0)
-        data = initial_data(spec, fp, combos, bf, y, bf.projector(y))
+        spec = InitialDataSpec(d0_tilde=0.7, d1_tilde=-0.4)
+        data = initial_data(spec, cfg, combos, bf, y, bf.projector(y))
         q0 = project_sampled(data.psi, y, bf).q[0]
         assert abs(q0) < 1e-10
 
     def test_outer_support_empty(self, machinery):
-        fp, combos, bf, y = machinery
-        spec = InitialDataSpec(s0=100.0, d0_tilde=1.0, d1_tilde=1.0, K=12.0, A=20.0)
-        data = initial_data(spec, fp, combos, bf, y, bf.projector(y))
+        cfg, combos, bf, y = machinery
+        spec = InitialDataSpec(d0_tilde=1.0, d1_tilde=1.0)
+        data = initial_data(spec, cfg, combos, bf, y, bf.projector(y))
         outside = np.abs(y) > 12.0 * 100.0**0.25
         assert np.max(np.abs(data.psi[outside])) == 0.0
 
     def test_d0_decays_with_s0(self, machinery):
-        fp, combos, bf, y = machinery
+        cfg, combos, bf, y = machinery
+        spec = InitialDataSpec(d0_tilde=1.0, d1_tilde=1.0)
         d0s = []
         for s0 in (100.0, 400.0):
-            spec = InitialDataSpec(s0=s0, d0_tilde=1.0, d1_tilde=1.0, K=12.0, A=20.0)
-            d0s.append(abs(initial_data(spec, fp, combos, bf, y, bf.projector(y)).d0))
+            d0s.append(abs(initial_data(spec, replace(cfg, s0=s0), combos, bf,
+                                        y, bf.projector(y)).d0))
         assert d0s[1] < d0s[0]
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
-            InitialDataSpec(s0=100.0, d0_tilde=3.0, d1_tilde=0.0, K=12.0, A=20.0)
+            InitialDataSpec(d0_tilde=3.0, d1_tilde=0.0)

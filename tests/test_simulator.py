@@ -57,6 +57,8 @@ def cn_rhs_expression(w, prev, y, h, p, delta, beta, half_ds, c_new, c_old,
         pw = mod2 if pm1h == 1.0 else mod2**pm1h
         inner = cd * (pw - 1.0 / (p - 1.0)) * w
         react[1:-1] = inner[1:-1]
+    if prev is None:  # no previous step's reaction term
+        prev = np.zeros(n, dtype=np.complex128)
     rhs = w + half_ds * lin + c_new * react + c_old * prev
     rhs[0] = w[0]
     rhs[-1] = w[-1]
@@ -153,16 +155,19 @@ class TestStepper:
         rhs, react = KERNELS.cn_rhs(w, 0 * w, stp._op, 3.0, 1.0, 0.5e-3,
                                     0.0, 0.0, False)
         assert np.array_equal(rhs, w)
-        assert not react.any()
+        assert react is None
 
-    @pytest.mark.parametrize("p", [3.0, 2.0, 1.5])
+    @pytest.mark.parametrize("p, reaction", [
+        (3.0, True), (2.0, True), (1.5, True), (3.0, False),
+    ], ids=["3.0", "2.0", "1.5", "no-reaction"])
     @pytest.mark.parametrize("space_order", [2, 4])
     @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
     def test_cn_rhs_matches_expression_form(self, scheme, space_order, p,
-                                            monkeypatch):
+                                            reaction, monkeypatch):
         # every call of a short run (imex2: a first step, then
         # Adams-Bashforth steps) agrees with the expression form to
-        # rounding; the reaction term is the same to the bit
+        # rounding; the reaction term is the same to the bit, and absent
+        # (None) without reaction
         diffs = []
         banded = KERNELS.cn_rhs
         y = np.linspace(-30, 30, 801)
@@ -173,7 +178,10 @@ class TestStepper:
             want, want_react = cn_rhs_expression(
                 w, prev, y, y[1] - y[0], p, delta, 0.5, half_ds, c_new,
                 c_old, space_order, reaction)
-            assert np.array_equal(react, want_react)
+            if reaction:
+                assert np.array_equal(react, want_react)
+            else:
+                assert react is None
             diffs.append(np.max(np.abs(rhs - want)) / np.max(np.abs(want)))
             return rhs, react
 
@@ -183,7 +191,7 @@ class TestStepper:
             rng.standard_normal(len(y)) + 1j * rng.standard_normal(len(y))
         )
         stp = Stepper(y, 1e-3, 0.5, p, 1.0, scheme=scheme,
-                      space_order=space_order)
+                      space_order=space_order, reaction=reaction)
         for _ in range(3):
             w = stp.step(w, 0.1, -0.2j)
         assert len(diffs) == 3 and max(diffs) <= 1e-15
@@ -347,9 +355,8 @@ class TestModulation:
 
         cfg = small_config(pm)
         sim = Simulator(cfg)
-        spec = InitialDataSpec(s0=cfg.s0, d0_tilde=0.3, d1_tilde=-0.2,
-                               K=cfg.K, A=cfg.A)
-        psi = initial_data(spec, sim.fp, sim.combos, sim.bf, sim.y,
+        spec = InitialDataSpec(d0_tilde=0.3, d1_tilde=-0.2)
+        psi = initial_data(spec, cfg, sim.combos, sim.bf, sim.y,
                            sim.bf.projector(sim.y)).psi
         w = np.exp(1j * (sim.Phi(cfg.s0, theta_star))) * (
             sim.phi_grid(cfg.s0) + psi
@@ -373,8 +380,7 @@ class TestModulation:
         sim = Simulator(cfg)
         monkeypatch.setattr(sim, "initial_state", lambda spec: SimState(
             w=np.zeros(cfg.N, dtype=complex), s=cfg.s0, theta=0.0))
-        spec = InitialDataSpec(s0=cfg.s0, d0_tilde=0.0, d1_tilde=0.0,
-                               K=cfg.K, A=cfg.A)
+        spec = InitialDataSpec(d0_tilde=0.0, d1_tilde=0.0)
         res = sim.run(spec, stop_on_exit=False)
         assert res.history["modulation_failed"] == [1.0] * 4
         assert res.history["theta"] == [0.0] * 4
@@ -382,8 +388,7 @@ class TestModulation:
     def test_q0_held_at_zero_along_run(self, pm):
         cfg = small_config(pm, s_end=100.2)
         sim = Simulator(cfg)
-        spec = InitialDataSpec(s0=cfg.s0, d0_tilde=0.0, d1_tilde=0.0,
-                               K=cfg.K, A=cfg.A)
+        spec = InitialDataSpec(d0_tilde=0.0, d1_tilde=0.0)
         res = sim.run(spec)
         assert max(abs(v) for v in res.history["q0"]) < 1e-9
 
@@ -399,14 +404,14 @@ class TestDiagnose:
         record, ratios = sim.diagnose(st, 0.0)
         assert abs(record["qt2"]) < 1e-12
         want = abs(sim.combos["At2"]) / cfg.s0 * cfg.s0**1.25 / cfg.A**10
-        assert abs(ratios["Qt2"] - want) < 1e-12 + 0.01 * want
+        got = ratios[sim.bound_names.index("Qt2")]
+        assert abs(got - want) < 1e-12 + 0.01 * want
         assert record["qe_norm"] < 1e-12
 
     def test_project_q_matches_project_sampled(self, pm):
         cfg = small_config(pm)
         sim = Simulator(cfg)
-        spec = InitialDataSpec(s0=cfg.s0, d0_tilde=0.2, d1_tilde=-0.1,
-                               K=cfg.K, A=cfg.A)
+        spec = InitialDataSpec(d0_tilde=0.2, d1_tilde=-0.1)
         st = sim.initial_state(spec)
         sim.modulate(st)
         q, qn, qtn, qminus = sim.project_q(st)
@@ -418,8 +423,7 @@ class TestDiagnose:
     def test_null_mode_combination(self, pm):
         cfg = small_config(pm)
         sim = Simulator(cfg)
-        spec = InitialDataSpec(s0=cfg.s0, d0_tilde=0.0, d1_tilde=0.0,
-                               K=cfg.K, A=cfg.A)
+        spec = InitialDataSpec(d0_tilde=0.0, d1_tilde=0.0)
         st = sim.initial_state(spec)
         sim.modulate(st)
         record, _ = sim.diagnose(st, 0.0)
@@ -431,8 +435,7 @@ class TestDiagnose:
 def run(pm):
     cfg = small_config(pm, s_end=101.5)
     sim = Simulator(cfg)
-    spec = InitialDataSpec(s0=cfg.s0, d0_tilde=0.0, d1_tilde=0.05,
-                           K=cfg.K, A=cfg.A)
+    spec = InitialDataSpec(d0_tilde=0.0, d1_tilde=0.05)
     return cfg, sim, sim.run(spec)
 
 
@@ -473,29 +476,31 @@ class TestRunLaws:
         envelope = cfg.A**10 / s[50:] ** 1.25
         assert np.all(tp <= envelope)
 
-    def test_initial_data_must_start_the_run(self, pm):
-        # a spec past s_end used to run zero steps and read as trapped
-        cfg = small_config(pm, N=512, s_end=100.01)
-        sim = Simulator(cfg)
-        spec = InitialDataSpec(s0=100.02, d0_tilde=0.0, d1_tilde=0.0,
-                               K=cfg.K, A=cfg.A)
-        with pytest.raises(ValueError, match="s0"):
-            sim.run(spec)
+    def test_report_is_the_history(self, run):
+        # one record per step, the initial one included, and one ratio row
+        # per record in bound_names order
+        cfg, sim, res = run
+        rep = res.report
+        assert np.array_equal(rep.s, np.array(res.history["s"]))
+        assert rep.ratios.shape == (len(rep.s), len(sim.bound_names))
 
-    @pytest.mark.parametrize("name", ["K", "A"])
-    def test_initial_data_must_match_the_shrinking_set(self, pm, name):
-        cfg = small_config(pm, N=512, s_end=100.01)
-        sim = Simulator(cfg)
-        knobs = dict(s0=cfg.s0, d0_tilde=0.0, d1_tilde=0.0, K=cfg.K, A=cfg.A)
-        knobs[name] += 1.0
-        spec = InitialDataSpec(**knobs)
-        with pytest.raises(ValueError, match=f"{name} = "):
-            sim.run(spec)
+    @pytest.mark.parametrize("grace, records", [(0, 2), (3, 5)])
+    def test_exit_ends_the_run_after_the_grace(self, pm, grace, records):
+        # with A = 1/2 the Q2 bound is below its measurement from the first
+        # step on; the run stops on the first step past the grace
+        cfg = small_config(pm, N=512, s_end=100.01, A=0.5)
+        res = Simulator(cfg).run(InitialDataSpec(d0_tilde=0.0, d1_tilde=0.0),
+                                 exit_grace=grace)
+        rep, s = res.report, res.history["s"]
+        assert len(s) == records
+        assert rep.exit_s == s[1]
+        worst = int(np.argmax(rep.ratios[1]))
+        assert rep.ratios[1, worst] > 1.0
+        assert rep.exit_component == rep.names[worst]
 
     def test_determinism(self, pm):
         cfg = small_config(pm, s_end=100.05)
-        spec = InitialDataSpec(s0=cfg.s0, d0_tilde=0.1, d1_tilde=0.1,
-                               K=cfg.K, A=cfg.A)
+        spec = InitialDataSpec(d0_tilde=0.1, d1_tilde=0.1)
         h1 = Simulator(cfg).run(spec).history
         h2 = Simulator(cfg).run(spec).history
         for k in h1:
@@ -694,8 +699,7 @@ class TestNullModeDecayRate:
 
         cfg = small_config(pm, s_end=104.0)
         sim = Simulator(cfg)
-        spec = InitialDataSpec(s0=cfg.s0, d0_tilde=0.0, d1_tilde=0.0,
-                               K=cfg.K, A=cfg.A)
+        spec = InitialDataSpec(d0_tilde=0.0, d1_tilde=0.0)
         st = sim.initial_state(spec)
         chi = cutoff_chi(2 * sim.y, cfg.s0, cfg.K)
         st.w = st.w + np.exp(1j * sim.Phi(cfg.s0, st.theta)) * 1e-4 * (

@@ -201,6 +201,12 @@ class TestProjectSampled:
         with pytest.raises(GridTooNarrow):
             project_sampled(np.ones_like(y, dtype=complex), y, self.bf)
 
+    def test_nan_grid_rejected(self):
+        # a NaN edge compares false against the tolerance either way round
+        y = np.linspace(-np.nan, np.nan, 301)
+        with pytest.raises(GridTooNarrow):
+            self.bf.projector(y)
+
     def test_profile_unit_mode(self):
         # the profile core times the unit direction: qt0 -> kappa as s grows
         from cglblow.constants import derive_params
