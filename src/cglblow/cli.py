@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -195,11 +196,15 @@ def cmd_basis(cfg, args) -> int:
 def cmd_profile(cfg, args) -> int:
     from .profilefield import EvalContext, FloatParams, phi, potentials, rest_R
 
+    L, N = float(cfg["grid.L"]), int(cfg["grid.N"])
+    if not (math.isfinite(L) and L > 0.0):
+        raise ValueError(f"grid.L must be finite and > 0, got {L}")
+    if N < 2:
+        raise ValueError(f"grid.N must be >= 2, got {N}")
     pm = _params_for(cfg)
     pm = pm.with_mu(mu_critical(pm).mu)
     fp = FloatParams.from_exact(pm)
     s = float(cfg["s0"])
-    L, N = float(cfg["grid.L"]), int(cfg["grid.N"])
     y = np.linspace(-L, L, N)
     ctx = EvalContext(fp, s)
     ph = phi(y, ctx)
@@ -227,7 +232,9 @@ def cmd_profile(cfg, args) -> int:
     return 0
 
 
-def _sim_config(cfg):
+def _sim_config(cfg, **probe):
+    """The run's SimConfig with mu set.  It and its ``probe`` variant (N or
+    ds replaced for shooting probes) are validated before the costly mu."""
     from .simulate import SimConfig
 
     sc = SimConfig(
@@ -242,7 +249,8 @@ def _sim_config(cfg):
         M_track=int(cfg["M_track"]),
         scheme=cfg["scheme"],
     )
-    sc.validate()  # before the costly mu
+    sc.validate()
+    replace(sc, **probe).validate()
     return replace(sc, params=sc.params.with_mu(mu_critical(sc.params).mu))
 
 
@@ -254,31 +262,21 @@ def cmd_simulate(cfg, args) -> int:
     spec = InitialDataSpec(d0_tilde=args.d0_tilde, d1_tilde=args.d1_tilde)
     sc = _sim_config(cfg)
     res = Simulator(sc).run(spec)
-    h = res.history
-    M = sc.M_track
-    cols = (
-        ["s", "theta", "theta_prime"]
-        + [f"q{n}" for n in range(M + 1)]
-        + [f"qt{n}" for n in range(M + 1)]
-        + ["Qt0", "Q2", "Qt2", "Q4", "Qt4", "qe_norm", "qminus_norm"]
-    )
-    flag_names = res.report.names
+    # simulate.csv holds every history column but the modulation flag
+    h = {k: v for k, v in res.history.items() if k != "modulation_failed"}
+    flags = res.report.ratios > 1.0
+    extra = {**res.config_meta, "d0_tilde": args.d0_tilde,
+             "d1_tilde": args.d1_tilde}
+    names = list(h) + [f"VA_{k}" for k in res.report.names]
     out = Path(cfg["output.dir"])
     out.mkdir(parents=True, exist_ok=True)
     path = out / "simulate.csv"
     with path.open("w") as fh:
-        extra = dict(res.config_meta)
-        extra["d0_tilde"] = args.d0_tilde
-        extra["d1_tilde"] = args.d1_tilde
-        for line in header_lines(cfg, extra):
-            fh.write(line + "\n")
-        fh.write(",".join(cols + [f"VA_{k}" for k in flag_names]) + "\n")
-        nrec = len(h["s"])
-        ratios = res.report.ratios
-        for i in range(nrec):
-            row = [_fmt(h[c][i]) for c in cols]
-            row += ["1" if ratios[i, j] > 1.0 else "0" for j in range(len(flag_names))]
-            fh.write(",".join(row) + "\n")
+        np.savetxt(
+            fh, np.column_stack(list(h.values()) + [flags]), delimiter=",",
+            fmt=["%.17g"] * len(h) + ["%d"] * flags.shape[1], comments="",
+            header="\n".join(header_lines(cfg, extra) + [",".join(names)]),
+        )
     print(f"wrote {path}")
     if res.report.exit_s is not None:
         print(
@@ -293,7 +291,9 @@ def cmd_shoot(cfg, args) -> int:
 
     check_grid_n(args.grid_n)
     workers = worker_count(args.workers)
-    sc = _sim_config(cfg)
+    probe = {k: v for k, v in (("N", args.probe_N), ("ds", args.probe_ds))
+             if v is not None}
+    sc = _sim_config(cfg, **probe)
     res = shoot(
         sc, grid_n=args.grid_n, refine=not args.no_refine,
         probe_N=args.probe_N, probe_ds=args.probe_ds,

@@ -227,8 +227,6 @@ class InitialData:
 
     psi: np.ndarray
     d0: float
-    proj_chi: complex
-    terms: dict
 
 
 def initial_data(
@@ -264,7 +262,6 @@ def initial_data(
     coeff_t2 = combos["At2"] / s0
     coeff_h2 = combos["A2"] / s0
 
-    terms = {"t0": coeff_t0, "t1": coeff_t1, "t2": coeff_t2, "h2": coeff_h2}
     body = (
         coeff_t0 * bf.eval_ht(0, y)
         + coeff_t1 * bf.eval_ht(1, y)
@@ -281,4 +278,4 @@ def initial_data(
         raise ValueError("degenerate unit projector: s0 too small")
     d0 = -p0(body * chi2) / proj_chi
     psi = (body + d0 * 1j) * chi2
-    return InitialData(psi=psi, d0=float(d0), proj_chi=complex(proj_chi), terms=terms)
+    return InitialData(psi=psi, d0=float(d0))

@@ -5,7 +5,8 @@ q = exp(-i(nu sqrt(s) + mu log s + theta(s))) w - phi.  After every step
 theta(s) is reset so the unit-mode coordinate q_0 of q vanishes; q_0 is
 R-linear in exp(-i theta), so that condition reads a cos + b sin = g and is
 solved in closed form (or reported as having no root).  Then the mode
-coordinates, shrinking-set combinations and norms are recorded.
+coordinates, shrinking-set combinations and norms are recorded as one row
+of the run's float table, whose columns ``Simulator.columns`` names.
 
 Every projection is a fixed linear map built once per ``Simulator``: the
 trapezoid projector onto the f_n, the sampled h_n / ht_n for the
@@ -99,7 +100,12 @@ class SimState:
 
 @dataclass
 class ShrinkReport:
-    """Bound ratios of the shrinking set along the run."""
+    """Bound ratios of the shrinking set along the run.
+
+    ``ratios`` has one row per history record and one column per name in
+    ``names``, each ``|measurement| / (num / s**pow)``; ``s`` is the
+    history's s column.
+    """
 
     names: list
     s: np.ndarray
@@ -107,25 +113,24 @@ class ShrinkReport:
     exit_s: Optional[float]
     exit_component: Optional[str]
 
-    def max_ratio(self, name: str) -> float:
-        return float(self.ratios[:, self.names.index(name)].max())
-
 
 @dataclass
 class RunResult:
+    """A run: ``history`` maps each name of ``Simulator.columns``, in that
+    order, to its column view of the run's one float table."""
+
     history: dict
     report: ShrinkReport
     config_meta: dict
     state: SimState
 
 
-def _shrink_bounds(A: float, M: int):
+def _shrink_bounds(A: float, M: int, columns: list):
     """The shrinking-set bounds num / s**pow, fixed for a run.
 
-    Returns the sorted component names, the index of each component's
-    measurement in the vector (|q_0..q_M|, |qt_0..qt_M|, |Qt0|, |Q2|,
-    |Qt2|, |Q4|, |Qt4|, qe_norm, qminus_norm) that ``diagnose`` builds, and
-    the numerators and powers of s of the bounds.
+    Returns the sorted component names, the index in ``columns`` of each
+    component's measurement, and the numerators and powers of s of the
+    bounds.
     """
     bounds = {
         "q0": (1.0, 1.5),
@@ -143,14 +148,11 @@ def _shrink_bounds(A: float, M: int):
     }
     for j in range(5, M + 1):
         bounds[f"q{j}"] = bounds[f"qt{j}"] = (A**j, (j + 1) / 4.0)
-    labels = (
-        [f"q{n}" for n in range(M + 1)] + [f"qt{n}" for n in range(M + 1)]
-        + ["Qt0", "Q2", "Qt2", "Q4", "Qt4", "qe", "qminus"]
-    )
     names = sorted(bounds)
+    norms = {"qe": "qe_norm", "qminus": "qminus_norm"}
     return (
         names,
-        np.array([labels.index(k) for k in names]),
+        np.array([columns.index(norms.get(k, k)) for k in names]),
         np.array([bounds[k][0] for k in names]),
         np.array([bounds[k][1] for k in names]),
     )
@@ -179,8 +181,16 @@ class Simulator:
         self._y_half = self.y[config.N // 2:]
         self._modes = self.bf.mode_samples(self.y)
         self._weight_pow = 1.0 + np.abs(self.y) ** (config.M_track + 1)
+        M = config.M_track
+        self.columns = (
+            ["s", "theta", "theta_prime"]
+            + [f"q{n}" for n in range(M + 1)]
+            + [f"qt{n}" for n in range(M + 1)]
+            + ["Qt0", "Q2", "Qt2", "Q4", "Qt4", "qe_norm", "qminus_norm",
+               "modulation_failed"]
+        )
         self.bound_names, self._bound_at, self._bound_num, self._bound_pow = (
-            _shrink_bounds(config.A, config.M_track)
+            _shrink_bounds(config.A, M, self.columns)
         )
         self.stepper = Stepper(
             self.y, config.ds, self.fp.beta, self.fp.p, self.fp.delta,
@@ -249,9 +259,10 @@ class Simulator:
         qn, qtn = self.bf.convert_Q(self._proj @ q)
         return q, qn, qtn, q - np.concatenate([qn, qtn]) @ self._modes
 
-    def diagnose(self, state: SimState, theta_prime: float):
-        """The history record of ``state`` and its bound ratios, in the
-        order of ``bound_names``."""
+    def diagnose(self, state: SimState, theta_prime: float,
+                 modulation_failed: bool = False):
+        """The history row of ``state``, one value per name in ``columns``,
+        and its bound ratios, in the order of ``bound_names``."""
         s = state.s
         cb = self.combos
         q, qn, qtn, qminus = self.project_q(state)
@@ -271,20 +282,13 @@ class Simulator:
             qe_norm = max(qe_norm, float(np.max(np.abs(q[out] * (1.0 - chi)),
                                                 initial=0.0)))
         qminus_norm = float(np.max(np.abs(qminus) / self._weight_pow))
-        meas = np.abs(np.concatenate([
-            qn, qtn, [Qt0, Q2, Qt2, Q4, Qt4, qe_norm, qminus_norm],
-        ]))
+        row = np.concatenate([
+            [s, state.theta, theta_prime], qn, qtn,
+            [Qt0, Q2, Qt2, Q4, Qt4, qe_norm, qminus_norm,
+             float(modulation_failed)],
+        ])
         bound = self._bound_num / s**self._bound_pow
-        ratios = meas[self._bound_at] / bound
-        record = {
-            "s": s, "theta": state.theta, "theta_prime": theta_prime,
-            "Qt0": Qt0, "Q2": Q2, "Qt2": Qt2, "Q4": Q4, "Qt4": Qt4,
-            "qe_norm": qe_norm, "qminus_norm": qminus_norm,
-        }
-        for n in range(self.config.M_track + 1):
-            record[f"q{n}"] = qn[n]
-            record[f"qt{n}"] = qtn[n]
-        return record, ratios
+        return row, np.abs(row[self._bound_at]) / bound
 
     # -- stepping ----------------------------------------------------------------
 
@@ -306,44 +310,44 @@ class Simulator:
             exit_grace: int = 10) -> RunResult:
         """Run the shooting pair ``spec`` from the config's s0 to its s_end.
 
-        The history holds one record per step, the initial one included.
-        The exit is the first step past the initial record with a bound
-        ratio above 1, named by its largest ratio.  With ``stop_on_exit``
-        the run ends once it has exited and taken more than ``exit_grace``
-        steps, so with ``exit_grace=0`` its last record is the exit's.
+        The run fills one float table, a row per step with the initial one
+        first and a column per name in ``columns``, and beside it the table
+        of bound ratios; the history and the report hold column views of
+        the rows filled.  theta' is the slope of theta over the last (up to
+        10) steps.  The exit is the first step past the initial record with
+        a bound ratio above 1, named by its largest ratio.  With
+        ``stop_on_exit`` the run ends once it has exited and taken more
+        than ``exit_grace`` steps, so with ``exit_grace=0`` its last record
+        is the exit's.
         """
         cfg = self.config
         state = self.initial_state(spec)
         self.stepper.reset_history()
         converged = self.modulate(state)
         exit_s = exit_component = None
-        theta_hist = [state.theta]
         nsteps = int(round((cfg.s_end - cfg.s0) / cfg.ds))
-        record, ratios = self.diagnose(state, 0.0)
-        record["modulation_failed"] = 0.0 if converged else 1.0
-        hist: dict = {}
-        self._append(hist, record)
-        ratio_rows = [ratios]
+        table = np.empty((nsteps + 1, len(self.columns)))
+        ratios = np.empty((nsteps + 1, len(self.bound_names)))
+        theta = table[:, self.columns.index("theta")]
+        table[0], ratios[0] = self.diagnose(state, 0.0, not converged)
         for it in range(1, nsteps + 1):
             self.step(state)
             converged = self.modulate(state)
-            theta_hist.append(state.theta)
-            span = min(len(theta_hist) - 1, 10)
-            tp = (theta_hist[-1] - theta_hist[-1 - span]) / (span * cfg.ds)
-            record, ratios = self.diagnose(state, tp)
-            record["modulation_failed"] = 0.0 if converged else 1.0
-            self._append(hist, record)
-            ratio_rows.append(ratios)
-            worst = int(np.argmax(ratios))
-            if ratios[worst] > 1.0 and exit_s is None:
+            span = min(it, 10)
+            tp = (state.theta - theta[it - span]) / (span * cfg.ds)
+            table[it], ratios[it] = self.diagnose(state, tp, not converged)
+            worst = int(np.argmax(ratios[it]))
+            if ratios[it, worst] > 1.0 and exit_s is None:
                 exit_s = state.s
                 exit_component = self.bound_names[worst]
             if exit_s is not None and stop_on_exit and it > exit_grace:
                 break
+        n = it + 1  # rows filled; validate() ensures at least one step
+        hist = dict(zip(self.columns, table[:n].T))
         report = ShrinkReport(
             names=self.bound_names,
-            s=np.array(hist["s"]),
-            ratios=np.array(ratio_rows),
+            s=hist["s"],
+            ratios=ratios[:n],
             exit_s=exit_s,
             exit_component=exit_component,
         )
@@ -358,11 +362,6 @@ class Simulator:
         }
         return RunResult(history=hist, report=report, config_meta=meta,
                          state=state)
-
-    @staticmethod
-    def _append(hist: dict, record: dict):
-        for k, v in record.items():
-            hist.setdefault(k, []).append(v)
 
 
 def s0_scaling_study(config: SimConfig, s0_values=(50.0, 100.0, 200.0),
@@ -385,9 +384,8 @@ def s0_scaling_study(config: SimConfig, s0_values=(50.0, 100.0, 200.0),
         sim = Simulator(cfg)
         res = sim.run(InitialDataSpec(d0_tilde=0.0, d1_tilde=0.0),
                       stop_on_exit=False)
-        out[s0] = {
-            k: float(res.report.max_ratio(k)) for k in res.report.names
-        }
+        worst = res.report.ratios.max(axis=0)
+        out[s0] = {k: float(v) for k, v in zip(res.report.names, worst)}
     return out
 
 

@@ -300,8 +300,8 @@ class BasisTable:
 
     # -- float views ---------------------------------------------------------
 
-    def float_views(self, kappa: float = None) -> "BasisFloats":
-        return BasisFloats(self, kappa)
+    def float_views(self) -> "BasisFloats":
+        return BasisFloats(self)
 
 
 @cache
@@ -360,13 +360,13 @@ class BasisFloats:
     each rounded once.
     """
 
-    def __init__(self, table: BasisTable, kappa: float = None):
+    def __init__(self, table: BasisTable):
         self.M = table.M
         self.beta = float(table.beta)
-        self.f_coeffs = [np.array(f.to_complex_coeffs(kappa)) for f in table.f]
-        self.h_coeffs = [np.array(h.to_complex_coeffs(kappa)) for h in table.h]
+        self.f_coeffs = [np.array(f.to_complex_coeffs()) for f in table.f]
+        self.h_coeffs = [np.array(h.to_complex_coeffs()) for h in table.h]
         self.ht_coeffs = [
-            np.array(h.to_complex_coeffs(kappa)) for h in table.h_tilde
+            np.array(h.to_complex_coeffs()) for h in table.h_tilde
         ]
         self.fnorm = np.array([complex(v) for v in table.fnorm])
         n = range(self.M + 1)
@@ -376,7 +376,7 @@ class BasisFloats:
             for k in n
         ]
         self.convert = np.array([
-            [to_complex(v, kappa).real for v in q + qt] for q, qt in cols
+            [to_complex(v).real for v in q + qt] for q, qt in cols
         ]).T
 
     def eval_f(self, n: int, y: np.ndarray) -> np.ndarray:

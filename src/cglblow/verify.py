@@ -174,7 +174,7 @@ def basis_checks(p, delta) -> list:
     return checks
 
 
-def verification_report(p, delta, full: bool = True) -> list:
+def verification_report(p, delta) -> list:
     """Every named identity at one parameter pair."""
     checks = []
     p, delta = F(p), F(delta)
@@ -233,24 +233,23 @@ def verification_report(p, delta, full: bool = True) -> list:
         ("formal/mu-pieces-assemble", fr.mu_assembled_matches,
          "component sum matches the corrected bracket")
     )
-    if full:
-        rep = transcription_report(pm)
-        for name, (match, expected) in sorted(rep.items()):
-            if expected:
-                checks.append((f"print/{name}", match, "regenerated == printed"))
-            else:
-                # documented misprints; at degenerate parameters the two
-                # forms can coincide (e.g. the (p-1) exponent at p = 2)
-                state = "coincides here" if match else "deviates here"
-                checks.append(
-                    (f"print/{name}-documented-deviation", True,
-                     f"{state}; {PRINTED_DEVIATIONS.get(name, '')}")
-                )
-        state = (
-            "coincides here" if fr.mu_bracket_matches_printed else "deviates here"
-        )
-        checks.append(
-            ("print/formal-mu-bracket-documented-deviation", True,
-             f"{state}; {PRINTED_DEVIATIONS['formal_mu_bracket']}")
-        )
+    rep = transcription_report(pm)
+    for name, (match, expected) in sorted(rep.items()):
+        if expected:
+            checks.append((f"print/{name}", match, "regenerated == printed"))
+        else:
+            # documented misprints; at degenerate parameters the two
+            # forms can coincide (e.g. the (p-1) exponent at p = 2)
+            state = "coincides here" if match else "deviates here"
+            checks.append(
+                (f"print/{name}-documented-deviation", True,
+                 f"{state}; {PRINTED_DEVIATIONS.get(name, '')}")
+            )
+    state = (
+        "coincides here" if fr.mu_bracket_matches_printed else "deviates here"
+    )
+    checks.append(
+        ("print/formal-mu-bracket-documented-deviation", True,
+         f"{state}; {PRINTED_DEVIATIONS['formal_mu_bracket']}")
+    )
     return checks

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cglblow.cli import main, parse_config
@@ -106,6 +107,44 @@ class TestExitCodes:
         assert "[-2, 2]^2" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--probe-ds", "1", "ds must be in (0, 1e-3]"),
+        ("--probe-N", "2", "N = 2 is below the 3-point stencil"),
+    ])
+    def test_bad_probe_grid_is_2(self, tmp_path, monkeypatch, capsys, flag,
+                                 value, message):
+        # rejected before the constants are built
+        import cglblow.cli as cli
+
+        def no_mu(pm, **kw):
+            raise AssertionError("mu_critical ran")
+
+        monkeypatch.setattr(cli, "mu_critical", no_mu)
+        path = write_cfg(tmp_path, f"output.dir = {tmp_path / 'o'}\n")
+        argv = ["shoot", "--config", path, "--workers", "1", flag, value]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("bad, message", [
+        ("grid.L = nan", "grid.L must be finite and > 0"),
+        ("grid.L = inf", "grid.L must be finite and > 0"),
+        ("grid.L = -88", "grid.L must be finite and > 0"),
+        ("grid.N = 0", "grid.N must be >= 2"),
+    ])
+    def test_bad_profile_grid_is_2(self, tmp_path, monkeypatch, capsys, bad,
+                                   message):
+        import cglblow.cli as cli
+
+        def no_mu(pm, **kw):
+            raise AssertionError("mu_critical ran")
+
+        monkeypatch.setattr(cli, "mu_critical", no_mu)
+        path = write_cfg(tmp_path, f"{bad}\noutput.dir = {tmp_path / 'o'}\n")
+        assert main(["profile", "--config", path]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 @pytest.fixture(scope="module")
 def cfgfile(tmp_path_factory):
@@ -164,6 +203,47 @@ class TestOutputs:
         assert main(["verify", "--config", path]) == 0
         text = (out / "verify.txt").read_text()
         assert "FAIL" not in text
+
+
+class TestSimulateCsv:
+    """simulate.csv is the run's history, column for column, plus its flags."""
+
+    @pytest.mark.parametrize("extra, pair", [
+        ("", []),                                                # trapped
+        ("A = 2\n", ["--d0-tilde", "1.5", "--d1-tilde", "1.5"]),  # exits
+    ])
+    def test_csv_reads_back_as_the_run(self, tmp_path, monkeypatch, extra,
+                                       pair):
+        from cglblow.simulate import Simulator
+
+        runs = []
+        run = Simulator.run
+
+        def keep(self, *a, **k):
+            runs.append(run(self, *a, **k))
+            return runs[-1]
+
+        monkeypatch.setattr(Simulator, "run", keep)
+        path = write_cfg(
+            tmp_path,
+            f"grid.N = 1024\nds = 1e-3\ns_end = 100.05\n{extra}"
+            f"output.dir = {tmp_path / 'o'}\n",
+        )
+        assert main(["simulate", "--config", path, *pair]) == 0
+        (res,) = runs
+        assert (res.report.exit_s is None) == (not pair)
+        lines = (tmp_path / "o" / "simulate.csv").read_text().splitlines()
+        names, *rows = [ln for ln in lines if not ln.startswith("#")]
+        names = names.split(",")
+        table = np.array([[float(x) for x in ln.split(",")] for ln in rows])
+        flags = [f"VA_{k}" for k in res.report.names]
+        cols = [k for k in res.history if k != "modulation_failed"]
+        assert names == cols + flags
+        for j, name in enumerate(cols):
+            assert np.array_equal(table[:, j], res.history[name]), name
+        flagged = table[:, len(cols):]
+        assert np.array_equal(flagged, res.report.ratios > 1.0)
+        assert flagged.any() == bool(pair)
 
 
 class TestFailurePaths:

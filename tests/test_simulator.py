@@ -382,8 +382,8 @@ class TestModulation:
             w=np.zeros(cfg.N, dtype=complex), s=cfg.s0, theta=0.0))
         spec = InitialDataSpec(d0_tilde=0.0, d1_tilde=0.0)
         res = sim.run(spec, stop_on_exit=False)
-        assert res.history["modulation_failed"] == [1.0] * 4
-        assert res.history["theta"] == [0.0] * 4
+        assert list(res.history["modulation_failed"]) == [1.0] * 4
+        assert list(res.history["theta"]) == [0.0] * 4
 
     def test_q0_held_at_zero_along_run(self, pm):
         cfg = small_config(pm, s_end=100.2)
@@ -401,7 +401,8 @@ class TestDiagnose:
         sim = Simulator(cfg)
         w = np.exp(1j * sim.Phi(cfg.s0, 0.0)) * sim.phi_grid(cfg.s0)
         st = SimState(w=w, s=cfg.s0, theta=0.0)
-        record, ratios = sim.diagnose(st, 0.0)
+        row, ratios = sim.diagnose(st, 0.0)
+        record = dict(zip(sim.columns, row))
         assert abs(record["qt2"]) < 1e-12
         want = abs(sim.combos["At2"]) / cfg.s0 * cfg.s0**1.25 / cfg.A**10
         got = ratios[sim.bound_names.index("Qt2")]
@@ -426,7 +427,8 @@ class TestDiagnose:
         spec = InitialDataSpec(d0_tilde=0.0, d1_tilde=0.0)
         st = sim.initial_state(spec)
         sim.modulate(st)
-        record, _ = sim.diagnose(st, 0.0)
+        row, _ = sim.diagnose(st, 0.0)
+        record = dict(zip(sim.columns, row))
         # Qt2 = qt2 - At2/s starts at the cutoff-truncation level
         assert abs(record["Qt2"]) < 1e-6
 
@@ -712,7 +714,8 @@ class TestNullModeDecayRate:
             sim.step(st)
             sim.modulate(st)
             if it % 50 == 0:
-                rec, _ = sim.diagnose(st, 0.0)
+                row, _ = sim.diagnose(st, 0.0)
+                rec = dict(zip(sim.columns, row))
                 ss.append(rec["s"])
                 qq.append(rec["Qt2"])
         ss, qq = np.array(ss), np.array(qq)
