@@ -262,19 +262,21 @@ def cmd_simulate(cfg, args) -> int:
     spec = InitialDataSpec(d0_tilde=args.d0_tilde, d1_tilde=args.d1_tilde)
     sc = _sim_config(cfg)
     res = Simulator(sc).run(spec)
-    # simulate.csv holds every history column but the modulation flag
-    h = {k: v for k, v in res.history.items() if k != "modulation_failed"}
+    # simulate.csv holds every history column, then the bound flags
+    h = res.history
     flags = res.report.ratios > 1.0
     extra = {**res.config_meta, "d0_tilde": args.d0_tilde,
-             "d1_tilde": args.d1_tilde}
+             "d1_tilde": args.d1_tilde,
+             "modulation_failures": int(h["modulation_failed"].sum())}
     names = list(h) + [f"VA_{k}" for k in res.report.names]
+    fmt = ["%d" if k == "modulation_failed" else "%.17g" for k in h]
     out = Path(cfg["output.dir"])
     out.mkdir(parents=True, exist_ok=True)
     path = out / "simulate.csv"
     with path.open("w") as fh:
         np.savetxt(
             fh, np.column_stack(list(h.values()) + [flags]), delimiter=",",
-            fmt=["%.17g"] * len(h) + ["%d"] * flags.shape[1], comments="",
+            fmt=fmt + ["%d"] * flags.shape[1], comments="",
             header="\n".join(header_lines(cfg, extra) + [",".join(names)]),
         )
     print(f"wrote {path}")

@@ -18,6 +18,16 @@ with real c_n.  Both families are built here exactly by a triangular solve;
 
 Everything exact lives on GaussComplex coefficients; the numeric entry
 points (sampled projections, the semigroup kernel) use numpy.
+
+Both numeric quadratures are banded matrix products that drop only what
+rounding would lose anyway.  The grid projector keeps the columns where the
+Gaussian weight is above 2**-52 / N of its row's largest entry.  The
+semigroup quadrature ``semigroup_apply`` takes the evaluation points in
+blocks; for each block it evaluates the heat kernel only on the contiguous
+band of columns where some row's term |K w v| is above 2**-52 / N of that
+row's largest term, a test made in real arithmetic on the logarithm of the
+term.  Either way the dropped terms of a row add up to at most 2**-52 of
+its largest term, below the rounding of the dot product itself.
 """
 
 from __future__ import annotations
@@ -488,19 +498,82 @@ def semigroup_kernel(s: float, y, x, beta: float):
     """Heat kernel of L_beta: value of e^{s L}(y, x), s > 0."""
     if s <= 0:
         raise ValueError("s must be > 0")
-    c = 1.0 + 1j * beta
-    decay = 1.0 - np.exp(-s)
+    cd = (1.0 + 1j * beta) * (1.0 - np.exp(-s))
+    z = np.asarray(x) - np.asarray(y) * np.exp(-s / 2.0)
+    z *= z
+    out = np.exp(z * (-0.25 / cd))
+    out *= 1.0 / np.sqrt(4.0 * np.pi * cd)
+    return out
+
+
+# log of the drop share 2**-52: with N columns, a row's dropped terms add
+# up to at most 2**-52 of its largest term
+LOG_DROP = 52 * np.log(2.0)
+
+
+def kernel_bands(s: float, y: np.ndarray, x: np.ndarray, wv: np.ndarray,
+                 beta: float):
+    """Yield ``(rows, cols)``: blocks of y and the columns each block keeps.
+
+    The term |e^{sL}(y_i, x_j) wv_j| is |C| exp(-a (x_j - y_i e^{-s/2})^2)
+    |wv_j| with a = Re 1/(4(1+i beta)(1-e^{-s})), so its logarithm is found
+    in real arithmetic.  ``cols`` is the contiguous band of columns in which
+    some row of the block has a term above 2**-52 / N of that row's largest
+    term (N = len(x)); every dropped term is at most that share, so a row's
+    dropped terms add up to at most 2**-52 of its largest term.  Blocks hold
+    about 2**14 / N rows, which bounds the temporaries at 2**14 entries; a
+    block whose terms are all zero keeps no column.
+    """
+    n = len(x)
+    a = 1.0 / (4.0 * (1.0 - np.exp(-s)) * (1.0 + beta * beta))
+    with np.errstate(divide="ignore"):
+        log_wv = np.log(np.abs(wv))
+    cut = LOG_DROP + np.log(n)
     ye = np.asarray(y) * np.exp(-s / 2.0)
-    return np.exp(-np.abs(np.asarray(x) - ye) ** 2 / (4.0 * c * decay)) / np.sqrt(
-        4.0 * np.pi * c * decay
-    )
+    step = max(1, 2**14 // n)
+    for i in range(0, len(ye), step):
+        t = np.subtract.outer(ye[i:i + step], x)
+        t *= t
+        t *= -a
+        t += log_wv
+        kept = np.flatnonzero((t > t.max(axis=1, keepdims=True) - cut)
+                              .any(axis=0))
+        del t  # the caller builds the block's kernel next
+        cols = slice(kept[0], kept[-1] + 1) if len(kept) else slice(0, 0)
+        yield slice(i, i + step), cols
 
 
 def semigroup_apply(
     s: float, y: np.ndarray, x: np.ndarray, values: np.ndarray, beta: float
 ) -> np.ndarray:
-    """Quadrature of the kernel against sampled data: (e^{s L} v)(y)."""
+    """Quadrature of the kernel against sampled data: (e^{s L} v)(y).
+
+    The trapezoid rule on x, as the banded product ``K @ wv`` with
+    ``wv = trapezoid_weights(x) * values``: each block of rows of y
+    evaluates the kernel only on the band of columns that ``kernel_bands``
+    keeps.  Raises ValueError, before any work, unless s > 0, x holds at
+    least two strictly increasing points, values matches x and every input
+    is finite.
+    """
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    values = np.asarray(values)
+    if not (np.isfinite(s) and s > 0):
+        raise ValueError("s must be finite and > 0")
+    if not np.isfinite(beta):
+        raise ValueError("beta must be finite")
+    if x.ndim != 1 or len(x) < 2:
+        raise ValueError("x must hold at least 2 points")
+    if not (np.all(np.isfinite(x)) and np.all(np.diff(x) > 0)):
+        raise ValueError("x must be finite and strictly increasing")
+    if values.shape != x.shape:
+        raise ValueError("values must hold one entry per point of x")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
+    if y.ndim != 1 or not np.all(np.isfinite(y)):
+        raise ValueError("y must be a finite 1-d array")
+    wv = trapezoid_weights(x) * values
     out = np.empty(len(y), dtype=complex)
-    for i, yi in enumerate(y):
-        out[i] = np.trapezoid(semigroup_kernel(s, yi, x, beta) * values, x)
+    for rows, cols in kernel_bands(s, y, x, wv, beta):
+        out[rows] = semigroup_kernel(s, y[rows, None], x[cols], beta) @ wv[cols]
     return out

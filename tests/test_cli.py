@@ -208,12 +208,8 @@ class TestOutputs:
 class TestSimulateCsv:
     """simulate.csv is the run's history, column for column, plus its flags."""
 
-    @pytest.mark.parametrize("extra, pair", [
-        ("", []),                                                # trapped
-        ("A = 2\n", ["--d0-tilde", "1.5", "--d1-tilde", "1.5"]),  # exits
-    ])
-    def test_csv_reads_back_as_the_run(self, tmp_path, monkeypatch, extra,
-                                       pair):
+    @staticmethod
+    def check_csv(tmp_path, monkeypatch, extra, pair, no_root=False):
         from cglblow.simulate import Simulator
 
         runs = []
@@ -237,13 +233,34 @@ class TestSimulateCsv:
         names = names.split(",")
         table = np.array([[float(x) for x in ln.split(",")] for ln in rows])
         flags = [f"VA_{k}" for k in res.report.names]
-        cols = [k for k in res.history if k != "modulation_failed"]
+        cols = list(res.history)
         assert names == cols + flags
         for j, name in enumerate(cols):
             assert np.array_equal(table[:, j], res.history[name]), name
         flagged = table[:, len(cols):]
         assert np.array_equal(flagged, res.report.ratios > 1.0)
         assert flagged.any() == bool(pair)
+        # the modulation flag is an integer column, counted in the header
+        failed = res.history["modulation_failed"]
+        assert failed.all() if no_root else not failed.any()
+        assert f"# modulation_failures = {int(failed.sum())}" in lines
+        j = cols.index("modulation_failed")
+        assert [ln.split(",")[j] for ln in rows] == [
+            str(int(f)) for f in failed]
+
+    @pytest.mark.parametrize("extra, pair", [
+        ("", []),                                                # trapped
+        ("A = 2\n", ["--d0-tilde", "1.5", "--d1-tilde", "1.5"]),  # exits
+    ])
+    def test_csv_reads_back_as_the_run(self, tmp_path, monkeypatch, extra,
+                                       pair):
+        self.check_csv(tmp_path, monkeypatch, extra, pair)
+
+    def test_csv_records_failed_modulation(self, tmp_path, monkeypatch):
+        from cglblow.simulate import Simulator
+
+        monkeypatch.setattr(Simulator, "modulate", lambda self, st: False)
+        self.check_csv(tmp_path, monkeypatch, "", [], no_root=True)
 
 
 class TestFailurePaths:

@@ -14,6 +14,7 @@ from cglblow.spectral import (
     gaussian_moment,
     hermite_f,
     integrate_poly,
+    kernel_bands,
     project_poly,
     project_sampled,
     rho_weight,
@@ -369,6 +370,138 @@ class TestSemigroupKernel:
             hermite_f(2, beta).to_complex_coeffs()[::-1], y
         )
         assert np.max(np.abs(out - want)) < 1e-8
+
+
+def semigroup_apply_loop(s, y, x, values, beta):
+    """The per-row trapezoid loop, the reference for the banded product.
+
+    ``values`` may stack several fields along its first axis; row i of the
+    result holds their quadratures at y[i].
+    """
+    out = np.empty((len(y),) + np.shape(values)[:-1], dtype=complex)
+    for i, yi in enumerate(y):
+        out[i] = np.trapezoid(semigroup_kernel(s, yi, x, beta) * values, x)
+    return out
+
+
+def check_banded_quadrature(s, y, x, fields, beta):
+    """Compare semigroup_apply with the row loop; check what the band drops.
+
+    ``fields`` stacks one or more sampled fields on x.  For each, the
+    banded product agrees with the loop to 1e-13 of each row's absolute sum
+    of terms |K_ij w_j v_j|.  Every dropped term is at most 2**-52 / len(x)
+    of its row's largest term (to rounding of the term itself), and both end
+    columns of each band hold a term above that share in some row of the
+    block.  Returns the banded results, one row per field.
+    """
+    y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
+    fields = np.atleast_2d(fields)
+    got = np.array([semigroup_apply(s, y, x, v, beta) for v in fields])
+    want = semigroup_apply_loop(s, y, x, fields, beta).T
+    wvs = trapezoid_weights(x) * fields
+    row_sum = np.zeros(got.shape)
+    # the blocks are the same for every field: one kernel per block
+    for blocks in zip(*(kernel_bands(s, y, x, wv, beta) for wv in wvs)):
+        rows = blocks[0][0]
+        k = np.abs(semigroup_kernel(s, y[rows, None], x, beta))
+        for m, (wv, (_, cols)) in enumerate(zip(wvs, blocks)):
+            terms = k * np.abs(wv)
+            row_sum[m, rows] = terms.sum(axis=1)
+            cut = (2.0**-52 / len(x)) * terms.max(axis=1, keepdims=True)
+            dropped = np.ones(len(x), dtype=bool)
+            dropped[cols] = False
+            assert np.all(terms[:, dropped] <= cut * (1 + 1e-9))
+            if cols.stop > cols.start:
+                for j in (cols.start, cols.stop - 1):
+                    assert np.any(terms[:, j:j + 1] > cut * (1 - 1e-9))
+            else:
+                assert not np.any(terms)
+    assert got.shape == want.shape == (len(fields), len(y))
+    assert np.all(np.abs(got - want) <= 1e-13 * row_sum)
+    return got
+
+
+def f_samples(n, beta, x):
+    coeffs = hermite_f(n, F(beta)).to_complex_coeffs()
+    return np.polyval(np.array(coeffs)[::-1], x)
+
+
+# the linear-modes grid: L = 16, dy = 0.01, evaluated on |y| <= 5
+LINEAR_X = np.linspace(-16.0, 16.0, 3201)
+LINEAR_Y = LINEAR_X[np.abs(LINEAR_X) <= 5.0]
+
+
+class TestBandedSemigroupQuadrature:
+    """semigroup_apply against the per-row trapezoid loop it replaced."""
+
+    @pytest.mark.parametrize("s", [0.06, 0.5, 1.0])
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 1.0, 2.0])
+    def test_linear_modes_grid(self, beta, s):
+        # every fourth evaluation point keeps the row loop short
+        modes = [f_samples(n, beta, LINEAR_X) for n in range(5)]
+        check_banded_quadrature(s, LINEAR_Y[::4], LINEAR_X, modes, beta)
+
+    def test_linear_modes_call(self):
+        # the kernel check of the linear-modes run, point for point
+        modes = [f_samples(n, 0.5, LINEAR_X) for n in range(5)]
+        check_banded_quadrature(0.06, LINEAR_Y, LINEAR_X, modes, 0.5)
+
+    def test_values_with_exact_zeros(self):
+        x = np.linspace(-12.0, 12.0, 1201)
+        f = f_samples(3, 0.5, x)
+        f[x < -1.0] = 0.0
+        f[::7] = 0.0
+        check_banded_quadrature(0.3, np.linspace(-4, 4, 81), x, f, 0.5)
+
+    def test_all_zero_values(self):
+        x = np.linspace(-12.0, 12.0, 1201)
+        y = np.linspace(-4, 4, 81)
+        zero = np.zeros(len(x), dtype=complex)
+        (got,) = check_banded_quadrature(0.3, y, x, zero, 0.5)
+        assert np.array_equal(got, np.zeros(len(y)))
+        for _, cols in kernel_bands(0.3, y, x, zero, 0.5):
+            assert cols.stop == cols.start
+
+    def test_non_uniform_x(self):
+        x = 4.0 * np.sinh(np.linspace(-2.0, 2.0, 1501))
+        f = f_samples(2, 1.0, x)
+        check_banded_quadrature(0.7, np.linspace(-3, 3, 61), x, f, 1.0)
+
+    @pytest.mark.parametrize("y", [[], [1.25]], ids=["no-point", "one-point"])
+    def test_few_evaluation_points(self, y):
+        x = np.linspace(-12.0, 12.0, 1201)
+        check_banded_quadrature(0.5, y, x, f_samples(4, 2.0, x), 2.0)
+
+    @pytest.mark.parametrize("bad", [
+        {"s": 0.0}, {"s": -0.5}, {"s": np.nan}, {"s": np.inf},
+        {"x": np.array([0.0]), "values": np.ones(1)},
+        {"x": np.array([0.0, 1.0, 1.0, 2.0]), "values": np.ones(4)},
+        {"x": np.linspace(1, -1, 5)},
+        {"x": np.array([0.0, np.nan, 2.0]), "values": np.ones(3)},
+        {"values": np.ones(4)},
+        {"values": np.array([1.0, np.nan, 1.0, 1.0, 1.0])},
+        {"y": np.array([0.0, np.inf])},
+        {"beta": np.nan},
+    ], ids=["s=0", "s<0", "s=nan", "s=inf", "one-point", "repeated-point",
+            "decreasing", "nan-point", "values-short", "nan-value",
+            "inf-y", "nan-beta"])
+    def test_bad_input_raises_before_work(self, monkeypatch, bad):
+        import cglblow.spectral as spectral
+
+        def no_work(*a, **k):
+            raise AssertionError("work started before validation")
+
+        for name in ("trapezoid_weights", "kernel_bands", "semigroup_kernel"):
+            monkeypatch.setattr(spectral, name, no_work)
+        args = dict(s=0.5, y=np.zeros(3), x=np.linspace(-1, 1, 5),
+                    values=np.ones(5), beta=0.5)
+        with pytest.raises(ValueError):
+            spectral.semigroup_apply(**dict(args, **bad))
+
+    def test_good_input_passes_the_checks(self):
+        got = semigroup_apply(0.5, np.zeros(3), np.linspace(-1, 1, 5),
+                              np.ones(5), 0.5)
+        assert got.shape == (3,) and np.all(np.isfinite(got))
 
 
 class TestPrintedTableFidelity:
