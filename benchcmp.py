@@ -37,6 +37,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent
 MIN_PAIRS = 10
 WIN_SHARE = 0.9
+# measuring time of a ``--size tiny`` run; full runs take BENCHMARK.json's
+TINY_SECONDS = 0.1
 
 
 def parse_args(argv, spec: dict):
@@ -47,18 +49,18 @@ def parse_args(argv, spec: dict):
     ap.add_argument("--seeds", nargs="+", type=int, default=[1])
     ap.add_argument("--pairs", type=int, default=1,
                     help="base/change pairs per workload and seed")
-    ap.add_argument("--seconds", type=float, default=spec["run_seconds"],
-                    help="measuring time of each run (default %(default)s)")
-    ap.add_argument("--size", choices=("full", "tiny"), default="full")
+    ap.add_argument("--size", choices=("full", "tiny"), default="full",
+                    help="full runs measure for BENCHMARK.json's run_seconds,"
+                    f" tiny ones for {TINY_SECONDS} s")
     ap.add_argument("--tag", required=True, help="names BENCH_<tag>.json")
     ap.add_argument("--out-dir", type=Path, default=ROOT)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
-    if not args.seconds > 0:
-        ap.error("--seconds must be positive")
     if not re.fullmatch(r"[A-Za-z0-9_.-]+", args.tag):
         ap.error("--tag may hold only letters, digits, '_', '.' and '-'")
+    args.seconds = (spec["run_seconds"] if args.size == "full"
+                    else TINY_SECONDS)
     return args
 
 

@@ -424,8 +424,7 @@ class BasisFloats:
         rows = self.f_rows(y, trapezoid_weights(y) * rho_weight(y, self.beta))
         mag = np.abs(rows)
         cut = (2.0**-52 / len(y)) * mag.max(axis=1, keepdims=True)
-        cols = np.flatnonzero((mag > cut).any(axis=0))
-        band = slice(int(cols[0]), int(cols[-1]) + 1)
+        band = _band(mag > cut)
         return GridProjector(rows[:, band].copy(), band)
 
     def mode_samples(self, y: np.ndarray) -> np.ndarray:
@@ -506,6 +505,17 @@ def semigroup_kernel(s: float, y, x, beta: float):
     return out
 
 
+def _band(keep: np.ndarray) -> slice:
+    """The contiguous band of columns of ``keep`` in which some row is True.
+
+    ``slice(0, 0)`` when no entry is.
+    """
+    cols = np.flatnonzero(keep.any(axis=0))
+    if not len(cols):
+        return slice(0, 0)
+    return slice(int(cols[0]), int(cols[-1]) + 1)
+
+
 # log of the drop share 2**-52: with N columns, a row's dropped terms add
 # up to at most 2**-52 of its largest term
 LOG_DROP = 52 * np.log(2.0)
@@ -536,10 +546,8 @@ def kernel_bands(s: float, y: np.ndarray, x: np.ndarray, wv: np.ndarray,
         t *= t
         t *= -a
         t += log_wv
-        kept = np.flatnonzero((t > t.max(axis=1, keepdims=True) - cut)
-                              .any(axis=0))
+        cols = _band(t > t.max(axis=1, keepdims=True) - cut)
         del t  # the caller builds the block's kernel next
-        cols = slice(kept[0], kept[-1] + 1) if len(kept) else slice(0, 0)
         yield slice(i, i + step), cols
 
 
@@ -575,5 +583,8 @@ def semigroup_apply(
     wv = trapezoid_weights(x) * values
     out = np.empty(len(y), dtype=complex)
     for rows, cols in kernel_bands(s, y, x, wv, beta):
-        out[rows] = semigroup_kernel(s, y[rows, None], x[cols], beta) @ wv[cols]
+        # einsum, not ``@``: it starts no BLAS threads, which made these
+        # small products 8-16x slower when another process held a core
+        out[rows] = np.einsum("ij,j->i", semigroup_kernel(
+            s, y[rows, None], x[cols], beta), wv[cols])
     return out

@@ -61,7 +61,7 @@ def test_head_against_itself_claims_no_win(tmp_path):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "benchcmp.py"), "--base", "HEAD",
          "--workload", "linear-modes", "--seeds", "1", "--pairs", "1",
-         "--seconds", "0.1", "--size", "tiny", "--tag", "smoke",
+         "--size", "tiny", "--tag", "smoke",
          "--out-dir", str(tmp_path)],
         capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
