@@ -79,10 +79,6 @@ def header_lines(cfg: dict, extra: dict = None) -> list:
     return lines
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _scalar_json(v, kappa: float) -> dict:
     c = to_complex(v, kappa)
     out = {"float_re": c.real, "float_im": c.imag}
@@ -197,14 +193,16 @@ def cmd_profile(cfg, args) -> int:
     from .profilefield import EvalContext, FloatParams, phi, potentials, rest_R
 
     L, N = float(cfg["grid.L"]), int(cfg["grid.N"])
+    s = float(cfg["s0"])
     if not (math.isfinite(L) and L > 0.0):
         raise ValueError(f"grid.L must be finite and > 0, got {L}")
     if N < 2:
         raise ValueError(f"grid.N must be >= 2, got {N}")
+    if not (math.isfinite(s) and s > 1.0):
+        raise ValueError(f"s0 must be finite and > 1, got {s}")
     pm = _params_for(cfg)
     pm = pm.with_mu(mu_critical(pm).mu)
     fp = FloatParams.from_exact(pm)
-    s = float(cfg["s0"])
     y = np.linspace(-L, L, N)
     ctx = EvalContext(fp, s)
     ph = phi(y, ctx)
@@ -213,21 +211,16 @@ def cmd_profile(cfg, args) -> int:
     out = Path(cfg["output.dir"])
     out.mkdir(parents=True, exist_ok=True)
     path = out / "profile.csv"
+    # np.hypot, not np.abs: numpy's vectorised complex abs can differ from
+    # the correctly rounded modulus in the last bit
+    mods = [np.hypot(f.real, f.imag) for f in (R, v1, v2)]
     with path.open("w") as fh:
-        for line in header_lines(cfg, {"s": s}):
-            fh.write(line + "\n")
-        fh.write("y,re_phi,im_phi,abs_R,abs_V1,abs_V2\n")
-        for i in range(N):
-            fh.write(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        y[i], ph[i].real, ph[i].imag,
-                        abs(R[i]), abs(v1[i]), abs(v2[i]),
-                    )
-                )
-                + "\n"
-            )
+        np.savetxt(
+            fh, np.column_stack([y, ph.real, ph.imag] + mods),
+            delimiter=",", fmt="%.17g", comments="",
+            header="\n".join(header_lines(cfg, {"s": s})
+                              + ["y,re_phi,im_phi,abs_R,abs_V1,abs_V2"]),
+        )
     print(f"wrote {path}")
     return 0
 

@@ -171,14 +171,19 @@ def derive_params(p, delta) -> ProfileParams:
     b2 = b_critical(p, delta)
     if b2 != b_critical_formal(p, delta):
         raise AssertionError("the two closed forms of b^2 disagree")
-    b = ExtScalar(0, 1, b2)
+    assert p - delta**2 - beta * delta * (p + 1) == 0
+    return _profile_params(p, delta, beta, b2, ExtScalar(0, 1, b2),
+                           p_critical_sq(p))
+
+
+def _profile_params(p, delta, beta, b2, b, p_cri2) -> ProfileParams:
+    """The parameter set on a given b, with nu, kappa and a derived from it."""
     nu = (F(-4) * beta * (1 + delta**2) / (p - 1) ** 2) * b
     kap = kappa_unit(b2)
     a = kap * (2 * (1 - beta * delta) / (p - 1) ** 2) * b
-    assert p - delta**2 - beta * delta * (p + 1) == 0
     return ProfileParams(
         p=p, delta=delta, beta=beta, b2=b2, b=b, nu=nu, a=a,
-        kappa=kap, p_cri2=p_critical_sq(p),
+        kappa=kap, p_cri2=p_cri2,
     )
 
 
@@ -813,16 +818,9 @@ def _params_with_rational_b(params, bval: Fraction) -> ProfileParams:
     Used only to probe polynomial-in-b structure; modulus becomes bval^2 so
     the extension collapses to rationals embedded on the c0 component.
     """
-    p, delta, beta = params.p, params.delta, params.beta
     b2 = bval**2
-    b = ExtScalar(bval, 0, b2)
-    nu = (F(-4) * beta * (1 + delta**2) / (p - 1) ** 2) * b
-    kap = kappa_unit(b2)
-    a = kap * (2 * (1 - beta * delta) / (p - 1) ** 2) * b
-    return ProfileParams(
-        p=p, delta=delta, beta=beta, b2=b2, b=b, nu=nu, a=a, kappa=kap,
-        p_cri2=params.p_cri2,
-    )
+    return _profile_params(params.p, params.delta, params.beta, b2,
+                           ExtScalar(bval, 0, b2), params.p_cri2)
 
 
 def cancellation_residuals(params) -> dict:
@@ -1287,6 +1285,5 @@ def transcription_report(params) -> dict:
     report = {}
     for name, rv in reg.items():
         want = tr[name]
-        match = (rv - want).is_zero() if hasattr(rv, "is_zero") else rv == want
-        report[name] = (bool(match), name not in PRINTED_DEVIATIONS)
+        report[name] = (is_zero(rv - want), name not in PRINTED_DEVIATIONS)
     return report

@@ -7,8 +7,8 @@ The working normalization keeps the profile core real:
 which differs from the bare power (p-1+b z^2)^(-(1+i delta)/(p-1)) by the
 constant phase kappa^(i delta) (absorbable into the free global phase).
 All the mode-projection constants assume the kappa-real form, so the
-simulator uses it throughout; the bare form is kept for the final-profile
-formula.
+simulator uses it throughout; the bare form is kept only for the test that
+checks |phi0| against it.
 
 The rest term R is evaluated from closed-form derivatives of the power
 expression; it is a near-cancellation of O(1) terms, so finite differences
@@ -68,7 +68,7 @@ class EvalContext:
     theta_prime: float = 0.0
 
     def __post_init__(self):
-        if self.s <= 1.0:
+        if not self.s > 1.0:  # a NaN s fails too
             raise ValueError("s must exceed 1")
         self.params.check_critical()
 

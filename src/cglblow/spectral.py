@@ -13,21 +13,23 @@ R-linear; it admits a Jordan-type polynomial basis
     L h_n = -(n/2) h_n,            h_n  = i y^n + lower order,
     L ht_n = (1-n/2) ht_n + c_n h_{n-2},   ht_n = (1+i delta) y^n + lower,
 
-with real c_n.  Both families are built here exactly by a triangular solve;
-``c_n`` comes out of the solve rather than being assumed.
+with real c_n.  Both families come exactly out of one top-down triangular
+solve, ``_jordan_vector``; ``c_n`` comes out of the solve rather than being
+assumed.
 
 Everything exact lives on GaussComplex coefficients; the numeric entry
 points (sampled projections, the semigroup kernel) use numpy.
 
-Both numeric quadratures are banded matrix products that drop only what
-rounding would lose anyway.  The grid projector keeps the columns where the
-Gaussian weight is above 2**-52 / N of its row's largest entry.  The
-semigroup quadrature ``semigroup_apply`` takes the evaluation points in
-blocks; for each block it evaluates the heat kernel only on the contiguous
-band of columns where some row's term |K w v| is above 2**-52 / N of that
-row's largest term, a test made in real arithmetic on the logarithm of the
-term.  Either way the dropped terms of a row add up to at most 2**-52 of
-its largest term, below the rounding of the dot product itself.
+Both numeric quadratures are the trapezoid rule on the sampling grid,
+written as banded matrix products that drop only what rounding would lose
+anyway.  The grid projector keeps the columns where the Gaussian weight is
+above 2**-52 / N of its row's largest entry.  The semigroup quadrature
+``semigroup_apply`` takes the evaluation points in blocks; for each block
+it evaluates the heat kernel only on the contiguous band of columns where
+some row's term |K w v| is above 2**-52 / N of that row's largest term, a
+test made in real arithmetic on the logarithm of the term.  Either way
+the dropped terms of a row add up to at most 2**-52 of its largest term,
+below the rounding of the dot product itself.
 """
 
 from __future__ import annotations
@@ -137,23 +139,6 @@ def apply_L(p: Poly, beta: Fraction, delta: Optional[Fraction] = None) -> Poly:
     return out
 
 
-def _build_h(n: int, beta: Fraction, delta: Fraction) -> Poly:
-    """h_n by matching coefficients from the top degree down (unique)."""
-    one_ib = GaussComplex(1, beta)
-    coeffs: list = [GaussComplex(0)] * (n + 1)
-    coeffs[n] = GaussComplex(0, 1)
-    k = n - 2
-    while k >= 0:
-        rhs = -(one_ib * ((k + 2) * (k + 1))) * coeffs[k + 2]
-        u, v = rhs.re, rhs.im
-        m2 = Fraction(n - k, 2)
-        x = u / (m2 + 1)
-        yim = (v - delta * x) / m2
-        coeffs[k] = GaussComplex(x, yim)
-        k -= 2
-    return Poly(coeffs)
-
-
 def _htilde_free_im(n: int, beta: Fraction, delta: Fraction) -> Fraction:
     # The Jordan partner ht_n is unique only up to a real multiple of
     # h_{n-2}.  This pins the conventional representative: ht_2 is the
@@ -164,36 +149,39 @@ def _htilde_free_im(n: int, beta: Fraction, delta: Fraction) -> Fraction:
     return Fraction(0)
 
 
-def _build_htilde(n: int, beta: Fraction, delta: Fraction, h_lower: Poly):
-    """ht_n and the coupling constant c_n, by the same triangular solve.
+def _jordan_vector(n: int, beta: Fraction, delta: Fraction,
+                   h_lower: Optional[Poly] = None):
+    """h_n, or ht_n and c_n given h_lower = h_{n-2}, matched from the top down.
 
-    At degree n-2 the real part of the coefficient equation is forced and
-    the imaginary part fixes c_n; the free imaginary coefficient is set by
-    the normalization convention above.
+    At degree k the unknown coefficient x + i y solves (1 + m) x = u and
+    delta x + m y = v.  Here u + i v is -(1+i beta)(k+2)(k+1) times the
+    degree-(k+2) coefficient, plus c_n times that of h_{n-2} for ht_n, and
+    m = (n-k)/2 - shift, with shift 0 for h_n and 1 for ht_n.  Only ht_n
+    reaches m = 0, at k = n-2, where the leading coefficient of h_{n-2} is
+    i: x = u is forced, the imaginary balance gives c_n = delta x - v, and
+    the free imaginary part is the convention of ``_htilde_free_im``.
     """
     one_ib = GaussComplex(1, beta)
     coeffs: list = [GaussComplex(0)] * (n + 1)
-    coeffs[n] = GaussComplex(1, delta)
+    if h_lower is None:
+        coeffs[n], shift = GaussComplex(0, 1), 0
+    else:
+        coeffs[n], shift = GaussComplex(1, delta), 1
     cn = Fraction(0)
-    k = n - 2
-    while k >= 0:
+    for k in range(n - 2, -1, -2):
         rhs = -(one_ib * ((k + 2) * (k + 1))) * coeffs[k + 2]
-        if k == n - 2:
-            # The unknown c_n multiplies h_{n-2}, whose degree-k coefficient
-            # is exactly i, so the real balance forces Re and the imaginary
-            # balance reads delta*x = Im(rhs) + c_n.
-            u, v = rhs.re, rhs.im
-            x = u
-            cn = delta * x - v
+        m = Fraction(n - k, 2) - shift
+        if m == 0:
+            x = rhs.re
+            cn = delta * x - rhs.im
             coeffs[k] = GaussComplex(x, _htilde_free_im(n, beta, delta))
-        else:
+            continue
+        if h_lower is not None:
             rhs = rhs + cn * h_lower.coeff(k)
-            u, v = rhs.re, rhs.im
-            m = Fraction(n - k, 2) - 1
-            x = u / (m + 1)
-            yim = (v - delta * x) / m
-            coeffs[k] = GaussComplex(x, yim)
-        k -= 2
+        x = rhs.re / (m + 1)
+        coeffs[k] = GaussComplex(x, (rhs.im - delta * x) / m)
+    if h_lower is None:
+        return Poly(coeffs)
     return Poly(coeffs), cn
 
 
@@ -228,9 +216,9 @@ class BasisTable:
         self.h_tilde: list[Poly] = []
         self.c: list[Fraction] = []
         for n in range(M + 1):
-            self.h.append(_build_h(n, beta, self.delta))
+            self.h.append(_jordan_vector(n, beta, self.delta))
             h_lower = self.h[n - 2] if n >= 2 else Poly.zero()
-            ht, cn = _build_htilde(n, beta, self.delta, h_lower)
+            ht, cn = _jordan_vector(n, beta, self.delta, h_lower)
             self.h_tilde.append(ht)
             self.c.append(cn)
         self._verify()
@@ -322,11 +310,6 @@ def build_basis(M: int, p, delta, beta) -> BasisTable:
     value share one table; callers must not modify it.
     """
     return BasisTable(M, Fraction(p), Fraction(delta), Fraction(beta))
-
-
-def project_poly(p: Poly, table: BasisTable) -> ModeCoeffs:
-    """Exact projection of a polynomial onto the Jordan basis."""
-    return table.decompose(p)
 
 
 def trapezoid_weights(y: np.ndarray) -> np.ndarray:
@@ -443,49 +426,17 @@ class BasisFloats:
 
 
 def project_sampled(
-    samples: np.ndarray,
-    y: np.ndarray,
-    table_or_floats,
-    quadrature: str = "trapezoid",
-    gh_nodes: int = 200,
+    samples: np.ndarray, y: np.ndarray, bf: BasisFloats
 ) -> ModeCoeffs:
     """Numeric projection of grid samples onto the Jordan basis.
 
-    ``quadrature`` is "trapezoid" (grid-native; spectrally accurate for the
-    exponentially decaying integrand) or "gauss-hermite" (the samples are
-    spline-interpolated onto Hermite nodes of the real weight, with the
-    residual complex phase folded into the integrand).  Either rule raises
+    The trapezoid rule on the grid y (``bf.projector(y)``), spectrally
+    accurate for the exponentially decaying integrand.  Raises
     GridTooNarrow when |rho| at an end of y exceeds ``TAIL_TOL``.
     """
-    bf = (
-        table_or_floats
-        if isinstance(table_or_floats, BasisFloats)
-        else table_or_floats.float_views()
-    )
     y = np.asarray(y, dtype=float)
     q_arr = np.asarray(samples, dtype=complex)
-    beta = bf.beta
-    if quadrature == "trapezoid":
-        Q = bf.projector(y) @ q_arr
-    elif quadrature == "gauss-hermite":
-        from scipy.interpolate import CubicSpline
-        from scipy.special import roots_hermite
-
-        _check_grid_edge(y, beta)
-        x, w = roots_hermite(gh_nodes)
-        scale = 2.0 * np.sqrt(1.0 + beta**2)
-        yn = scale * x
-        inside = (yn >= y[0]) & (yn <= y[-1])
-        spl_re = CubicSpline(y, q_arr.real)
-        spl_im = CubicSpline(y, q_arr.imag)
-        qv = np.zeros_like(yn, dtype=complex)
-        qv[inside] = spl_re(yn[inside]) + 1j * spl_im(yn[inside])
-        # rho with the Gaussian removed: a pure phase over the GH weight.
-        phase = np.exp(1j * beta * yn**2 / (4.0 * (1.0 + beta**2)))
-        pref = scale / np.sqrt(4.0 * np.pi * (1.0 + 1j * beta))
-        Q = bf.f_rows(yn, pref * w * phase) @ qv
-    else:
-        raise ValueError(f"unknown quadrature rule {quadrature!r}")
+    Q = bf.projector(y) @ q_arr
     q, qt = bf.convert_Q(Q)
     recon = np.concatenate([q, qt]) @ bf.mode_samples(y)
     return ModeCoeffs(

@@ -21,12 +21,8 @@ from .constants import (
     ode_coefficients,
     transcription_report,
 )
-from .exact import GaussComplex, Poly
+from .exact import GaussComplex, Poly, is_zero
 from .spectral import apply_L, build_basis, integrate_poly
-
-
-def _zero(v) -> bool:
-    return v.is_zero() if hasattr(v, "is_zero") else v == 0
 
 
 def printed_basis_table(p, delta, beta):
@@ -168,7 +164,7 @@ def basis_checks(p, delta) -> list:
     fs = [hermite_f(n, pm.beta) for n in range(11)]
     for n in range(11):
         for m in range(n):
-            if not _zero(integrate_poly(fs[n] * fs[m], pm.beta)):
+            if not is_zero(integrate_poly(fs[n] * fs[m], pm.beta)):
                 orth = False
     checks.append(("basis/orthogonality-f", orth, "f_n f_m weighted, n,m <= 10"))
     return checks
@@ -192,7 +188,9 @@ def verification_report(p, delta) -> list:
 
     ode = ode_coefficients(pm)
     for name in ("coef_1_over_s", "coef_q2_over_sqrt_s", "coef_q2sq", "coef_s32"):
-        checks.append((f"ode/{name}-vanishes", _zero(getattr(ode, name)), "exact"))
+        checks.append(
+            (f"ode/{name}-vanishes", is_zero(getattr(ode, name)), "exact")
+        )
     checks.append(
         ("ode/b2-root", ode.b2_root == pm.b2, f"root {ode.b2_root}")
     )
@@ -217,7 +215,7 @@ def verification_report(p, delta) -> list:
             (f"mu/{flavor}/a0-nonzero", not mu.a0.is_zero(), str(mu.a0))
         )
         checks.append(
-            (f"mu/{flavor}/real", _zero(mu.mu.imag_part()),
+            (f"mu/{flavor}/real", is_zero(mu.mu.imag_part()),
              f"mu = {mu.mu.c0.re}")
         )
         checks.append(

@@ -131,6 +131,9 @@ class TestExitCodes:
         ("grid.L = inf", "grid.L must be finite and > 0"),
         ("grid.L = -88", "grid.L must be finite and > 0"),
         ("grid.N = 0", "grid.N must be >= 2"),
+        ("s0 = nan", "s0 must be finite and > 1"),
+        ("s0 = inf", "s0 must be finite and > 1"),
+        ("s0 = 1", "s0 must be finite and > 1"),
     ])
     def test_bad_profile_grid_is_2(self, tmp_path, monkeypatch, capsys, bad,
                                    message):
@@ -187,8 +190,25 @@ class TestOutputs:
         lines = (out / "profile.csv").read_text().splitlines()
         header = [ln for ln in lines if ln.startswith("#")]
         assert any("p = 3" in ln for ln in header)
-        cols = [ln for ln in lines if not ln.startswith("#")][0]
+        cols, *rows = [ln for ln in lines if not ln.startswith("#")]
         assert cols == "y,re_phi,im_phi,abs_R,abs_V1,abs_V2"
+        # the rows read back exactly to the fields on the same grid
+        from cglblow.constants import derive_params, mu_critical
+        from cglblow.profilefield import (
+            EvalContext, FloatParams, phi, potentials, rest_R,
+        )
+
+        pm = derive_params(3, 1)
+        ctx = EvalContext(FloatParams.from_exact(
+            pm.with_mu(mu_critical(pm).mu)), 100.0)
+        y = np.linspace(-88.0, 88.0, 1024)
+        ph = phi(y, ctx)
+        mods = [[abs(v) for v in f] for f in (rest_R(y, ctx),
+                                              *potentials(y, ctx))]
+        data = np.array([[float(v) for v in r.split(",")] for r in rows])
+        want = np.column_stack([y, ph.real, ph.imag] + mods)
+        assert data.shape == want.shape
+        assert np.array_equal(data, want)
 
     def test_simulate_deterministic(self, cfgfile):
         path, out = cfgfile

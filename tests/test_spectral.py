@@ -1,5 +1,6 @@
 """Spectral machinery: eigenfunctions, Jordan basis, projections, kernel."""
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -15,7 +16,6 @@ from cglblow.spectral import (
     hermite_f,
     integrate_poly,
     kernel_bands,
-    project_poly,
     project_sampled,
     rho_weight,
     semigroup_apply,
@@ -138,16 +138,16 @@ class TestProjectPoly:
         self.basis = build_basis(6, F(3), F(1), F(1, 2))
 
     def test_eigenfunction_projects_to_single_Q(self):
-        m = project_poly(self.basis.f[2], self.basis)
+        m = self.basis.decompose(self.basis.f[2])
         assert m.Q[2] == gc(1)
         assert all(is_zero(m.Q[n]) for n in range(7) if n != 2)
 
     def test_iy2_example(self):
-        m = project_poly(Poly.monomial(2, gc(0, 1)), self.basis)
+        m = self.basis.decompose(Poly.monomial(2, gc(0, 1)))
         assert m.q[2] == gc(1) and m.q[0] == gc(3) and m.q_tilde[0] == gc(F(-1, 2))
 
     def test_basis_element(self):
-        m = project_poly(self.basis.h_tilde[5], self.basis)
+        m = self.basis.decompose(self.basis.h_tilde[5])
         assert m.q_tilde[5] == gc(1)
         assert sum(1 for v in m.q + m.q_tilde if not is_zero(v)) == 1
 
@@ -157,12 +157,12 @@ class TestProjectPoly:
             coeffs = [gc(int(a), int(b)) for a, b in
                       rng.integers(-9, 9, size=(7, 2))]
             p = Poly(coeffs)
-            m = project_poly(p, self.basis)
+            m = self.basis.decompose(p)
             assert self.basis.reconstruct(m) == p
 
     def test_excess_degree_goes_to_remainder(self):
         p = Poly.monomial(8, gc(1))
-        m = project_poly(p, self.basis)
+        m = self.basis.decompose(p)
         assert not m.remainder.is_zero()
         assert self.basis.reconstruct(m) == p
 
@@ -191,11 +191,25 @@ class TestProjectSampled:
         assert np.max(resid[np.abs(self.y) <= 10]) < 1e-10
         assert np.max(resid) < 1e-8
 
-    def test_gauss_hermite_rule_agrees(self):
+    def test_trapezoid_matches_closed_form(self):
+        # g = e^{-y^2/8} (1 + 0.3 i y^2) against rho_beta is a Gaussian
+        # integral: int y^(2k) e^{-c y^2} dy = Gamma(k + 1/2) c^-(k + 1/2)
+        # with c = 1/8 + 1/(4(1+i beta)), principal branch
+        beta = 0.5
         g = np.exp(-(self.y**2) / 8.0) * (1.0 + 0.3j * self.y**2)
-        m1 = project_sampled(g, self.y, self.bf, quadrature="trapezoid")
-        m2 = project_sampled(g, self.y, self.bf, quadrature="gauss-hermite")
-        assert np.max(np.abs(np.array(m1.Q) - np.array(m2.Q))) < 1e-7
+        m = project_sampled(g, self.y, self.bf)
+        c = 0.125 + 0.25 / (1.0 + 1j * beta)
+        pref = 1.0 / np.sqrt(4.0 * np.pi * (1.0 + 1j * beta))
+        want = []
+        for n in range(7):
+            integrand = np.polymul(self.bf.f_coeffs[n][::-1], [0.3j, 0, 1])
+            Q = sum(
+                a * math.gamma(j / 2 + 0.5) * c ** -(j / 2 + 0.5)
+                for j, a in enumerate(integrand[::-1]) if j % 2 == 0
+            )
+            want.append(pref * Q / self.bf.fnorm[n])
+        want = np.array(want)
+        assert np.max(np.abs(np.array(m.Q) - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_narrow_grid_rejected(self):
         y = np.linspace(-3, 3, 301)
