@@ -209,7 +209,8 @@ class TestProjectSampled:
             )
             want.append(pref * Q / self.bf.fnorm[n])
         want = np.array(want)
-        assert np.max(np.abs(np.array(m.Q) - want)) <= 1e-13 * np.max(np.abs(want))
+        err = np.max(np.abs(np.array(m.Q) - want))
+        assert err <= 1e-13 * np.max(np.abs(want))
 
     def test_narrow_grid_rejected(self):
         y = np.linspace(-3, 3, 301)
