@@ -95,13 +95,9 @@ def _params_for(cfg) -> "ProfileParams":
     return pm
 
 
-def _full_m(pm) -> int:
+def cmd_constants(cfg, args) -> int:
     from .profilefield import FloatParams, bound_M
 
-    return bound_M(FloatParams.from_exact(pm, mu=0.0))
-
-
-def cmd_constants(cfg, args) -> int:
     pm = _params_for(cfg)
     ode = ode_coefficients(pm)
     mu_sc = mu_critical(pm)
@@ -109,13 +105,14 @@ def cmd_constants(cfg, args) -> int:
     pm = pm.with_mu(mu_sc.mu)
     combos = shrink_combo_constants(pm)
     fr = formal_pipeline(pm.p, pm.delta)
-    kap = pm.kappa_float
+    fp = FloatParams.from_exact(pm)
+    kap = fp.kappa
     payload = {
         "version": __version__,
         "config": cfg,
         "params": {
             "p": str(pm.p), "delta": str(pm.delta), "beta": str(pm.beta),
-            "b2": str(pm.b2), "b_float": pm.b_float,
+            "b2": str(pm.b2), "b_float": fp.b,
             "nu": _scalar_json(pm.nu, kap), "a": _scalar_json(pm.a, kap),
             "kappa_float": kap,
             "p_cri2": None if pm.p_cri2 is None else str(pm.p_cri2),
@@ -133,7 +130,7 @@ def cmd_constants(cfg, args) -> int:
         "shrink_combos": {
             k: v for k, v in combos.float_map(kap).items()
         },
-        "full_M_bound": _full_m(pm),
+        "full_M_bound": bound_M(fp),
         "formal": {
             "b2_root": str(fr.b2_root),
             "mu_bracket": str(fr.mu_bracket),
@@ -190,7 +187,7 @@ def cmd_basis(cfg, args) -> int:
 
 
 def cmd_profile(cfg, args) -> int:
-    from .profilefield import EvalContext, FloatParams, phi, potentials, rest_R
+    from .profilefield import FloatParams, phi, potentials, rest_R
 
     L, N = float(cfg["grid.L"]), int(cfg["grid.N"])
     s = float(cfg["s0"])
@@ -204,10 +201,9 @@ def cmd_profile(cfg, args) -> int:
     pm = pm.with_mu(mu_critical(pm).mu)
     fp = FloatParams.from_exact(pm)
     y = np.linspace(-L, L, N)
-    ctx = EvalContext(fp, s)
-    ph = phi(y, ctx)
-    v1, v2 = potentials(y, ctx)
-    R = rest_R(y, ctx)
+    ph = phi(y, fp, s)
+    v1, v2 = potentials(y, fp, s)
+    R = rest_R(y, fp, s)
     out = Path(cfg["output.dir"])
     out.mkdir(parents=True, exist_ok=True)
     path = out / "profile.csv"

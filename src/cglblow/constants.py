@@ -109,7 +109,8 @@ def b_pskk_sq(delta) -> Fraction:
 
 @dataclass(frozen=True)
 class ProfileParams:
-    """All scalar parameters derived from (p, delta); exact plus float views.
+    """All scalar parameters derived from (p, delta), exact only; their one
+    float view is :class:`profilefield.FloatParams`.
 
     mu is populated by :func:`mu_critical`; until then it is None.  The
     cached exact stages are keyed on the parameters with mu unset, and mu
@@ -126,29 +127,6 @@ class ProfileParams:
     kappa: KappaGraded
     p_cri2: Optional[Fraction]
     mu: Optional[ExtScalar] = None
-
-    @property
-    def kappa_float(self) -> float:
-        pf = float(self.p)
-        return (pf - 1.0) ** (-1.0 / (pf - 1.0))
-
-    @property
-    def b_float(self) -> float:
-        return float(self.b2) ** 0.5
-
-    @property
-    def nu_float(self) -> float:
-        return complex(self.nu).real
-
-    @property
-    def a_float(self) -> float:
-        return self.a.to_complex(self.kappa_float).real
-
-    @property
-    def mu_float(self) -> float:
-        if self.mu is None:
-            raise ValueError("mu has not been derived yet")
-        return complex(self.mu).real
 
     def with_mu(self, mu: ExtScalar) -> "ProfileParams":
         return replace(self, mu=mu)

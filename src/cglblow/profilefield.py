@@ -4,11 +4,12 @@ The working normalization keeps the profile core real:
 
     phi0(z) = kappa (1 + b z^2/(p-1))^(-(1+i delta)/(p-1)),
 
-which differs from the bare power (p-1+b z^2)^(-(1+i delta)/(p-1)) by the
-constant phase kappa^(i delta) (absorbable into the free global phase).
-All the mode-projection constants assume the kappa-real form, so the
-simulator uses it throughout; the bare form is kept only for the test that
-checks |phi0| against it.
+and all the mode-projection constants assume this kappa-real form.
+
+Every field function takes the grid (or point) y first, then the float
+parameters ``fp`` (a :class:`FloatParams`) and the slow time s > 1:
+``phi(y, fp, s)``, ``potentials(y, fp, s)``, ``rest_R(y, fp, s)``,
+``rest_Rstar(y, fp, s, theta_prime)`` and ``nonlinear_B(q, y, fp, s)``.
 
 The rest term R is evaluated from closed-form derivatives of the power
 expression; it is a near-cancellation of O(1) terms, so finite differences
@@ -18,7 +19,6 @@ would drown the 1/sqrt(s) law in noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -27,7 +27,12 @@ from .constants import ProfileParams
 
 @dataclass(frozen=True)
 class FloatParams:
-    """Float view of the profile parameters used by the field routines."""
+    """The one float view of a :class:`ProfileParams`, used by the field
+    routines.  mu is 0.0 until :func:`constants.mu_critical` has set it.
+
+    The critical condition p - delta^2 - beta delta (p+1) = 0 is checked once
+    here, relative to the size of its terms.
+    """
 
     p: float
     delta: float
@@ -38,39 +43,27 @@ class FloatParams:
     mu: float
     kappa: float
 
-    @classmethod
-    def from_exact(cls, params: ProfileParams, mu: Optional[float] = None):
-        if mu is None:
-            mu = params.mu_float if params.mu is not None else 0.0
-        return cls(
-            p=float(params.p),
-            delta=float(params.delta),
-            beta=float(params.beta),
-            b=params.b_float,
-            nu=params.nu_float,
-            a=params.a_float,
-            mu=mu,
-            kappa=params.kappa_float,
-        )
-
-    def check_critical(self, tol: float = 1e-14):
-        resid = self.p - self.delta**2 - self.beta * self.delta * (self.p + 1)
-        if abs(resid) > tol:
+    def __post_init__(self):
+        cross = self.beta * self.delta * (self.p + 1)
+        resid = self.p - self.delta**2 - cross
+        scale = max(abs(self.p), self.delta**2, abs(cross))
+        if not abs(resid) <= 1e-14 * scale:
             raise ValueError(f"critical condition violated by {resid:.3e}")
 
-
-@dataclass
-class EvalContext:
-    """Evaluation point data: parameters, slow time, current phase slope."""
-
-    params: FloatParams
-    s: float
-    theta_prime: float = 0.0
-
-    def __post_init__(self):
-        if not self.s > 1.0:  # a NaN s fails too
-            raise ValueError("s must exceed 1")
-        self.params.check_critical()
+    @classmethod
+    def from_exact(cls, params: ProfileParams):
+        pf = float(params.p)
+        kappa = (pf - 1.0) ** (-1.0 / (pf - 1.0))
+        return cls(
+            p=pf,
+            delta=float(params.delta),
+            beta=float(params.beta),
+            b=float(params.b2) ** 0.5,
+            nu=complex(params.nu).real,
+            a=params.a.to_complex(kappa).real,
+            mu=0.0 if params.mu is None else complex(params.mu).real,
+            kappa=kappa,
+        )
 
 
 @dataclass(frozen=True)
@@ -93,24 +86,17 @@ def phi0(z: np.ndarray, fp: FloatParams) -> np.ndarray:
     return fp.kappa * np.exp(expo * np.log(base))
 
 
-def phi0_bare(z: np.ndarray, fp: FloatParams) -> np.ndarray:
-    """(p-1+b z^2)^(-(1+i delta)/(p-1)), the bare power normalization."""
-    base = fp.p - 1.0 + fp.b * np.asarray(z, dtype=float) ** 2
-    expo = -(1.0 + 1j * fp.delta) / (fp.p - 1.0)
-    return np.exp(expo * np.log(base))
-
-
-def phi(y: np.ndarray, ctx: EvalContext) -> np.ndarray:
+def phi(y: np.ndarray, fp: FloatParams, s: float) -> np.ndarray:
     """The slowly modulated approximate profile phi(y, s)."""
-    fp = ctx.params
-    z = np.asarray(y, dtype=float) / ctx.s**0.25
-    return phi0(z, fp) + (1.0 + 1j * fp.delta) * fp.a / np.sqrt(ctx.s)
+    if not s > 1.0:  # a NaN s fails too
+        raise ValueError("s must exceed 1")
+    z = np.asarray(y, dtype=float) / s**0.25
+    return phi0(z, fp) + (1.0 + 1j * fp.delta) * fp.a / np.sqrt(s)
 
 
-def potentials(y: np.ndarray, ctx: EvalContext):
+def potentials(y: np.ndarray, fp: FloatParams, s: float):
     """V1 and V2 from their exact definitions (no truncation)."""
-    fp = ctx.params
-    ph = phi(y, ctx)
+    ph = phi(y, fp, s)
     mod2 = np.abs(ph) ** 2
     mod_pm1 = mod2 ** ((fp.p - 1.0) / 2.0)
     mod_pm3 = mod2 ** ((fp.p - 3.0) / 2.0)
@@ -120,10 +106,10 @@ def potentials(y: np.ndarray, ctx: EvalContext):
     return v1, v2
 
 
-def nonlinear_B(q: np.ndarray, y: np.ndarray, ctx: EvalContext) -> np.ndarray:
+def nonlinear_B(q: np.ndarray, y: np.ndarray, fp: FloatParams,
+                s: float) -> np.ndarray:
     """Full nonlinear remainder after removing the linearization."""
-    fp = ctx.params
-    ph = phi(y, ctx)
+    ph = phi(y, fp, s)
     cd = 1.0 + 1j * fp.delta
     mod2 = np.abs(ph) ** 2
     full = np.abs(ph + q) ** (fp.p - 1.0) * (ph + q)
@@ -154,10 +140,10 @@ def _phi0_derivs(z: np.ndarray, fp: FloatParams):
     return p0, zp, pzz
 
 
-def rest_R(y: np.ndarray, ctx: EvalContext) -> np.ndarray:
+def rest_R(y: np.ndarray, fp: FloatParams, s: float) -> np.ndarray:
     """Defect of phi from solving the self-similar flow, closed form."""
-    fp = ctx.params
-    s = ctx.s
+    if not s > 1.0:  # a NaN s fails too
+        raise ValueError("s must exceed 1")
     t = 1.0 / np.sqrt(s)
     z = np.asarray(y, dtype=float) * t**0.5
     p0, zp, pzz = _phi0_derivs(z, fp)
@@ -175,31 +161,29 @@ def rest_R(y: np.ndarray, ctx: EvalContext) -> np.ndarray:
     )
 
 
-def rest_Rstar(y: np.ndarray, ctx: EvalContext) -> np.ndarray:
+def rest_Rstar(y: np.ndarray, fp: FloatParams, s: float,
+               theta_prime: float = 0.0) -> np.ndarray:
     """R - i (nu/(2 sqrt s) + mu/s + theta') phi."""
-    fp = ctx.params
-    s = ctx.s
-    drift = fp.nu / (2.0 * np.sqrt(s)) + fp.mu / s + ctx.theta_prime
-    return rest_R(y, ctx) - 1j * drift * phi(y, ctx)
+    drift = fp.nu / (2.0 * np.sqrt(s)) + fp.mu / s + theta_prime
+    return rest_R(y, fp, s) - 1j * drift * phi(y, fp, s)
 
 
-def bound_M(fp: FloatParams, z_max: float = 50.0) -> int:
+def bound_M(fp: FloatParams) -> int:
     """The even truncation degree demanded by the spectral-gap bound.
 
     M must dominate 4(sqrt(1+delta^2) + 1 + 2 sup |V_i|); the supremum is
     taken as the max of the analytic |y| -> infinity limits and a dense
-    scan over the inner variable and a log-spaced sweep of s >= 1.  The
-    default tracked truncation (M_track = 6) is a cheaper diagnostic
-    choice recorded in run metadata.
+    scan over the inner variable |z| <= 50 and a log-spaced sweep of
+    s >= 1.  The default tracked truncation (M_track = 6) is a cheaper
+    diagnostic choice recorded in run metadata.
     """
     cd = abs(1.0 + 1j * fp.delta)
     limit_v1 = cd * (fp.p + 1.0) / (2.0 * (fp.p - 1.0))
     limit_v2 = cd / 2.0
     sup = max(limit_v1, limit_v2)
     for s in np.logspace(0.0, 6.0, 25):
-        ctx = EvalContext(fp, max(s, 1.0 + 1e-9))
-        y = np.linspace(0.0, z_max * s**0.25, 1501)
-        v1, v2 = potentials(y, ctx)
+        y = np.linspace(0.0, 50.0 * s**0.25, 1501)
+        v1, v2 = potentials(y, fp, max(s, 1.0 + 1e-9))
         sup = max(sup, np.max(np.abs(v1)), np.max(np.abs(v2)))
     raw = 4.0 * (np.sqrt(1.0 + fp.delta**2) + 1.0 + 2.0 * sup)
     M = int(np.ceil(raw))

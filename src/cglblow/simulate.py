@@ -32,7 +32,6 @@ import numpy as np
 
 from .constants import ProfileParams, mu_critical, shrink_combo_constants
 from .profilefield import (
-    EvalContext,
     FloatParams,
     InitialDataSpec,
     cutoff_chi,
@@ -209,7 +208,7 @@ class Simulator:
         left half is the right one mirrored (the middle point of an odd N is
         kept once).
         """
-        right = phi(self._y_half, EvalContext(self.fp, s))
+        right = phi(self._y_half, self.fp, s)
         return np.concatenate([right[::-1][: self.config.N // 2], right])
 
     def initial_state(self, spec: InitialDataSpec) -> SimState:
@@ -237,14 +236,14 @@ class Simulator:
         """
         s = state.s
         Ww = self._proj @ state.w
-        Pphi = self._proj.rows @ phi(self._y_band, EvalContext(self.fp, s))
+        Pphi = self._proj.rows @ phi(self._y_band, self.fp, s)
         a = self.bf.convert_Q(Ww)[0][0]
         b = self.bf.convert_Q(-1j * Ww)[0][0]
         g = self.bf.convert_Q(Pphi)[0][0]
         r = np.hypot(a, b)
         if not abs(g) <= r or r == 0.0:
             return False
-        base = self.fp.nu * np.sqrt(s) + self.fp.mu * np.log(s)
+        base = self.Phi(s, 0.0)
         half = np.arccos(g / r)
         roots = np.arctan2(b, a) + np.array([half, -half]) - base
         roots += 2 * np.pi * np.round((state.theta - roots) / (2 * np.pi))
@@ -296,7 +295,7 @@ class Simulator:
         s_new = state.s + self.config.ds
         e = np.exp(1j * self.Phi(s_new, state.theta))
         # phi is even and y[-1] = -y[0] exactly, so one value serves both ends
-        bc = e * phi(self.y[0], EvalContext(self.fp, s_new))
+        bc = e * phi(self.y[0], self.fp, s_new)
         w_new = self.stepper.step(state.w, bc, bc)
         if not np.all(np.isfinite(w_new)):
             raise FloatingPointError(f"scheme blow-up at s = {s_new}")

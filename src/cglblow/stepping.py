@@ -135,9 +135,3 @@ class Stepper:
         rhs[0] = bc_left
         rhs[-1] = bc_right
         return self._solve(self._fact, rhs)
-
-    def propagate_linear(self, w: np.ndarray) -> np.ndarray:
-        """One drift-diffusion step with zero boundary pins (diagnostics)."""
-        if self.reaction:
-            raise ValueError("propagate_linear needs a reaction-free stepper")
-        return self.step(w, 0.0, 0.0)

@@ -21,6 +21,7 @@ from cglblow.constants import (
     mu_critical,
     ode_coefficients,
 )
+from cglblow.exact import is_zero
 from cglblow.spectral import build_basis
 
 SAMPLES_22 = (
@@ -30,10 +31,6 @@ SAMPLES_22 = (
     + [(F(4), d) for d in (F(1), F(3, 2), F(3))]
     + [(F(7), d) for d in (F(1), F(2), F(3), F(4))]
 )
-
-
-def _zero(v):
-    return v.is_zero() if hasattr(v, "is_zero") else v == 0
 
 
 def report(n, ok, detail=""):
@@ -55,7 +52,7 @@ class TestAcceptance:
         bad = []
         for (p, d) in SAMPLES_22:
             res = cancellation_residuals(derive_params(p, d))
-            if not all(_zero(v) for v in res.values()):
+            if not all(is_zero(v) for v in res.values()):
                 bad.append((p, d))
         dt = time.time() - t0
         report(2, not bad and dt < 10.0,
@@ -85,7 +82,7 @@ class TestAcceptance:
             for flavor in ("selfconsistent", "printed"):
                 mr = mu_critical(derive_params(p, d), flavor=flavor)
                 ok &= not mr.a0.is_zero()
-                ok &= _zero(mr.mu.imag_part())
+                ok &= is_zero(mr.mu.imag_part())
                 ok &= mr.residual.is_zero()
         report(4, ok, f"a0 != 0, mu real, exact 1/s^2 annihilation on "
                       f"{len(subset)} samples x 2 conventions")
@@ -142,15 +139,15 @@ class TestAcceptance:
                f"{worst_kernel:.2e} (< 1e-6), {dt:.0f}s (< 120 s)")
 
     def test_08_rest_term_law(self):
-        from cglblow.profilefield import EvalContext, FloatParams, rest_R
+        from cglblow.profilefield import FloatParams, rest_R
 
         t0 = time.time()
         pm = derive_params(3, 1)
-        fp = FloatParams.from_exact(pm, mu=0.0)
+        fp = FloatParams.from_exact(pm)
         vals = []
         for s in (25.0, 100.0, 400.0):
             y = np.linspace(-80, 80, 4001)
-            vals.append(np.sqrt(s) * np.max(np.abs(rest_R(y, EvalContext(fp, s)))))
+            vals.append(np.sqrt(s) * np.max(np.abs(rest_R(y, fp, s))))
         ratio = max(vals) / min(vals)
         dt = time.time() - t0
         report(8, ratio < 2.0 and dt < 10.0,
@@ -159,9 +156,7 @@ class TestAcceptance:
 
     def test_09_taylor_bounds(self):
         from cglblow.constants import potential_polys, rest_series
-        from cglblow.profilefield import (
-            EvalContext, FloatParams, potentials, rest_Rstar,
-        )
+        from cglblow.profilefield import FloatParams, potentials, rest_Rstar
 
         t0 = time.time()
         pm = derive_params(3, 1)
@@ -176,7 +171,7 @@ class TestAcceptance:
             c2 = np.array(W2.to_complex_coeffs())[::-1]
             for s in (1e3, 1e4, 1e5):
                 y = np.linspace(0, 0.98 * s**0.25, 500)
-                v = potentials(y, EvalContext(fp, s))[i]
+                v = potentials(y, fp, s)[i]
                 resid = np.abs(v - np.polyval(c1, y) / np.sqrt(s)
                                - np.polyval(c2, y) / s)
                 consts.append(np.max(resid * s**1.5 / (1 + np.abs(y) ** 6)))
@@ -189,7 +184,7 @@ class TestAcceptance:
         consts = []
         for s in (1e3, 1e4, 1e5):
             y = np.linspace(0, 0.98 * s**0.25, 500)
-            r = rest_Rstar(y, EvalContext(fp, s))
+            r = rest_Rstar(y, fp, s)
             resid = np.abs(r - np.polyval(p0, y) / np.sqrt(s)
                            - np.polyval(p1, y) / s)
             consts.append(np.max(resid * s**1.5 / (1 + y**4)))

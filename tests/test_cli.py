@@ -195,16 +195,15 @@ class TestOutputs:
         # the rows read back exactly to the fields on the same grid
         from cglblow.constants import derive_params, mu_critical
         from cglblow.profilefield import (
-            EvalContext, FloatParams, phi, potentials, rest_R,
+            FloatParams, phi, potentials, rest_R,
         )
 
         pm = derive_params(3, 1)
-        ctx = EvalContext(FloatParams.from_exact(
-            pm.with_mu(mu_critical(pm).mu)), 100.0)
+        fp = FloatParams.from_exact(pm.with_mu(mu_critical(pm).mu))
         y = np.linspace(-88.0, 88.0, 1024)
-        ph = phi(y, ctx)
-        mods = [[abs(v) for v in f] for f in (rest_R(y, ctx),
-                                              *potentials(y, ctx))]
+        ph = phi(y, fp, 100.0)
+        mods = [[abs(v) for v in f] for f in (rest_R(y, fp, 100.0),
+                                              *potentials(y, fp, 100.0))]
         data = np.array([[float(v) for v in r.split(",")] for r in rows])
         want = np.column_stack([y, ph.real, ph.imag] + mods)
         assert data.shape == want.shape
@@ -223,6 +222,24 @@ class TestOutputs:
         assert main(["verify", "--config", path]) == 0
         text = (out / "verify.txt").read_text()
         assert "FAIL" not in text
+
+
+@pytest.mark.parametrize("p, delta", [(101, 3), (1001, 5)])
+def test_large_p_critical_pair(tmp_path, p, delta):
+    # the float criticality check is relative: these exact critical pairs
+    # leave a rounding residual above 1e-14 in absolute terms
+    out = tmp_path / "o"
+    path = write_cfg(
+        tmp_path, f"p = {p}\ndelta = {delta}\ngrid.N = 64\noutput.dir = {out}\n"
+    )
+    assert main(["constants", "--config", path]) == 0
+    assert main(["profile", "--config", path]) == 0
+    params = json.loads((out / "constants.json").read_text())["params"]
+    assert np.isfinite([params["b_float"], params["kappa_float"]]).all()
+    rows = [ln for ln in (out / "profile.csv").read_text().splitlines()
+            if not ln.startswith("#")][1:]
+    data = np.array([[float(v) for v in r.split(",")] for r in rows])
+    assert data.shape == (64, 6) and np.isfinite(data).all()
 
 
 class TestSimulateCsv:

@@ -34,10 +34,6 @@ SAMPLES = [
 ]
 
 
-def _zero(v):
-    return v.is_zero() if hasattr(v, "is_zero") else v == 0
-
-
 class TestParameterFormulas:
     def test_critical_beta_examples(self):
         assert critical_beta(3, 1) == F(1, 2)
@@ -117,7 +113,7 @@ class TestCancellations:
     def test_four_cancellations(self, p, d):
         pm = derive_params(p, d)
         res = cancellation_residuals(pm)
-        assert all(_zero(v) for v in res.values())
+        assert all(is_zero(v) for v in res.values())
 
     def test_b2_root_from_ode(self):
         pm = derive_params(3, 2)
@@ -410,7 +406,7 @@ class TestFullMBound:
         from cglblow.profilefield import FloatParams, bound_M
 
         pm = derive_params(3, 1)
-        fp = FloatParams.from_exact(pm, mu=0.0)
+        fp = FloatParams.from_exact(pm)
         M = bound_M(fp)
         assert M % 2 == 0
         assert M >= 4 * (2**0.5 + 1)
@@ -425,7 +421,7 @@ class TestFloatCrossValidation:
         import numpy as np
         from cglblow.constants import mu_critical, rest_expansion
         from cglblow.exact import to_complex
-        from cglblow.profilefield import EvalContext, FloatParams, rest_Rstar
+        from cglblow.profilefield import FloatParams, rest_Rstar
         from cglblow.spectral import project_sampled
 
         pm = derive_params(3, 1)
@@ -441,7 +437,7 @@ class TestFloatCrossValidation:
         s1, s2 = 1.0e6, 4.0e6
         proj = {}
         for s in (s1, s2):
-            r = rest_Rstar(y, EvalContext(fp, s))
+            r = rest_Rstar(y, fp, s)
             m = project_sampled(r, y, bf)
             proj[s] = (np.array(m.q), np.array(m.q_tilde))
         for comp, idx, names in (

@@ -7,7 +7,6 @@ import pytest
 
 from cglblow.constants import derive_params, mu_critical, shrink_combo_constants
 from cglblow.profilefield import (
-    EvalContext,
     FloatParams,
     InitialData,
     InitialDataSpec,
@@ -17,7 +16,6 @@ from cglblow.profilefield import (
     nonlinear_B,
     phi,
     phi0,
-    phi0_bare,
     potentials,
     rest_R,
     rest_Rstar,
@@ -37,9 +35,27 @@ def fp(pm):
     return FloatParams.from_exact(pm)
 
 
+def _phi0_bare(z, fp):
+    """(p-1+b z^2)^(-(1+i delta)/(p-1)), the bare power normalization."""
+    base = fp.p - 1.0 + fp.b * np.asarray(z, dtype=float) ** 2
+    return np.exp(-(1.0 + 1j * fp.delta) / (fp.p - 1.0) * np.log(base))
+
+
+class TestFloatParams:
+    def test_off_critical_beta_raises(self, fp):
+        with pytest.raises(ValueError, match="critical condition"):
+            replace(fp, beta=fp.beta * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize("field", [phi, rest_R])
+    @pytest.mark.parametrize("s", [1.0, float("nan")])
+    def test_s_must_exceed_one(self, fp, field, s):
+        with pytest.raises(ValueError, match="s must exceed 1"):
+            field(np.array([0.0]), fp, s)
+
+
 class TestProfile:
     def test_bare_value_at_zero(self, fp):
-        v = phi0_bare(0.0, fp)
+        v = _phi0_bare(0.0, fp)
         want = (fp.p - 1.0) ** (-(1.0 + 1j * fp.delta) / (fp.p - 1.0))
         assert abs(v - want) < 1e-15
         assert abs(abs(v) - fp.kappa) < 1e-15
@@ -49,7 +65,7 @@ class TestProfile:
 
     def test_same_modulus_both_normalizations(self, fp):
         z = np.linspace(0, 30, 301)
-        assert np.max(np.abs(np.abs(phi0(z, fp)) - np.abs(phi0_bare(z, fp)))) < 1e-14
+        assert np.max(np.abs(np.abs(phi0(z, fp)) - np.abs(_phi0_bare(z, fp)))) < 1e-14
 
     def test_modulus_law(self, fp):
         # |phi0|^2 = 1/(2 + b z^2) at the cubic nonlinearity
@@ -58,8 +74,7 @@ class TestProfile:
         assert np.max(np.abs(got - 1.0 / (2.0 + fp.b * z**2))) < 1e-14
 
     def test_decay(self, fp):
-        ctx = EvalContext(fp, 100.0)
-        vals = np.abs(phi(np.array([0.0, 10.0, 40.0, 80.0]), ctx))
+        vals = np.abs(phi(np.array([0.0, 10.0, 40.0, 80.0]), fp, 100.0))
         assert np.all(np.diff(vals) < 0)
 
     def test_profile_equation_residual(self, fp):
@@ -89,13 +104,11 @@ class TestProfile:
 
 class TestPotentials:
     def test_large_s_limit(self, fp):
-        ctx = EvalContext(fp, 1e8)
-        v1, v2 = potentials(np.array([0.0, 1.0]), ctx)
+        v1, v2 = potentials(np.array([0.0, 1.0]), fp, 1e8)
         assert np.max(np.abs(v1)) < 1e-3
 
     def test_far_field_limit(self, fp):
-        ctx = EvalContext(fp, 100.0)
-        v1, _ = potentials(np.array([1e6]), ctx)
+        v1, _ = potentials(np.array([1e6]), fp, 100.0)
         want = -(1.0 + 1j * fp.delta) * (fp.p + 1.0) / (2.0 * (fp.p - 1.0))
         assert abs(v1[0] - want) < 1e-3
 
@@ -111,8 +124,7 @@ class TestPotentials:
         consts = []
         for s in (1e3, 1e4, 1e5):
             y = np.linspace(0, 0.98 * s**0.25, 400)
-            ctx = EvalContext(fp, s)
-            v = potentials(y, ctx)[i]
+            v = potentials(y, fp, s)[i]
             t1 = np.polyval(np.array(W1.to_complex_coeffs())[::-1], y)
             t2 = np.polyval(np.array(W2.to_complex_coeffs())[::-1], y)
             resid = np.abs(v - t1 / np.sqrt(s) - t2 / s)
@@ -123,29 +135,26 @@ class TestPotentials:
 
 class TestNonlinearB:
     def test_zero_at_zero(self, fp):
-        ctx = EvalContext(fp, 100.0)
-        assert nonlinear_B(np.zeros(3, complex), np.zeros(3), ctx).tolist() == [0, 0, 0]
+        assert nonlinear_B(np.zeros(3, complex), np.zeros(3), fp, 100.0).tolist() == [0, 0, 0]
 
     def test_quadratic_bound_inner(self, fp):
-        ctx = EvalContext(fp, 100.0)
         rng = np.random.default_rng(0)
         K = 12.0
         y = np.linspace(-2 * K * 100**0.25, 2 * K * 100**0.25, 2001)
         consts = []
         for amp in (1e-3, 1e-2, 1e-1, 1.0):
             q = amp * (rng.uniform(-1, 1, len(y)) + 1j * rng.uniform(-1, 1, len(y)))
-            B = nonlinear_B(q, y, ctx)
+            B = nonlinear_B(q, y, fp, 100.0)
             consts.append(np.max(np.abs(B) / np.abs(q) ** 2))
         assert max(consts) < 50.0
         assert max(consts) <= 5.0 * min(consts)
 
     def test_outer_power_bound(self, fp):
         # |B| <= C |q|^min(p,2) in the outer region
-        ctx = EvalContext(fp, 100.0)
         y = np.linspace(1.2 * 100**0.25, 50, 501)
         for amp in (1e-2, 1e-1):
             q = amp * np.exp(1j * y)
-            B = nonlinear_B(q, y, ctx)
+            B = nonlinear_B(q, y, fp, 100.0)
             pbar = min(fp.p, 2.0)
             assert np.max(np.abs(B) / np.abs(q) ** pbar) < 50.0
 
@@ -154,19 +163,17 @@ class TestRest:
     def test_sqrt_s_law(self, fp):
         vals = []
         for s in (25.0, 100.0, 400.0):
-            ctx = EvalContext(fp, s)
             y = np.linspace(-80, 80, 4001)
-            vals.append(np.sqrt(s) * np.max(np.abs(rest_R(y, ctx))))
+            vals.append(np.sqrt(s) * np.max(np.abs(rest_R(y, fp, s))))
         vals = np.array(vals)
         assert vals.max() <= 2.0 * vals.min()
 
     def test_rstar_bound(self, fp):
         for s in (25.0, 100.0):
             for tp in (0.0, 1e-3):
-                ctx = EvalContext(fp, s, theta_prime=tp)
                 y = np.linspace(-60, 60, 2001)
-                bound = 2.0 * (vmax := np.max(np.abs(rest_R(y, ctx)))) + abs(tp)
-                assert np.max(np.abs(rest_Rstar(y, ctx))) <= bound + 1e-12
+                bound = 2.0 * (vmax := np.max(np.abs(rest_R(y, fp, s)))) + abs(tp)
+                assert np.max(np.abs(rest_Rstar(y, fp, s, tp))) <= bound + 1e-12
 
     def test_expansion_envelope(self, pm, fp):
         # R* minus its two leading orders obeys the (1+y^4)/s^(3/2) envelope
@@ -180,8 +187,7 @@ class TestRest:
         consts = []
         for s in (1e3, 1e4, 1e5):
             y = np.linspace(0, 0.98 * s**0.25, 300)
-            ctx = EvalContext(fp, s)
-            r = rest_Rstar(y, ctx)
+            r = rest_Rstar(y, fp, s)
             lead = (
                 np.polyval(p0[::-1], y) / np.sqrt(s)
                 + np.polyval(p1[::-1], y) / s
@@ -193,11 +199,9 @@ class TestRest:
 
     def test_theta_prime_multiplier(self, pm, fp):
         # d R*/d theta' = -i phi, and its expansion starts at -i kappa
-        ctx0 = EvalContext(fp, 400.0, theta_prime=0.0)
-        ctx1 = EvalContext(fp, 400.0, theta_prime=1e-4)
         y = np.linspace(-5, 5, 11)
-        diff = (rest_Rstar(y, ctx1) - rest_Rstar(y, ctx0)) / 1e-4
-        assert np.max(np.abs(diff + 1j * phi(y, ctx0))) < 1e-10
+        diff = (rest_Rstar(y, fp, 400.0, 1e-4) - rest_Rstar(y, fp, 400.0, 0.0)) / 1e-4
+        assert np.max(np.abs(diff + 1j * phi(y, fp, 400.0))) < 1e-10
 
 
 class TestCutoff:

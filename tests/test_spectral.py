@@ -229,7 +229,7 @@ class TestProjectSampled:
         from cglblow.profilefield import FloatParams, phi0
 
         pm = derive_params(3, 1)
-        fp = FloatParams.from_exact(pm, mu=0.0)
+        fp = FloatParams.from_exact(pm)
         s = 1e4
         samples = phi0(self.y / s**0.25, fp).astype(complex)
         m = project_sampled(samples, self.y, self.bf)
