@@ -135,7 +135,8 @@ class TestPotentials:
 
 class TestNonlinearB:
     def test_zero_at_zero(self, fp):
-        assert nonlinear_B(np.zeros(3, complex), np.zeros(3), fp, 100.0).tolist() == [0, 0, 0]
+        B = nonlinear_B(np.zeros(3, complex), np.zeros(3), fp, 100.0)
+        assert B.tolist() == [0, 0, 0]
 
     def test_quadratic_bound_inner(self, fp):
         rng = np.random.default_rng(0)
@@ -200,7 +201,8 @@ class TestRest:
     def test_theta_prime_multiplier(self, pm, fp):
         # d R*/d theta' = -i phi, and its expansion starts at -i kappa
         y = np.linspace(-5, 5, 11)
-        diff = (rest_Rstar(y, fp, 400.0, 1e-4) - rest_Rstar(y, fp, 400.0, 0.0)) / 1e-4
+        diff = (rest_Rstar(y, fp, 400.0, 1e-4)
+                - rest_Rstar(y, fp, 400.0, 0.0)) / 1e-4
         assert np.max(np.abs(diff + 1j * phi(y, fp, 400.0))) < 1e-10
 
 
