@@ -6,7 +6,8 @@ entry (i, j) at row nb + i - j.  The implicit matrix I - wgt L_h is
 constant, so it is LU-factored once with LAPACK's pivoted banded routines
 (``zgttrf`` for the tridiagonal 2nd-order operator, ``zgbtrf`` for the
 pentadiagonal 4th-order one) and every step only runs the matching
-back-substitution.  The explicit side, ``cn_rhs``, applies L_h itself as a
+back-substitution, for one right side or for the k columns of an (n, k)
+array in one call.  The explicit side, ``cn_rhs``, applies L_h itself as a
 banded product in difference form.
 
 The four routines come from scipy's f2py LAPACK extension,
@@ -89,6 +90,7 @@ def tri_factor(bands):
 
 
 def tri_solve_factored(fact, rhs):
+    """Solve with the factors of ``tri_factor``; rhs is (n,) or (n, k)."""
     x, info = lapack.zgttrs(*fact, rhs)
     _check("zgttrs", info)
     return x
@@ -105,6 +107,7 @@ def penta_factor(bands):
 
 
 def penta_solve_factored(fact, rhs):
+    """Solve with the factors of ``penta_factor``; rhs is (n,) or (n, k)."""
     lu, ipiv = fact
     x, info = lapack.zgbtrs(lu, 2, 2, rhs, ipiv)
     _check("zgbtrs", info)
@@ -114,41 +117,45 @@ def penta_solve_factored(fact, rhs):
 def cn_rhs(w, prev, op, p, delta, half_ds, c_new, c_old, reaction):
     """Explicit side of one IMEX step and the reaction term it used.
 
-    ``op`` is the spatial operator L_h in the band layout above.  Its rows
-    sum to zero, so the linear part is applied in difference form,
-    ``sum_k op(i, i+k) (w[i+k] - w[i])`` over the off-diagonal bands: the
-    diagonal is never read, and a constant field gives exactly zero.
-    Zero terms are skipped: L_h when ``half_ds`` is 0, the reaction term
-    (returned as None) without ``reaction``, and ``prev`` when it is None.
+    ``w`` holds one field per row, shape (..., n); the operator's bands
+    broadcast over the rows.  ``op`` is the spatial operator L_h in the band
+    layout above.  Its rows sum to zero, so the linear part is applied in
+    difference form, ``sum_k op(i, i+k) (w[i+k] - w[i])`` over the
+    off-diagonal bands: the diagonal is never read, and a constant field
+    gives exactly zero.  Zero terms are skipped: L_h when ``half_ds`` is 0,
+    the reaction term (returned as None) without ``reaction``, and ``prev``
+    when it is None.
     """
-    n, nb = len(w), len(op) // 2
-    rhs = np.zeros(n, dtype=np.complex128)
-    term = np.empty(n, dtype=np.complex128)
+    n, nb = w.shape[-1], len(op) // 2
+    rhs = np.zeros(w.shape, dtype=np.complex128)
+    term = np.empty(w.shape, dtype=np.complex128)
     if half_ds:
-        diff = np.empty(n, dtype=np.complex128)
+        diff = np.empty(w.shape, dtype=np.complex128)
         for k in range(1, nb + 1):
             # d[j] = w[j+k] - w[j] serves row j (entry (j, j+k) at row nb - k)
             # and, negated, row j+k (entry (j+k, j) at row nb + k)
-            d = np.subtract(w[k:], w[:-k], out=diff[:n - k])
-            rhs[:-k] += np.multiply(op[nb - k, k:], d, out=term[:n - k])
-            rhs[k:] -= np.multiply(op[nb + k, :-k], d, out=term[:n - k])
+            d = np.subtract(w[..., k:], w[..., :-k], out=diff[..., :n - k])
+            rhs[..., :-k] += np.multiply(op[nb - k, k:], d,
+                                         out=term[..., :n - k])
+            rhs[..., k:] -= np.multiply(op[nb + k, :-k], d,
+                                        out=term[..., :n - k])
         rhs *= half_ds
     rhs += w
     react = None
     if reaction:
-        react = np.zeros(n, dtype=np.complex128)
+        react = np.zeros(w.shape, dtype=np.complex128)
         cd = 1.0 + 1j * delta
         mod2 = w.real**2
         mod2 += w.imag**2
         pm1h = (p - 1.0) / 2.0
         pw = mod2 if pm1h == 1.0 else mod2**pm1h
         pw -= 1.0 / (p - 1.0)
-        inner = react[1:-1]
-        np.multiply(cd, pw[1:-1], out=inner)
-        inner *= w[1:-1]
+        inner = react[..., 1:-1]
+        np.multiply(cd, pw[..., 1:-1], out=inner)
+        inner *= w[..., 1:-1]
         rhs += np.multiply(c_new, react, out=term)
     if prev is not None:
         rhs += np.multiply(c_old, prev, out=term)
-    rhs[0] = w[0]
-    rhs[-1] = w[-1]
+    rhs[..., 0] = w[..., 0]
+    rhs[..., -1] = w[..., -1]
     return rhs, react

@@ -191,11 +191,18 @@ def bound_M(fp: FloatParams) -> int:
 
 
 def cutoff_chi0(xi: np.ndarray) -> np.ndarray:
-    """C^2 monotone cutoff: 1 below 1, 0 above 2, quintic blend between."""
+    """C^2 monotone cutoff: 1 below 1, 0 above 2, quintic blend between.
+
+    The blend is evaluated on the points between 1 and 2 only (and on NaN,
+    which stays NaN).
+    """
     xi = np.asarray(xi, dtype=float)
-    u = np.clip(xi - 1.0, 0.0, 1.0)
-    smooth = u**3 * (10.0 - 15.0 * u + 6.0 * u**2)
-    return np.where(xi <= 1.0, 1.0, np.where(xi >= 2.0, 0.0, 1.0 - smooth))
+    inner = xi <= 1.0
+    blend = ~(inner | (xi >= 2.0))
+    out = np.where(inner, 1.0, 0.0)
+    u = xi[blend] - 1.0
+    out[blend] = 1.0 - u**3 * (10.0 - 15.0 * u + 6.0 * u**2)
+    return out
 
 
 def cutoff_chi(y: np.ndarray, s: float, K: float) -> np.ndarray:

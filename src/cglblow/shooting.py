@@ -8,25 +8,30 @@ expanding directions,
 evaluated at the first shrinking-set exit (or the window end).  A coarse
 grid over [-2, 2]^2 is scanned; a grid cell whose corners realize all four
 sign quadrants of the map is then bisected on the quadrant pattern, and
-the pair with the latest exit wins.  Probes are keyed by integer lattice
-indices: a coarse index times 2**bisect_levels, so every bisection
-midpoint is an integer halving.
+the pair with the latest exit wins, ties going to the smallest |Phi|.
+Probes are keyed by integer lattice indices: a coarse index times
+2**bisect_levels, so every bisection midpoint is an integer halving.
 
 A search builds one ``Simulator`` at probe resolution and every probe runs
-on it.  Probes are independent runs, so they fan out over a process pool
-whose workers inherit that Simulator; the pool size is the ``workers``
-argument, else CGLBLOW_WORKERS, else the number of CPUs the process may
-run on, capped at 8.  A count below 1 is an error.  One pool serves the
-coarse scan and every bisection level of a search.  Each pool worker sets
-the OpenBLAS that numpy and scipy bundle to one thread as it starts, so the
-workers do not oversubscribe the cores; a serial search leaves the caller's
-BLAS as it is.
+on it.  A scan splits its probe list into min(workers, probes) contiguous
+blocks; each block is stepped as one ``Simulator.run_block``, whose rows
+equal the probes' single runs bit for bit, so the search does not depend
+on the worker count.  The blocks fan out over a process pool whose workers
+inherit the Simulator, one block per worker; the pool size is the
+``workers`` argument, else CGLBLOW_WORKERS, else the number of CPUs the
+process may run on, capped at 8.  A count below 1 is an error.  One pool
+serves the coarse scan and every bisection level of a search; a serial
+search runs each scan as one block in the calling process.  Each pool
+worker sets the OpenBLAS that numpy and scipy bundle to one thread as it
+starts, so the workers do not oversubscribe the cores; a serial search
+leaves the caller's BLAS as it is.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -99,22 +104,27 @@ def _init_worker(sim: Simulator, pin_blas: bool = False):
     _WORKER_SIM = sim
 
 
-def _run_probe(args):
-    d0, d1 = args
+def _run_probe(block) -> list:
+    """The ProbeResults of a block of (d0, d1) pairs, in order, stepped as
+    one block on the worker's Simulator."""
     sim = _WORKER_SIM
     cfg = sim.config
-    res = sim.run(InitialDataSpec(d0_tilde=d0, d1_tilde=d1),
-                  stop_on_exit=True, exit_grace=0)
-    # without grace the run ends on its exit record, else at s_end
-    h = res.history
-    s_star = res.report.exit_s if res.report.exit_s is not None else cfg.s_end
-    A = cfg.A
-    return ProbeResult(
-        d0=d0, d1=d1, exit_s=float(s_star),
-        exit_component=res.report.exit_component,
-        phi0=float(h["Qt0"][-1] * s_star**1.75 / A),
-        phi1=float(h["qt1"][-1] * s_star**1.5 / A),
-    )
+    runs = sim.run_block(
+        [InitialDataSpec(d0_tilde=d0, d1_tilde=d1) for d0, d1 in block],
+        stop_on_exit=True, exit_grace=0)
+    out = []
+    for (d0, d1), res in zip(block, runs):
+        # without grace a run ends on its exit record, else at s_end
+        h = res.history
+        s_star = (res.report.exit_s if res.report.exit_s is not None
+                  else cfg.s_end)
+        out.append(ProbeResult(
+            d0=d0, d1=d1, exit_s=float(s_star),
+            exit_component=res.report.exit_component,
+            phi0=float(h["Qt0"][-1] * s_star**1.75 / cfg.A),
+            phi1=float(h["qt1"][-1] * s_star**1.5 / cfg.A),
+        ))
+    return out
 
 
 def _usable_cpus() -> int:
@@ -158,11 +168,15 @@ def _pool(sim: Simulator, workers: int):
 
 
 def _scan(sim: Simulator, pairs, workers: int, *, pool) -> list:
-    """Probe every pair: in this process if serial, else on ``pool``."""
+    """Probe every pair, in min(workers, len(pairs)) contiguous blocks: one
+    block in this process if serial, else one block per task on ``pool``."""
     if workers <= 1:
         _init_worker(sim)
-        return [_run_probe(p) for p in pairs]
-    return list(pool.map(_run_probe, pairs))
+        return _run_probe(pairs)
+    n = min(workers, len(pairs))
+    cuts = [len(pairs) * i // n for i in range(n + 1)]
+    blocks = [pairs[a:b] for a, b in zip(cuts, cuts[1:])]
+    return [pr for done in pool.map(_run_probe, blocks) for pr in done]
 
 
 QUADRANTS = {(-1, -1), (-1, 1), (1, -1), (1, 1)}
@@ -235,9 +249,11 @@ def shoot(config: SimConfig, grid_n: int = 8, refine: bool = True,
                 for i in range(0, last, unit) for j in range(0, last, unit)
             ])
         refined = cell is not None
+        final_cell, levels_run = cell, 0
         for _ in range(bisect_levels):
             if cell is None:
                 break
+            levels_run += 1
             x0, x1, y0, y1 = cell
             xm, ym = (x0 + x1) // 2, (y0 + y1) // 2
             at[xm] = 0.5 * (at[x0] + at[x1])
@@ -251,9 +267,12 @@ def shoot(config: SimConfig, grid_n: int = 8, refine: bool = True,
                 for a0, a1 in ((x0, xm), (xm, x1))
                 for b0, b1 in ((y0, ym), (ym, y1))
             ])
+            final_cell = cell or final_cell
 
     probes = list(probes.values())
-    best = max(probes, key=lambda r: r.exit_s)
+    # the latest exit; among equal exits (probes that never exit all end at
+    # s_end), the smallest |Phi|
+    best = max(probes, key=lambda r: (r.exit_s, -math.hypot(r.phi0, r.phi1)))
     meta = {
         "grid_n": grid_n,
         "workers": nworkers,
@@ -261,6 +280,13 @@ def shoot(config: SimConfig, grid_n: int = 8, refine: bool = True,
         "probe_ds": cfg.ds,
         "s_end": cfg.s_end,
         "bisect_levels": bisect_levels,
+        "levels_run": levels_run,
+        # the last cell with all four sign quadrants at its corners, as
+        # [[d0 lo, d0 hi], [d1 lo, d1 hi]]; None without one
+        "final_cell": None if final_cell is None else [
+            [at[final_cell[0]], at[final_cell[1]]],
+            [at[final_cell[2]], at[final_cell[3]]],
+        ],
     }
     return ShootResult(probes=probes, best=best, corner_signs=corner_signs,
                        refined=refined, meta=meta)

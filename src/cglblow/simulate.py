@@ -18,15 +18,24 @@ diagnostics is evaluated on one half of the symmetric grid and mirrored,
 phi being even in y, and the boundary data of a step use one end value
 for both ends.
 
-A single run is sequential; shooting probes fan out over a process pool in
-:mod:`cglblow.shooting`.
+Runs are stepped in blocks: ``run_block`` advances k runs on one s grid as
+the rows of one (k, N) field, and ``run`` is its k = 1 case.  The s-only
+work of a step (phi on the band and on the grid, the boundary value, the
+cutoff chi) is done once for the block, the elementwise work on the whole
+block, and the BLAS products (the projector, the change of coordinates,
+the mode reconstruction) row by row, since a BLAS product can round a
+column differently at different batch widths.  So each row equals the run
+of its pair alone, bit for bit, whatever block it is stepped in.  A row
+retires once it has exited and served its grace steps.  Shooting probes
+fan out over a process pool in :mod:`cglblow.shooting`, one block per
+worker.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -92,9 +101,15 @@ class SimConfig:
 
 @dataclass
 class SimState:
+    """The field w of one run, shape (N,), or of a block, shape (k, N); the
+    common time s; and theta, a float or one value per row.  ``no_root``
+    marks the runs whose last modulation found no root (all of them until
+    a modulation has run)."""
+
     w: np.ndarray
     s: float
-    theta: float
+    theta: Union[float, np.ndarray]
+    no_root: Union[bool, np.ndarray] = True
 
 
 @dataclass
@@ -122,6 +137,21 @@ class RunResult:
     report: ShrinkReport
     config_meta: dict
     state: SimState
+
+
+# the shrinking-set combinations name = x - (a / s + b / s**1.5 + c qt2 /
+# sqrt(s)), as (name, x, a, b, c) with a, b, c named in the combination
+# constants; a missing term is a zero, which adds exactly nothing
+_COMBOS = (
+    ("Qt0", "qt0", "At0", "Bt0", "Ct0"),
+    ("Q2", "q2", "A2", "B2c", "C2c"),
+    ("Qt2", "qt2", "At2", None, None),
+    ("Q4", "q4", None, "B4", "C4"),
+    ("Qt4", "qt4", None, "Bt4", "Ct4"),
+)
+
+# the two roots of the modulation, +-arccos
+_PLUS_MINUS = np.array([1.0, -1.0])
 
 
 def _shrink_bounds(A: float, M: int, columns: list):
@@ -180,6 +210,14 @@ class Simulator:
         self._y_half = self.y[config.N // 2:]
         self._modes = self.bf.mode_samples(self.y)
         self._weight_pow = 1.0 + np.abs(self.y) ** (config.M_track + 1)
+        # the two outer slices |y| > K s0^(1/4) of the grid: chi = 1 inside
+        # |y| <= K s^(1/4), which holds them for every s >= s0
+        edge = config.K * config.s0**0.25
+        self._outer = (
+            slice(0, int(np.searchsorted(self.y, -edge, side="left"))),
+            slice(int(np.searchsorted(self.y, edge, side="right")), None),
+        )
+        self._y_outer = np.concatenate([self.y[o] for o in self._outer])
         M = config.M_track
         self.columns = (
             ["s", "theta", "theta_prime"]
@@ -191,6 +229,13 @@ class Simulator:
         self.bound_names, self._bound_at, self._bound_num, self._bound_pow = (
             _shrink_bounds(config.A, M, self.columns)
         )
+        self._combo_at, self._combo_of = (
+            np.array([self.columns.index(c[j]) for c in _COMBOS])
+            for j in (0, 1))
+        self._combo_abc = np.array([
+            [0.0 if c[j] is None else self.combos[c[j]] for c in _COMBOS]
+            for j in (2, 3, 4)
+        ])
         self.stepper = Stepper(
             self.y, config.ds, self.fp.beta, self.fp.p, self.fp.delta,
             scheme=config.scheme, space_order=config.space_order,
@@ -198,7 +243,7 @@ class Simulator:
 
     # -- field helpers -------------------------------------------------------
 
-    def Phi(self, s: float, theta: float) -> float:
+    def Phi(self, s: float, theta):
         return self.fp.nu * np.sqrt(s) + self.fp.mu * np.log(s) + theta
 
     def phi_grid(self, s: float) -> np.ndarray:
@@ -221,7 +266,7 @@ class Simulator:
     # -- modulation ------------------------------------------------------------
 
     def modulate(self, state: SimState) -> bool:
-        """Reset theta so the unit-mode coordinate q_0 of q vanishes.
+        """Reset theta so the unit-mode coordinate q_0 of q vanishes, per row.
 
         The constraint is the full triangular coordinate q_0 (the h_0
         coefficient of the unique Jordan decomposition), not just the bare
@@ -230,72 +275,106 @@ class Simulator:
         coordinate q_0 of e w - phi is R-linear in e, so q_0 = 0 reads
         a cos Phi + b sin Phi = g and has the two roots
         Phi = atan2(b, a) +- arccos(g / |(a, b)|); the one nearest the
-        previous theta (up to a multiple of 2 pi) is taken.  Returns False,
-        keeping theta, when |g| > |(a, b)| and there is no root (w = 0, or
-        a field far from the profile).
+        previous theta (up to a multiple of 2 pi) is taken.  A row has no
+        root when |g| > |(a, b)| (w = 0, or a field far from the profile);
+        it keeps its theta and is marked in ``state.no_root``.  Returns
+        True if every row found a root.
         """
         s = state.s
-        Ww = self._proj @ state.w
-        Pphi = self._proj.rows @ phi(self._y_band, self.fp, s)
-        a = self.bf.convert_Q(Ww)[0][0]
-        b = self.bf.convert_Q(-1j * Ww)[0][0]
-        g = self.bf.convert_Q(Pphi)[0][0]
+        w, theta = _rows(state)
+        g = self.bf.convert_Q(
+            self._proj.rows @ phi(self._y_band, self.fp, s))[0][0]
+        a, b = np.empty(len(w)), np.empty(len(w))
+        for j, row in enumerate(w):
+            Ww = self._proj @ row
+            a[j] = self.bf.convert_Q(Ww)[0][0]
+            b[j] = self.bf.convert_Q(-1j * Ww)[0][0]
         r = np.hypot(a, b)
-        if not abs(g) <= r or r == 0.0:
-            return False
-        base = self.Phi(s, 0.0)
-        half = np.arccos(g / r)
-        roots = np.arctan2(b, a) + np.array([half, -half]) - base
-        roots += 2 * np.pi * np.round((state.theta - roots) / (2 * np.pi))
-        state.theta = float(roots[np.argmin(np.abs(roots - state.theta))])
-        return True
+        found = (abs(g) <= r) & (r != 0.0)
+        every = bool(found.all())
+        on = slice(None) if every else found
+        half = np.arccos(g / r[on])[:, None]
+        roots = (np.arctan2(b[on], a[on])[:, None] + half * _PLUS_MINUS
+                 - self.Phi(s, 0.0))
+        prev = theta[on][:, None]
+        roots += 2 * np.pi * np.rint((prev - roots) / (2 * np.pi))
+        gap = np.abs(roots - prev)
+        near = np.where(gap[:, 1] < gap[:, 0], roots[:, 1], roots[:, 0])
+        if not every:  # a row without a root keeps its theta
+            theta = theta.copy()
+            theta[found] = near
+            near = theta
+        if state.w.ndim == 1:
+            state.theta, state.no_root = float(near[0]), not every
+        else:
+            state.theta, state.no_root = near, ~found
+        return every
 
     # -- diagnostics -----------------------------------------------------------
 
     def project_q(self, state: SimState):
-        e = np.exp(-1j * self.Phi(state.s, state.theta))
-        q = e * state.w - self.phi_grid(state.s)
-        qn, qtn = self.bf.convert_Q(self._proj @ q)
-        return q, qn, qtn, q - np.concatenate([qn, qtn]) @ self._modes
+        """q of each row, its coordinates (q_n) and (qt_n), and its
+        remainder past the tracked modes, shaped like the rows of w."""
+        w, theta = _rows(state)
+        e = np.exp(-1j * self.Phi(state.s, theta))
+        q = e[:, None] * w
+        q -= self.phi_grid(state.s)
+        M1 = self.config.M_track + 1
+        qn, qtn = np.empty((len(q), M1)), np.empty((len(q), M1))
+        qminus = np.empty_like(q)
+        for j, row in enumerate(q):
+            qn[j], qtn[j] = self.bf.convert_Q(self._proj @ row)
+            np.subtract(row, np.concatenate([qn[j], qtn[j]]) @ self._modes,
+                        out=qminus[j])
+        out = q, qn, qtn, qminus
+        return tuple(x[0] for x in out) if state.w.ndim == 1 else out
 
-    def diagnose(self, state: SimState, theta_prime: float,
-                 modulation_failed: bool = False):
-        """The history row of ``state``, one value per name in ``columns``,
-        and its bound ratios, in the order of ``bound_names``."""
+    def diagnose(self, state: SimState, theta_prime,
+                 modulation_failed=False):
+        """The history row of each row of ``state``, one value per name in
+        ``columns``, and its bound ratios, in the order of ``bound_names``;
+        theta' and the modulation flag are one value or one per row."""
         s = state.s
-        cb = self.combos
+        single = state.w.ndim == 1
         q, qn, qtn, qminus = self.project_q(state)
-        rs = np.sqrt(s)
-        Qt0 = qtn[0] - (cb["At0"] / s + cb["Bt0"] / s**1.5 + cb["Ct0"] * qtn[2] / rs)
-        Q2 = qn[2] - (cb["A2"] / s + cb["B2c"] / s**1.5 + cb["C2c"] * qtn[2] / rs)
-        Qt2 = qtn[2] - cb["At2"] / s
-        Q4 = qn[4] - (cb["B4"] / s**1.5 + cb["C4"] * qtn[2] / rs)
-        Qt4 = qtn[4] - (cb["Bt4"] / s**1.5 + cb["Ct4"] * qtn[2] / rs)
-        # 1 - chi vanishes on |y| <= K s^(1/4), so only the outer rows count
-        edge = self.config.K * s**0.25
-        lo = np.searchsorted(self.y, -edge, side="left")
-        hi = np.searchsorted(self.y, edge, side="right")
-        qe_norm = 0.0
-        for out in (slice(0, lo), slice(hi, None)):
-            chi = cutoff_chi(self.y[out], s, self.config.K)
-            qe_norm = max(qe_norm, float(np.max(np.abs(q[out] * (1.0 - chi)),
-                                                initial=0.0)))
-        qminus_norm = float(np.max(np.abs(qminus) / self._weight_pow))
-        row = np.concatenate([
-            [s, state.theta, theta_prime], qn, qtn,
-            [Qt0, Q2, Qt2, Q4, Qt4, qe_norm, qminus_norm,
-             float(modulation_failed)],
-        ])
+        if single:
+            q, qn, qtn, qminus = q[None], qn[None], qtn[None], qminus[None]
+        M1 = qn.shape[1]
+        row = np.empty((len(q), len(self.columns)))
+        row[:, 0], row[:, 1], row[:, 2] = s, state.theta, theta_prime
+        row[:, 3:3 + M1] = qn
+        row[:, 3 + M1:3 + 2 * M1] = qtn
+        # every combination of ``_COMBOS`` at once
+        a, b, c = self._combo_abc
+        row[:, self._combo_at] = row[:, self._combo_of] - (
+            (a / s + b / s**1.5) + c * qtn[:, 2:3] / np.sqrt(s))
+        # 1 - chi vanishes on |y| <= K s^(1/4), so only the outer slices
+        # count; their points inside that radius add zeros to the max
+        one = 1.0 - cutoff_chi(self._y_outer, s, self.config.K)
+        left, right = self._outer
+        qe_norm = np.maximum(
+            np.max(np.abs(q[:, left] * one[:left.stop]), axis=1, initial=0.0),
+            np.max(np.abs(q[:, right] * one[left.stop:]), axis=1,
+                   initial=0.0))
+        row[:, -3] = qe_norm
+        qminus = np.abs(qminus)
+        qminus /= self._weight_pow
+        row[:, -2] = qminus.max(axis=1)
+        row[:, -1] = modulation_failed
         bound = self._bound_num / s**self._bound_pow
-        return row, np.abs(row[self._bound_at]) / bound
+        ratios = np.abs(row[:, self._bound_at]) / bound
+        return (row[0], ratios[0]) if single else (row, ratios)
 
     # -- stepping ----------------------------------------------------------------
 
     def step(self, state: SimState):
         s_new = state.s + self.config.ds
         e = np.exp(1j * self.Phi(s_new, state.theta))
-        # phi is even and y[-1] = -y[0] exactly, so one value serves both ends
-        bc = e * phi(self.y[0], self.fp, s_new)
+        # phi is even and y[-1] = -y[0] exactly, so one value serves both
+        # ends; the product is numpy's scalar one, row by row, which its
+        # vector loop can round differently in the last bit
+        end = phi(self.y[0], self.fp, s_new)
+        bc = np.reshape([x * end for x in np.reshape(e, -1)], np.shape(e))
         w_new = self.stepper.step(state.w, bc, bc)
         if not np.all(np.isfinite(w_new)):
             raise FloatingPointError(f"scheme blow-up at s = {s_new}")
@@ -303,53 +382,75 @@ class Simulator:
         state.s = s_new
         return state
 
-    # -- the full loop -------------------------------------------------------------
+    # -- the run loop --------------------------------------------------------------
 
     def run(self, spec: InitialDataSpec, stop_on_exit: bool = True,
             exit_grace: int = 10) -> RunResult:
-        """Run the shooting pair ``spec`` from the config's s0 to its s_end.
+        """Run the shooting pair ``spec``: ``run_block`` of the one pair."""
+        return self.run_block([spec], stop_on_exit, exit_grace)[0]
 
-        The run fills one float table, a row per step with the initial one
+    def run_block(self, specs, stop_on_exit: bool = True,
+                  exit_grace: int = 10) -> list:
+        """Run the shooting pairs ``specs`` from the config's s0 to its
+        s_end as the rows of one field; one RunResult per pair, in order.
+
+        Each run fills one float table, a row per step with the initial one
         first and a column per name in ``columns``, and beside it the table
         of bound ratios; the history and the report hold column views of
         the rows filled.  theta' is the slope of theta over the last (up to
         10) steps.  The exit is the first step past the initial record with
         a bound ratio above 1, named by its largest ratio.  With
-        ``stop_on_exit`` the run ends once it has exited and taken more
-        than ``exit_grace`` steps, so with ``exit_grace=0`` its last record
-        is the exit's.
+        ``stop_on_exit`` a run ends, and its row leaves the block, once it
+        has exited and taken more than ``exit_grace`` steps, so with
+        ``exit_grace=0`` its last record is the exit's.  The block ends
+        with its last row or at s_end.
         """
         cfg = self.config
-        state = self.initial_state(spec)
+        starts = [self.initial_state(spec) for spec in specs]
+        k = len(starts)
+        state = SimState(w=np.stack([st.w for st in starts]), s=starts[0].s,
+                         theta=np.array([st.theta for st in starts], float),
+                         no_root=np.ones(k, dtype=bool))
         self.stepper.reset_history()
-        converged = self.modulate(state)
-        exit_s = exit_component = None
         nsteps = int(round((cfg.s_end - cfg.s0) / cfg.ds))
-        table = np.empty((nsteps + 1, len(self.columns)))
-        ratios = np.empty((nsteps + 1, len(self.bound_names)))
-        theta = table[:, self.columns.index("theta")]
-        table[0], ratios[0] = self.diagnose(state, 0.0, not converged)
-        for it in range(1, nsteps + 1):
+        table = np.empty((k, nsteps + 1, len(self.columns)))
+        ratios = np.empty((k, nsteps + 1, len(self.bound_names)))
+        theta = table[:, :, self.columns.index("theta")]
+        live = np.arange(k)                # the runs still in the block
+        filled = np.full(k, nsteps + 1)    # table rows of each run
+        exit_at = np.zeros(k, dtype=int)   # step of each exit, 0 before it
+        exit_by = np.zeros(k, dtype=int)   # the exit's component index
+        final_w = [None] * k
+        converged = self.modulate(state)
+        table[:, 0], ratios[:, 0] = self.diagnose(
+            state, 0.0, False if converged else state.no_root)
+        for it in range(1, nsteps + 1):    # validate() ensures one step
             self.step(state)
             converged = self.modulate(state)
             span = min(it, 10)
-            tp = (state.theta - theta[it - span]) / (span * cfg.ds)
-            table[it], ratios[it] = self.diagnose(state, tp, not converged)
-            worst = int(np.argmax(ratios[it]))
-            if ratios[it, worst] > 1.0 and exit_s is None:
-                exit_s = state.s
-                exit_component = self.bound_names[worst]
-            if exit_s is not None and stop_on_exit and it > exit_grace:
-                break
-        n = it + 1  # rows filled; validate() ensures at least one step
-        hist = dict(zip(self.columns, table[:n].T))
-        report = ShrinkReport(
-            names=self.bound_names,
-            s=hist["s"],
-            ratios=ratios[:n],
-            exit_s=exit_s,
-            exit_component=exit_component,
-        )
+            tp = (state.theta - theta[live, it - span]) / (span * cfg.ds)
+            row, rat = self.diagnose(state, tp,
+                                     False if converged else state.no_root)
+            table[live, it], ratios[live, it] = row, rat
+            over = rat > 1.0
+            if over.any():
+                new = over.any(axis=1) & (exit_at[live] == 0)
+                exit_at[live[new]] = it
+                exit_by[live[new]] = np.argmax(rat[new], axis=1)
+            if stop_on_exit and it > exit_grace and exit_at[live].any():
+                done = exit_at[live] > 0
+                for j in np.flatnonzero(done):
+                    final_w[live[j]] = state.w[j].copy()
+                filled[live[done]] = it + 1
+                keep = ~done
+                live = live[keep]
+                state.w, state.theta = state.w[keep], state.theta[keep]
+                state.no_root = state.no_root[keep]
+                self.stepper.keep_rows(keep)
+                if not len(live):
+                    break
+        for j, r in enumerate(live):
+            final_w[r] = state.w[j]
         meta = {
             "scheme": cfg.scheme,
             "space_order": cfg.space_order,
@@ -359,8 +460,29 @@ class Simulator:
             "mu": self.fp.mu,
             "cutoff": "quintic C2 blend on [1, 2]",
         }
-        return RunResult(history=hist, report=report, config_meta=meta,
-                         state=state)
+        results = []
+        for r in range(k):
+            hist = dict(zip(self.columns, table[r, :filled[r]].T))
+            hit = exit_at[r] > 0
+            report = ShrinkReport(
+                names=self.bound_names,
+                s=hist["s"],
+                ratios=ratios[r, :filled[r]],
+                exit_s=float(hist["s"][exit_at[r]]) if hit else None,
+                exit_component=self.bound_names[exit_by[r]] if hit else None,
+            )
+            end = SimState(w=final_w[r], s=float(hist["s"][-1]),
+                           theta=float(hist["theta"][-1]),
+                           no_root=bool(hist["modulation_failed"][-1]))
+            results.append(RunResult(history=hist, report=report,
+                                     config_meta=dict(meta), state=end))
+        return results
+
+
+def _rows(state: SimState):
+    """``state.w`` as (k, N) rows and ``state.theta`` as k values."""
+    return (state.w.reshape(-1, state.w.shape[-1]),
+            np.reshape(state.theta, -1))
 
 
 def s0_scaling_study(config: SimConfig, s0_values=(50.0, 100.0, 200.0),

@@ -116,8 +116,18 @@ class Stepper:
     def reset_history(self):
         self._prev_rhs = None
 
-    def step(self, w: np.ndarray, bc_left: complex, bc_right: complex) -> np.ndarray:
-        """Advance one ds; boundary values are for the new time level."""
+    def keep_rows(self, keep):
+        """Keep the Adams-Bashforth history of the rows ``keep`` selects
+        (a boolean mask or indices), as a block drops its retired runs."""
+        if self._prev_rhs is not None:
+            self._prev_rhs = self._prev_rhs[keep]
+
+    def step(self, w: np.ndarray, bc_left, bc_right) -> np.ndarray:
+        """Advance the field w, shape (..., N), one ds.
+
+        The boundary values are for the new time level, one per row (or one
+        for all rows).
+        """
         w = np.ascontiguousarray(w, dtype=np.complex128)
         prev = self._prev_rhs  # None for imex1 and on a first imex2 step
         if self.scheme == "imex1":
@@ -132,6 +142,6 @@ class Stepper:
         )
         if self.scheme == "imex2":
             self._prev_rhs = react
-        rhs[0] = bc_left
-        rhs[-1] = bc_right
-        return self._solve(self._fact, rhs)
+        rhs[..., 0] = bc_left
+        rhs[..., -1] = bc_right
+        return self._solve(self._fact, rhs.T).T

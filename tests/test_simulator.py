@@ -209,6 +209,120 @@ class TestStepper:
         assert rel < 1e-4
 
 
+class TestBlockStepping:
+    """A (k, N) field steps each row as its own 1-D field would, bit for bit."""
+
+    @pytest.mark.parametrize("space_order", [2, 4])
+    @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
+    def test_rows_step_as_single_fields(self, scheme, space_order):
+        rng = np.random.default_rng(7)
+        y = np.linspace(-30, 30, 801)
+        k = 4
+        w = np.exp(-(y**2) / 40.0) * (
+            1.0 + 0.1 * rng.standard_normal((k, len(y)))
+            + 0.1j * rng.standard_normal((k, len(y))))
+
+        def stepper():
+            return Stepper(y, 1e-3, 0.5, 3.0, 1.0, scheme=scheme,
+                           space_order=space_order)
+
+        block, singles = stepper(), [stepper() for _ in range(k)]
+        alone = list(w)
+        rows = np.arange(k)
+        for it in range(6):  # AB2 history on both sides of the drop
+            bc = 0.1 * (rows + 1) - 0.2j
+            w = block.step(w, bc, -bc)
+            for j, r in enumerate(rows):
+                alone[r] = singles[r].step(alone[r], bc[j], -bc[j])
+                assert np.array_equal(w[j], alone[r]), (it, r)
+            if it == 2:
+                keep = rows != 1
+                rows, w = rows[keep], w[keep]
+                block.keep_rows(keep)
+        assert w.shape == (k - 1, len(y)) and w.flags.c_contiguous
+
+
+class TestRunBlock:
+    """``run_block`` steps runs as the rows of one field; each row is the
+    pair's run alone, bit for bit."""
+
+    # (2, 2) exits on step 1, (1, 0) on step 2, the midline pairs stay in
+    PAIRS = [(2.0, 2.0), (0.0, 0.0), (1.0, 0.0), (0.0, 0.5), (0.0, 0.0)]
+
+    @pytest.fixture(scope="class")
+    def sim(self, pm):
+        return Simulator(small_config(pm, N=1024, s_end=100.03))
+
+    @pytest.mark.parametrize("stop_on_exit, exit_grace", [
+        (True, 10), (True, 0), (False, 10),
+    ])
+    def test_rows_equal_single_runs(self, sim, stop_on_exit, exit_grace):
+        specs = [InitialDataSpec(*d) for d in self.PAIRS]
+        block = sim.run_block(specs, stop_on_exit, exit_grace)
+        assert len(block) == len(specs)
+        for spec, got in zip(specs, block):
+            want = sim.run(spec, stop_on_exit, exit_grace)
+            assert list(got.history) == list(want.history) == sim.columns
+            for name in sim.columns:
+                assert np.array_equal(got.history[name], want.history[name],
+                                      equal_nan=True), (spec, name)
+            assert np.array_equal(got.report.ratios, want.report.ratios)
+            assert got.report.exit_s == want.report.exit_s
+            assert got.report.exit_component == want.report.exit_component
+            assert np.array_equal(got.state.w, want.state.w)
+            assert (got.state.s, got.state.theta) == (want.state.s,
+                                                      want.state.theta)
+        lengths = [len(r.history["s"]) for r in block]
+        if stop_on_exit:
+            # the exiting rows left the block before the others
+            assert lengths[0] == 1 + max(1, exit_grace + 1)
+            assert lengths[0] < lengths[1] == lengths[3] == lengths[4] == 31
+        else:
+            assert lengths == [31] * len(specs)
+        assert block[0].report.exit_s == 100.001
+
+    def test_no_root_row_fails_alone(self, sim, monkeypatch):
+        # row 1 starts at w = 0, where q_0 = -(unit coordinate of phi)
+        # has no root for any theta
+        zero = InitialDataSpec(0.0, 0.5)
+        start = sim.initial_state
+        monkeypatch.setattr(sim, "initial_state", lambda spec: SimState(
+            w=np.zeros(sim.config.N, dtype=complex), s=sim.config.s0,
+            theta=0.0) if spec is zero else start(spec))
+        pair = InitialDataSpec(0.0, 0.0)
+        ok, failed = sim.run_block([pair, zero], stop_on_exit=False)
+        assert not ok.history["modulation_failed"].any()
+        assert failed.history["modulation_failed"][:3].all()
+        assert np.all(failed.history["theta"][:3] == 0.0)
+        want = sim.run(pair, stop_on_exit=False)
+        for name in sim.columns:
+            assert np.array_equal(ok.history[name], want.history[name])
+
+    def test_modulate_marks_the_row_without_a_root(self, sim):
+        w = sim.initial_state(InitialDataSpec(0.0, 0.5)).w
+        single = SimState(w=w.copy(), s=sim.config.s0, theta=0.0)
+        assert sim.modulate(single) is True
+        block = SimState(w=np.stack([w, np.zeros_like(w)]), s=sim.config.s0,
+                         theta=np.array([0.0, 0.3]))
+        assert sim.modulate(block) is False
+        assert list(block.no_root) == [False, True]
+        assert block.theta[0] == single.theta and block.theta[1] == 0.3
+
+    def test_non_finite_row_raises(self, sim, monkeypatch):
+        bad = InitialDataSpec(0.0, 0.5)
+        start = sim.initial_state
+
+        def nan_row(spec):
+            st = start(spec)
+            if spec is bad:
+                st.w[len(st.w) // 2] = np.nan
+            return st
+
+        monkeypatch.setattr(sim, "initial_state", nan_row)
+        with pytest.raises(FloatingPointError, match="blow-up"):
+            sim.run_block([InitialDataSpec(0.0, 0.0), bad])
+
+
 def scipy_lapack_solve(bands, rhs):
     """Factor and solve with ``scipy.linalg.lapack`` imported the usual way."""
     from scipy.linalg import lapack
@@ -591,16 +705,67 @@ class TestShooting:
         from cglblow.shooting import shoot
 
         cfg = small_config(pm, N=1024, s_end=100.6)
-        one, two = (
+        # three workers split the 9 coarse and the 5 bisection probes into
+        # uneven blocks
+        one, two, three = (
             shoot(cfg, grid_n=3, refine=True, bisect_levels=2, workers=w)
-            for w in (1, 2)
+            for w in (1, 2, 3)
         )
-        assert one.refined and two.refined
+        assert one.refined and two.refined and three.refined
         # both bisection levels ran: 3 x 3 coarse probes plus 5 per level
         assert len(one.probes) == 9 + 2 * 5
-        assert one.probes == two.probes
-        assert one.best == two.best
-        assert one.corner_signs == two.corner_signs
+        assert one.meta["levels_run"] == 2
+        for other in (two, three):
+            assert one.probes == other.probes
+            assert one.best == other.best
+            assert one.corner_signs == other.corner_signs
+            assert one.meta["final_cell"] == other.meta["final_cell"]
+        # the final cell is a probed cell whose corners show all four sign
+        # quadrants, one or two halvings of a coarse cell of width 2
+        from cglblow.shooting import QUADRANTS, _quadrant
+
+        d0s, d1s = one.meta["final_cell"]
+        assert d0s[1] - d0s[0] == d1s[1] - d1s[0] in (1.0, 0.5)
+        at = {(p.d0, p.d1): p for p in one.probes}
+        assert {_quadrant(at[a, b]) for a in d0s for b in d1s} == QUADRANTS
+
+    def test_no_refinement_runs_no_level(self, pm):
+        from cglblow.shooting import shoot
+
+        cfg = small_config(pm, N=1024, s_end=100.02)
+        res = shoot(cfg, grid_n=3, refine=False, bisect_levels=2, workers=1)
+        assert not res.refined and len(res.probes) == 9
+        assert res.meta["levels_run"] == 0
+        assert res.meta["final_cell"] is None
+        assert res.meta["bisect_levels"] == 2
+
+    def test_tied_exits_go_to_the_smallest_exit_value(self, pm, monkeypatch):
+        from cglblow import shooting
+
+        cfg = small_config(pm, N=1024, s_end=100.02)
+        blocks = []
+
+        def synthetic(block):
+            # probes with |d0|, |d1| <= 1 never exit, the others exit
+            # early; the exit value is smallest at (0, 0), which is not the
+            # first of the tied probes in the probe list
+            blocks.append(list(block))
+            out = []
+            for d0, d1 in block:
+                inside = abs(d0) <= 1 and abs(d1) <= 1
+                out.append(shooting.ProbeResult(
+                    d0=d0, d1=d1, exit_s=cfg.s_end if inside else 100.001,
+                    exit_component=None if inside else "qt1",
+                    phi0=d0 - 0.3, phi1=d1 + 0.1))
+            return out
+
+        monkeypatch.setattr(shooting, "_run_probe", synthetic)
+        res = shooting.shoot(cfg, grid_n=5, refine=False, workers=1)
+        # one serial scan is one block
+        assert len(blocks) == 1 and len(blocks[0]) == 25
+        tied = [p for p in res.probes if p.exit_s == cfg.s_end]
+        assert len(tied) == 9 and (tied[0].d0, tied[0].d1) == (-1.0, -1.0)
+        assert (res.best.d0, res.best.d1) == (0.0, 0.0)
 
     def test_pool_initializer_pins_blas_to_one_thread(self):
         # a fresh process without the BLAS thread variables, so OpenBLAS
