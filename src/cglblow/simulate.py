@@ -13,10 +13,11 @@ trapezoid projector onto the f_n, the sampled h_n / ht_n for the
 reconstruction and the real matrix of the triangular change of coordinates.
 The projector keeps only the band of grid points on which the complex
 Gaussian weight is not negligible (1568 of 8192 at p=3, delta=1, L=88), so
-the modulation evaluates phi on that band alone.  The full-grid phi of the
-diagnostics is evaluated on one half of the symmetric grid and mirrored,
-phi being even in y, and the boundary data of a step use one end value
-for both ends.
+the modulation needs phi on that band alone.  The full-grid phi is
+evaluated once per s, on one half of the symmetric grid, and mirrored, phi
+being even in y; a step takes its boundary value (one value for both
+ends) and the band's right part from it, and evaluates phi only on the
+band's left part, whose y are the mirrored ones up to rounding.
 
 Runs are stepped in blocks: ``run_block`` advances k runs on one s grid as
 the rows of one (k, N) field, and ``run`` is its k = 1 case.  The s-only
@@ -206,8 +207,14 @@ class Simulator:
         combos = shrink_combo_constants(pm, self.basis)
         self.combos = combos.float_map(self.fp.kappa)
         self._proj = self.bf.projector(self.y)
-        self._y_band = self.y[self._proj.band]
         self._y_half = self.y[config.N // 2:]
+        # the band's points left of the middle, and its part of the right
+        # half, where the grid profile holds phi at the same y
+        band, mid = self._proj.band, config.N // 2
+        self._y_band_left = self.y[band.start:max(band.start,
+                                                  min(mid, band.stop))]
+        self._band_right = slice(max(mid, band.start), band.stop)
+        self._grid_s = self._grid = None
         self._modes = self.bf.mode_samples(self.y)
         self._weight_pow = 1.0 + np.abs(self.y) ** (config.M_track + 1)
         # the two outer slices |y| > K s0^(1/4) of the grid: chi = 1 inside
@@ -251,10 +258,16 @@ class Simulator:
 
         phi is even in y and the grid is symmetric up to rounding, so the
         left half is the right one mirrored (the middle point of an odd N is
-        kept once).
+        kept once).  The values at the last s asked for are kept, read-only:
+        a step reads them three times (its boundary value, the modulation's
+        band and the diagnostics).
         """
-        right = phi(self._y_half, self.fp, s)
-        return np.concatenate([right[::-1][: self.config.N // 2], right])
+        if s != self._grid_s:
+            right = phi(self._y_half, self.fp, s)
+            grid = np.concatenate([right[::-1][: self.config.N // 2], right])
+            grid.flags.writeable = False
+            self._grid_s, self._grid = s, grid
+        return self._grid
 
     def initial_state(self, spec: InitialDataSpec) -> SimState:
         s0 = self.config.s0
@@ -282,8 +295,10 @@ class Simulator:
         """
         s = state.s
         w, theta = _rows(state)
-        g = self.bf.convert_Q(
-            self._proj.rows @ phi(self._y_band, self.fp, s))[0][0]
+        # phi on the band: its right part is the grid's, at the same y
+        band_phi = np.concatenate([phi(self._y_band_left, self.fp, s),
+                                   self.phi_grid(s)[self._band_right]])
+        g = self.bf.convert_Q(self._proj.rows @ band_phi)[0][0]
         a, b = np.empty(len(w)), np.empty(len(w))
         for j, row in enumerate(w):
             Ww = self._proj @ row
@@ -370,13 +385,13 @@ class Simulator:
     def step(self, state: SimState):
         s_new = state.s + self.config.ds
         e = np.exp(1j * self.Phi(s_new, state.theta))
-        # phi is even and y[-1] = -y[0] exactly, so one value serves both
-        # ends; the product is numpy's scalar one, row by row, which its
-        # vector loop can round differently in the last bit
-        end = phi(self.y[0], self.fp, s_new)
-        bc = np.reshape([x * end for x in np.reshape(e, -1)], np.shape(e))
+        # phi is even and y[-1] = -y[0] exactly, so the grid's end value
+        # serves both ends; the product is numpy's scalar one, row by row,
+        # which its vector loop can round differently in the last bit
+        end = self.phi_grid(s_new)[-1]
+        bc = np.array([x * end for x in np.atleast_1d(e)]).reshape(np.shape(e))
         w_new = self.stepper.step(state.w, bc, bc)
-        if not np.all(np.isfinite(w_new)):
+        if not np.isfinite(w_new.view(float)).all():
             raise FloatingPointError(f"scheme blow-up at s = {s_new}")
         state.w = w_new
         state.s = s_new
@@ -416,7 +431,7 @@ class Simulator:
         table = np.empty((k, nsteps + 1, len(self.columns)))
         ratios = np.empty((k, nsteps + 1, len(self.bound_names)))
         theta = table[:, :, self.columns.index("theta")]
-        live = np.arange(k)                # the runs still in the block
+        live = slice(None)     # the block's runs still stepping, by index
         filled = np.full(k, nsteps + 1)    # table rows of each run
         exit_at = np.zeros(k, dtype=int)   # step of each exit, 0 before it
         exit_by = np.zeros(k, dtype=int)   # the exit's component index
@@ -424,6 +439,7 @@ class Simulator:
         converged = self.modulate(state)
         table[:, 0], ratios[:, 0] = self.diagnose(
             state, 0.0, False if converged else state.no_root)
+        waiting = False        # a run still in the block has exited
         for it in range(1, nsteps + 1):    # validate() ensures one step
             self.step(state)
             converged = self.modulate(state)
@@ -434,22 +450,25 @@ class Simulator:
             table[live, it], ratios[live, it] = row, rat
             over = rat > 1.0
             if over.any():
-                new = over.any(axis=1) & (exit_at[live] == 0)
-                exit_at[live[new]] = it
-                exit_by[live[new]] = np.argmax(rat[new], axis=1)
-            if stop_on_exit and it > exit_grace and exit_at[live].any():
+                runs = np.arange(k)[live]
+                new = runs[over.any(axis=1) & (exit_at[live] == 0)]
+                exit_at[new] = it
+                exit_by[new] = np.argmax(ratios[new, it], axis=1)
+                waiting = True
+            if waiting and stop_on_exit and it > exit_grace:
+                runs = np.arange(k)[live]
                 done = exit_at[live] > 0
                 for j in np.flatnonzero(done):
-                    final_w[live[j]] = state.w[j].copy()
-                filled[live[done]] = it + 1
+                    final_w[runs[j]] = state.w[j].copy()
+                filled[runs[done]] = it + 1
                 keep = ~done
-                live = live[keep]
+                live, waiting = runs[keep], False
                 state.w, state.theta = state.w[keep], state.theta[keep]
                 state.no_root = state.no_root[keep]
                 self.stepper.keep_rows(keep)
                 if not len(live):
                     break
-        for j, r in enumerate(live):
+        for j, r in enumerate(np.arange(k)[live]):
             final_w[r] = state.w[j]
         meta = {
             "scheme": cfg.scheme,
@@ -481,8 +500,7 @@ class Simulator:
 
 def _rows(state: SimState):
     """``state.w`` as (k, N) rows and ``state.theta`` as k values."""
-    return (state.w.reshape(-1, state.w.shape[-1]),
-            np.reshape(state.theta, -1))
+    return state.w.reshape(-1, state.w.shape[-1]), np.atleast_1d(state.theta)
 
 
 def s0_scaling_study(config: SimConfig, s0_values=(50.0, 100.0, 200.0),

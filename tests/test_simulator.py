@@ -450,6 +450,8 @@ class TestProfileOnTheGrid:
         assert sim.y[-1] == -sim.y[0]
         for s in (100.001, 100.37, 104.9):
             assert phi(sim.y[0], sim.fp, s) == phi(sim.y[-1], sim.fp, s)
+            # a step reads its boundary value off the grid profile
+            assert sim.phi_grid(s)[-1] == phi(sim.y[0], sim.fp, s)
 
 
 class TestModulation:
