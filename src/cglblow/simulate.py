@@ -431,7 +431,8 @@ class Simulator:
         table = np.empty((k, nsteps + 1, len(self.columns)))
         ratios = np.empty((k, nsteps + 1, len(self.bound_names)))
         theta = table[:, :, self.columns.index("theta")]
-        live = slice(None)     # the block's runs still stepping, by index
+        runs = np.arange(k)    # the runs still in the block
+        live = slice(None)     # their table rows: a slice until one leaves
         filled = np.full(k, nsteps + 1)    # table rows of each run
         exit_at = np.zeros(k, dtype=int)   # step of each exit, 0 before it
         exit_by = np.zeros(k, dtype=int)   # the exit's component index
@@ -450,25 +451,24 @@ class Simulator:
             table[live, it], ratios[live, it] = row, rat
             over = rat > 1.0
             if over.any():
-                runs = np.arange(k)[live]
-                new = runs[over.any(axis=1) & (exit_at[live] == 0)]
+                new = runs[over.any(axis=1) & (exit_at[runs] == 0)]
                 exit_at[new] = it
                 exit_by[new] = np.argmax(ratios[new, it], axis=1)
                 waiting = True
             if waiting and stop_on_exit and it > exit_grace:
-                runs = np.arange(k)[live]
-                done = exit_at[live] > 0
+                done = exit_at[runs] > 0
                 for j in np.flatnonzero(done):
                     final_w[runs[j]] = state.w[j].copy()
                 filled[runs[done]] = it + 1
                 keep = ~done
-                live, waiting = runs[keep], False
+                runs = live = runs[keep]
+                waiting = False
                 state.w, state.theta = state.w[keep], state.theta[keep]
                 state.no_root = state.no_root[keep]
                 self.stepper.keep_rows(keep)
-                if not len(live):
+                if not len(runs):
                     break
-        for j, r in enumerate(np.arange(k)[live]):
+        for j, r in enumerate(runs):
             final_w[r] = state.w[j]
         meta = {
             "scheme": cfg.scheme,
