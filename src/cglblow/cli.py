@@ -4,8 +4,11 @@ Subcommands: constants, verify, basis, profile, simulate, shoot.  A
 line-oriented ``key = value`` configuration file supplies the knobs; every
 output file starts with a header block echoing the resolved configuration.
 
-Exit codes: 0 success, 2 domain error, 3 numerical failure,
-4 verification failure.
+Exit codes: 0 success; 2 domain error or invalid input; 3 numerical
+failure (a non-finite field, or a singular implicit matrix); 4 verification
+failure (a FAIL row of ``verify``, or an exact cross-check of the constant
+pipeline that does not hold, which ends the command with a one-line
+message).
 """
 
 from __future__ import annotations
@@ -357,12 +360,17 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
+    # a singular implicit matrix is a ValueError, and a non-finite field an
+    # ArithmeticError: both are numerical, so they go before those
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FloatingPointError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    except (AssertionError, ArithmeticError) as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -61,7 +61,8 @@ class GaussComplex:
     The form is canonical: d > 0, gcd(a, b, d) == 1, and zero is (0, 0, 1),
     so equality compares the three ints.  Every operation does its integer
     arithmetic and reduces once with a gcd of the parts (a sum of unequal
-    denominators reduces against their common factor only, see ``_sum``).
+    denominators reduces against their common factor only, see ``_sum``);
+    a product with an exact-zero factor returns the canonical zero at once.
     ``re`` and ``im`` read the parts back as ``Fraction``.
     """
 
@@ -134,6 +135,8 @@ class GaussComplex:
             return NotImplemented
         a, b, d = o
         sa, sb = self._a, self._b
+        if not (sa or sb) or not (a or b):
+            return _ZERO
         if b == 0:
             return _gauss(sa * a, sb * a, self._d * d)
         return _gauss(sa * a - sb * b, sa * b + sb * a, self._d * d)
@@ -272,12 +275,44 @@ def _divide(a1: int, b1: int, d1: int, a2: int, b2: int, d2: int):
     )
 
 
+def _plus(x: GaussComplex, y: GaussComplex) -> GaussComplex:
+    """x + y, passing one operand through when the other is zero."""
+    if not (y._a or y._b):
+        return x
+    if not (x._a or x._b):
+        return y
+    return _sum(x._a, x._b, x._d, y._a, y._b, y._d)
+
+
+def _minus(x: GaussComplex, y: GaussComplex) -> GaussComplex:
+    """x - y, passing one operand through when the other is zero."""
+    if not (y._a or y._b):
+        return x
+    if not (x._a or x._b):
+        return _gauss_raw(-y._a, -y._b, y._d)
+    return _sum(x._a, x._b, x._d, -y._a, -y._b, y._d)
+
+
+# the plain scalars below ExtScalar; GaussComplex and int come first, since
+# an isinstance test against Fraction (an ABC) is a Python-level call
+_SCALARS = (GaussComplex, int, Fraction)
+
+
 class ExtScalar:
     """Element c0 + c1*B of the quadratic extension with B**2 = modulus.
 
     ``modulus`` must be a positive rational; B is taken as the positive
     square root when converting to float.  Mixing two ExtScalars with
-    different moduli is a KindMismatch.
+    different moduli is a KindMismatch, unless one of them is an exact zero,
+    which takes the other's modulus.
+
+    The arithmetic does only the integer work the nonzero parts need: a sum
+    or difference passes a part through when the other operand's part is
+    zero, a product forms only the terms whose two factors are nonzero, and
+    an int, Fraction or GaussComplex operand acts on c0 and c1 as it is,
+    never promoted to a two-part ExtScalar first.  The parts keep the
+    GaussComplex normal form, so results, equality and hashes are those of
+    the full two-part formulas.
     """
 
     __slots__ = ("c0", "c1", "modulus")
@@ -297,7 +332,8 @@ class ExtScalar:
         raise AttributeError("ExtScalar is immutable")
 
     def is_zero(self) -> bool:
-        return self.c0.is_zero() and self.c1.is_zero()
+        c0, c1 = self.c0, self.c1
+        return not (c0._a or c0._b or c1._a or c1._b)
 
     def conj(self) -> "ExtScalar":
         return _ext(self.c0.conj(), self.c1.conj(), self.modulus)
@@ -309,30 +345,38 @@ class ExtScalar:
     def imag_part(self) -> "ExtScalar":
         return _ext(self.c0.imag_part(), self.c1.imag_part(), self.modulus)
 
-    def _coerce(self, x):
-        """``x`` as an ExtScalar of the result's modulus, or None.
+    def _modulus(self, x: "ExtScalar") -> Fraction:
+        """Modulus of a result of ``self`` and the ExtScalar ``x``.
 
-        An exact zero takes the modulus of the other operand, so the
-        operators build their results with the coerced operand's modulus.
+        That is ``x``'s when the moduli agree or ``self`` is zero, and
+        ``self``'s when only ``x`` is zero; two nonzero operands with
+        different moduli are a KindMismatch.
         """
+        m = x.modulus
+        # identity first: operands of one computation share the modulus
+        # object, and Fraction equality is a Python-level call
+        if m is self.modulus or m == self.modulus or self.is_zero():
+            return m
+        if x.is_zero():
+            return self.modulus
+        raise KindMismatch("ExtScalar moduli differ")
+
+    def _coerce(self, x):
+        """``x`` as an ExtScalar of the result's modulus, or None."""
         if isinstance(x, ExtScalar):
-            # identity first: operands of one computation share the modulus
-            # object, and Fraction equality is a Python-level call
-            if (x.modulus is self.modulus or x.modulus == self.modulus
-                    or self.is_zero()):
-                return x
-            if x.is_zero():
-                return _ext(x.c0, x.c1, self.modulus)
-            raise KindMismatch("ExtScalar moduli differ")
-        if isinstance(x, (int, Fraction, GaussComplex)):
+            m = self._modulus(x)
+            return x if m is x.modulus else _ext(x.c0, x.c1, m)
+        if isinstance(x, _SCALARS):
             return _ext(_gc(x), _ZERO, self.modulus)
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _ext(self.c0 + o.c0, self.c1 + o.c1, o.modulus)
+        if isinstance(other, ExtScalar):
+            return _ext(_plus(self.c0, other.c0), _plus(self.c1, other.c1),
+                        self._modulus(other))
+        if isinstance(other, _SCALARS):
+            return _ext(self.c0 + other, self.c1, self.modulus)
+        return NotImplemented
 
     __radd__ = __add__
 
@@ -340,46 +384,67 @@ class ExtScalar:
         return _ext(-self.c0, -self.c1, self.modulus)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _ext(self.c0 - o.c0, self.c1 - o.c1, o.modulus)
+        if isinstance(other, ExtScalar):
+            return _ext(_minus(self.c0, other.c0), _minus(self.c1, other.c1),
+                        self._modulus(other))
+        if isinstance(other, _SCALARS):
+            return _ext(self.c0 - other, self.c1, self.modulus)
+        return NotImplemented
 
     def __rsub__(self, other):
-        return -(self - other)
+        if isinstance(other, _SCALARS):
+            return _ext(other - self.c0, -self.c1, self.modulus)
+        return NotImplemented
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _ext(
-            self.c0 * o.c0 + self.c1 * o.c1 * o.modulus,
-            self.c0 * o.c1 + self.c1 * o.c0,
-            o.modulus,
-        )
+        if isinstance(other, ExtScalar):
+            m = self._modulus(other)
+            a0, a1, b0, b1 = self.c0, self.c1, other.c0, other.c1
+            # (a0 + a1 B)(b0 + b1 B) = a0 b0 + a1 b1 m + (a0 b1 + a1 b0) B,
+            # without the terms of a zero part (a zero factor of a
+            # GaussComplex product costs no arithmetic)
+            if not (a1._a or a1._b):
+                return _ext(a0 * b0, a0 * b1, m)
+            if not (b1._a or b1._b):
+                return _ext(a0 * b0, a1 * b0, m)
+            if not (a0._a or a0._b):
+                return _ext(a1 * b1 * m, a1 * b0, m)
+            if not (b0._a or b0._b):
+                return _ext(a1 * b1 * m, a0 * b1, m)
+            return _ext(a0 * b0 + a1 * b1 * m, a0 * b1 + a1 * b0, m)
+        if isinstance(other, _SCALARS):
+            return _ext(self.c0 * other, self.c1 * other, self.modulus)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ExtScalar":
-        # (c0 + c1 B)(c0 - c1 B) = c0^2 - c1^2 m lies in the Gaussian field.
-        n = self.c0 * self.c0 - self.c1 * self.c1 * self.modulus
-        if n.is_zero():
-            if self.is_zero():
+        c0, c1 = self.c0, self.c1
+        if not (c1._a or c1._b):
+            if not (c0._a or c0._b):
                 raise DivideByZero("division by zero ExtScalar")
+            return _ext(_ONE / c0, _ZERO, self.modulus)
+        # (c0 + c1 B)(c0 - c1 B) = c0^2 - c1^2 m lies in the Gaussian field.
+        n = c0 * c0 - c1 * c1 * self.modulus
+        if n.is_zero():
             raise DivideByZero("non-invertible ExtScalar (norm vanishes)")
-        return _ext(self.c0 / n, -self.c1 / n, self.modulus)
+        return _ext(c0 / n, -c1 / n, self.modulus)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        if isinstance(other, ExtScalar):
+            # differing moduli are reported before an inverse can fail
+            self._modulus(other)
+            return self * other.inverse()
+        if isinstance(other, _SCALARS):
+            if is_zero(other):
+                raise DivideByZero("division by zero ExtScalar")
+            return _ext(self.c0 / other, self.c1 / other, self.modulus)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        if isinstance(other, _SCALARS):
+            return self.inverse() * other
+        return NotImplemented
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -396,13 +461,15 @@ class ExtScalar:
         return out
 
     def __eq__(self, other):
-        try:
-            o = self._coerce(other)
-        except KindMismatch:
-            return False
-        if o is None:
-            return NotImplemented
-        return self.c0 == o.c0 and self.c1 == o.c1
+        if isinstance(other, ExtScalar):
+            try:
+                self._modulus(other)
+            except KindMismatch:
+                return False
+            return self.c0 == other.c0 and self.c1 == other.c1
+        if isinstance(other, _SCALARS):
+            return self.c1.is_zero() and self.c0 == other
+        return NotImplemented
 
     def __hash__(self):
         # with no B-part it equals c0 (whatever the modulus), so hash alike
@@ -438,11 +505,18 @@ def _ext(c0: GaussComplex, c1: GaussComplex, modulus: Fraction) -> ExtScalar:
     return x
 
 
+# the ungraded levels of the tower, ExtScalar first
+_UNGRADED = (ExtScalar, *_SCALARS)
+
+
 class KappaGraded:
     """value * kappa**grade with kappa purely symbolic.
 
     Addition insists on equal grades (exact zeros are grade-agnostic), which
-    turns every verified identity into a homogeneity check for free.
+    turns every verified identity into a homogeneity check for free.  A
+    product or quotient with an ExtScalar, GaussComplex, Fraction or int
+    hands that operand to the value's own arithmetic as it is, at grade 0,
+    without wrapping it first.
     """
 
     __slots__ = ("value", "grade")
@@ -460,20 +534,19 @@ class KappaGraded:
         return self.value.is_zero()
 
     def conj(self) -> "KappaGraded":
-        return KappaGraded(self.value.conj(), self.grade)
+        return _kappa(self.value.conj(), self.grade)
 
     def real_part(self) -> "KappaGraded":
-        return KappaGraded(self.value.real_part(), self.grade)
+        return _kappa(self.value.real_part(), self.grade)
 
     def imag_part(self) -> "KappaGraded":
-        return KappaGraded(self.value.imag_part(), self.grade)
+        return _kappa(self.value.imag_part(), self.grade)
 
     def _coerce(self, x):
         if isinstance(x, KappaGraded):
             return x
-        if isinstance(x, (int, Fraction, GaussComplex, ExtScalar)):
-            v = self.value._coerce(x)
-            return KappaGraded(v, 0)
+        if isinstance(x, _UNGRADED):
+            return _kappa(self.value._coerce(x), 0)
         return None
 
     def __add__(self, other):
@@ -488,12 +561,12 @@ class KappaGraded:
             raise MixedKappaGrade(
                 f"kappa grades differ: {self.grade} vs {o.grade}"
             )
-        return KappaGraded(self.value + o.value, self.grade)
+        return _kappa(self.value + o.value, self.grade)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return KappaGraded(-self.value, self.grade)
+        return _kappa(-self.value, self.grade)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -505,18 +578,20 @@ class KappaGraded:
         return -(self - other)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return KappaGraded(self.value * o.value, self.grade + o.grade)
+        if isinstance(other, KappaGraded):
+            return _kappa(self.value * other.value, self.grade + other.grade)
+        if isinstance(other, _UNGRADED):
+            return _kappa(self.value * other, self.grade)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return KappaGraded(self.value / o.value, self.grade - o.grade)
+        if isinstance(other, KappaGraded):
+            return _kappa(self.value / other.value, self.grade - other.grade)
+        if isinstance(other, _UNGRADED):
+            return _kappa(self.value / other, self.grade)
+        return NotImplemented
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -552,6 +627,18 @@ class KappaGraded:
 
     def __str__(self):
         return format_scalar(self)
+
+
+_set_value = KappaGraded.value.__set__
+_set_grade = KappaGraded.grade.__set__
+
+
+def _kappa(value: ExtScalar, grade: int) -> KappaGraded:
+    """KappaGraded from an ExtScalar and an int grade."""
+    x = _new(KappaGraded)
+    _set_value(x, value)
+    _set_grade(x, grade)
+    return x
 
 
 def _gc(x) -> GaussComplex:

@@ -242,6 +242,38 @@ def test_large_p_critical_pair(tmp_path, p, delta):
     assert data.shape == (64, 6) and np.isfinite(data).all()
 
 
+def _string_fields(obj, prefix=""):
+    """The str leaves of a nested dict, keyed by their '/'-joined path."""
+    if isinstance(obj, dict):
+        out = {}
+        for k, v in obj.items():
+            out.update(_string_fields(v, f"{prefix}{k}/"))
+        return out
+    return {prefix.rstrip("/"): obj} if isinstance(obj, str) else {}
+
+
+@pytest.mark.parametrize("p, delta", [
+    ("3/2", "1/2"), ("2", "1/3"), ("3", "7/2"), ("7", "4"),
+])
+def test_constants_match_the_benchmark_fingerprints(tmp_path, p, delta):
+    # the exact strings of constants.json against the exact-sweep
+    # fingerprints the benchmark stores; floats are left out, since
+    # full_M_bound and the float views may move with the numpy version
+    ref_path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    want = _string_fields(
+        json.loads(ref_path.read_text())["exact-sweep"][f"p={p}:delta={delta}"]
+    )
+    out = tmp_path / "o"
+    path = write_cfg(tmp_path, f"p = {p}\ndelta = {delta}\noutput.dir = {out}\n")
+    assert main(["constants", "--config", path]) == 0
+    data = json.loads((out / "constants.json").read_text())
+    data.pop("config")
+    data.pop("version")
+    got = _string_fields(data)
+    assert len(want) >= 15
+    assert got == want
+
+
 class TestSimulateCsv:
     """simulate.csv is the run's history, column for column, plus its flags."""
 
@@ -326,6 +358,59 @@ class TestFailurePaths:
             tmp_path, f"p = 3\ndelta = 1\noutput.dir = {tmp_path / 'o'}\n"
         )
         assert main(["verify", "--config", path]) == 4
+
+    def test_singular_implicit_matrix_is_3(self, tmp_path, monkeypatch,
+                                           capsys):
+        from cglblow import _kernels_np, simulate
+
+        def singular(self, spec, **kw):
+            _kernels_np._check("zgttrf", 3)
+
+        monkeypatch.setattr(simulate.Simulator, "run", singular)
+        path = write_cfg(
+            tmp_path,
+            f"p = 3\ndelta = 1\ngrid.N = 512\nds = 1e-3\ns_end = 100.01\n"
+            f"output.dir = {tmp_path / 'o'}\n",
+        )
+        assert main(["simulate", "--config", path]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["numerical failure: zgttrf: zero pivot at row 3; "
+                       "the implicit matrix is singular"]
+
+    @pytest.mark.parametrize("command", ["constants", "verify"])
+    def test_failed_exact_cross_check_is_4(self, tmp_path, monkeypatch,
+                                           capsys, command):
+        from cglblow import constants
+
+        # derive_params checks b^2 against its second closed form
+        formal = constants.b_critical_formal
+        monkeypatch.setattr(constants, "b_critical_formal",
+                            lambda p, d: formal(p, d) + 1)
+        path = write_cfg(
+            tmp_path, f"p = 3\ndelta = 1\noutput.dir = {tmp_path / 'o'}\n"
+        )
+        assert main([command, "--config", path]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["verification failure: "
+                       "the two closed forms of b^2 disagree"]
+
+    def test_failed_basis_identity_is_4(self, tmp_path, monkeypatch, capsys):
+        import functools
+
+        from cglblow import spectral
+
+        # a fresh table cache, so the table is built (and checked) here
+        monkeypatch.setattr(spectral, "build_basis",
+                            functools.cache(spectral.build_basis.__wrapped__))
+        apply_L = spectral.apply_L
+        monkeypatch.setattr(spectral, "apply_L",
+                            lambda h, beta, delta: apply_L(h, beta, delta) + 1)
+        path = write_cfg(
+            tmp_path, f"p = 3\ndelta = 1\noutput.dir = {tmp_path / 'o'}\n"
+        )
+        assert main(["basis", "--config", path]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["verification failure: h_0 eigen-relation failed"]
 
 
 def test_console_scripts_resolve():

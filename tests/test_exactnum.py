@@ -45,6 +45,19 @@ def ext(c0re, c0im=0, c1re=0, c1im=0):
                      GaussComplex(F(c1re), F(c1im)), MOD)
 
 
+# which parts of an ExtScalar operand are nonzero: the pipeline's operands
+# are almost all exact zeros, pure c0 or pure c1*B
+SHAPES = ("zero", "c0", "c1", "both")
+OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def shaped(qs, shape, modulus=MOD):
+    """ExtScalar from four rationals, with the parts ``shape`` drops zero."""
+    c0 = GaussComplex(qs[0], qs[1]) if shape in ("c0", "both") else 0
+    c1 = GaussComplex(qs[2], qs[3]) if shape in ("c1", "both") else 0
+    return ExtScalar(c0, c1, modulus)
+
+
 class TestScalarArith:
     def test_half_times_i(self):
         assert gc(1, 0) / 2 * gc(0, 1) == gc(0, F(1, 2))
@@ -103,16 +116,16 @@ class TestScalarArith:
                 # is a square in the Gaussian field; 1/63 is not
                 raise
 
-    @given(st.lists(rationals, min_size=8, max_size=8))
-    @settings(max_examples=100, deadline=None)
-    def test_extscalar_reduction_oracle(self, qs):
-        # re-expand (c0 + c1 B)(d0 + d1 B) by hand and compare
-        a = ExtScalar(GaussComplex(qs[0], qs[1]), GaussComplex(qs[2], qs[3]), MOD)
-        b = ExtScalar(GaussComplex(qs[4], qs[5]), GaussComplex(qs[6], qs[7]), MOD)
-        prod = a * b
-        c0 = a.c0 * b.c0 + a.c1 * b.c1 * MOD
-        c1 = a.c0 * b.c1 + a.c1 * b.c0
-        assert prod.c0 == c0 and prod.c1 == c1
+    @given(st.lists(rationals, min_size=8, max_size=8),
+           st.sampled_from(SHAPES), st.sampled_from(SHAPES),
+           st.sampled_from(OPS))
+    @settings(max_examples=200, deadline=None)
+    def test_extscalar_reduction_oracle(self, qs, sa, sb, op):
+        # re-expand (c0 + c1 B) op (d0 + d1 B) by hand, on the Fraction-pair
+        # reference, for every pattern of zero parts
+        a, b = shaped(qs[:4], sa), shaped(qs[4:], sb)
+        for x, y in ((a, b), (b, a)):
+            check_two_part(op, x, y, MOD)
 
 
 class TestExtScalarModuli:
@@ -468,3 +481,131 @@ class TestHashAgreesWithEquality:
         if a == b:
             assert b == a
             assert hash(a) == hash(b)
+
+
+def two_part(x):
+    """(c0, c1) of an ungraded tower value, as Fraction-pair references."""
+    if isinstance(x, ExtScalar):
+        return ref(x.c0), ref(x.c1)
+    return RefGauss(x.re, x.im) if isinstance(x, GaussComplex) else RefGauss(x), \
+        RefGauss(0)
+
+
+def oracle(op, x, y, m):
+    """op(x, y) by the full two-part formulas, as a reference (c0, c1)."""
+    (a0, a1), (b0, b1) = two_part(x), two_part(y)
+    if op is operator.add:
+        return a0 + b0, a1 + b1
+    if op is operator.sub:
+        return a0 - b0, a1 - b1
+    if op is operator.truediv:
+        # times the inverse (b0 - b1 B)/n; a zero norm raises DivideByZero
+        n = b0 * b0 - b1 * b1 * m
+        b0, b1 = b0 / n, -b1 / n
+    return a0 * b0 + a1 * b1 * m, a0 * b1 + a1 * b0
+
+
+def built(want, m):
+    """The ExtScalar of reference parts, made by the public constructor."""
+    return ExtScalar(GaussComplex(want[0].re, want[0].im),
+                     GaussComplex(want[1].re, want[1].im), m)
+
+
+def assert_ext(got, want, m):
+    """got is the canonical ExtScalar of the reference parts, modulus m."""
+    assert type(got) is ExtScalar
+    assert_same(got.c0, want[0])
+    assert_same(got.c1, want[1])
+    assert type(got.modulus) is F and got.modulus == m
+    full = built(want, m)
+    assert got == full and full == got and hash(got) == hash(full)
+    if got.c1.is_zero():
+        assert got == full.c0 and hash(got) == hash(full.c0)
+
+
+def check_two_part(op, x, y, m):
+    """op(x, y) against the oracle, or the DivideByZero the oracle raises."""
+    try:
+        want = oracle(op, x, y, m)
+    except DivideByZero:
+        with pytest.raises(DivideByZero):
+            op(x, y)
+        return
+    assert_ext(op(x, y), want, m)
+
+
+@st.composite
+def ext_operands(draw, moduli=(MOD,)):
+    """An ExtScalar of a random zero pattern over wide Gaussian parts."""
+    shape = draw(st.sampled_from(SHAPES))
+    c0 = draw(gaussians) if shape in ("c0", "both") else 0
+    c1 = draw(gaussians) if shape in ("c1", "both") else 0
+    return ExtScalar(c0, c1, draw(st.sampled_from(moduli)))
+
+
+class TestSparseParts:
+    """ExtScalar and KappaGraded arithmetic on operands shaped as the
+    pipeline's: single-part ExtScalars, exact zeros, and plain scalars that
+    are used without promotion."""
+
+    @given(ext_operands(), ext_operands(), st.sampled_from(OPS))
+    @settings(max_examples=200, deadline=None)
+    def test_ext_with_ext(self, x, y, op):
+        check_two_part(op, x, y, MOD)
+        check_two_part(op, y, x, MOD)
+
+    @given(ext_operands(), operands, st.sampled_from(OPS))
+    @settings(max_examples=200, deadline=None)
+    def test_ext_with_scalar_either_side(self, x, s, op):
+        check_two_part(op, x, s, MOD)
+        check_two_part(op, s, x, MOD)
+        assert (x == s) == (x.c1.is_zero() and x.c0 == s) == (s == x)
+
+    @given(ext_operands(moduli=(MOD, F(2, 126), F(2))),
+           ext_operands(moduli=(MOD, F(2, 126), F(2))),
+           st.sampled_from(OPS))
+    @settings(max_examples=200, deadline=None)
+    def test_moduli_rules(self, x, y, op):
+        # F(2, 126) equals MOD as a distinct object; F(2) differs
+        if not x.is_zero() and not y.is_zero() and x.modulus != y.modulus:
+            with pytest.raises(KindMismatch):
+                op(x, y)
+            assert x != y and y != x
+            return
+        # an exact zero takes the other operand's modulus
+        m = x.modulus if y.is_zero() and not x.is_zero() else y.modulus
+        check_two_part(op, x, y, m)
+
+    @given(ext_operands(), st.integers(-1, 2),
+           st.one_of(operands, ext_operands(),
+                     st.builds(KappaGraded, ext_operands(), st.integers(-1, 2))),
+           st.sampled_from(OPS))
+    @settings(max_examples=250, deadline=None)
+    def test_kappa_with_each_kind(self, v, g, s, op):
+        k = KappaGraded(v, g)
+        sv, sg = (s.value, s.grade) if isinstance(s, KappaGraded) else (s, 0)
+        for x, y, (xg, yg) in ((k, s, (g, sg)), (s, k, (sg, g))):
+            xv, yv = (v, sv) if x is k else (sv, v)
+            try:
+                want = oracle(op, xv, yv, MOD)
+            except DivideByZero:
+                with pytest.raises(DivideByZero):
+                    op(x, y)
+                continue
+            if op in (operator.mul, operator.truediv):
+                grade = xg + yg if op is operator.mul else xg - yg
+            elif is_zero(xv) or is_zero(yv):
+                grade = yg if is_zero(xv) else xg
+            elif xg != yg:
+                with pytest.raises(MixedKappaGrade):
+                    op(x, y)
+                continue
+            else:
+                grade = xg
+            got = op(x, y)
+            assert type(got) is KappaGraded
+            assert_ext(got.value, want, MOD)
+            full = KappaGraded(built(want, MOD), grade)
+            assert got == full and hash(got) == hash(full)
+            if not got.is_zero():
+                assert got.grade == grade
