@@ -51,11 +51,11 @@ SHAPES = ("zero", "c0", "c1", "both")
 OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
 
 
-def shaped(qs, shape, modulus=MOD):
+def shaped(qs, shape):
     """ExtScalar from four rationals, with the parts ``shape`` drops zero."""
     c0 = GaussComplex(qs[0], qs[1]) if shape in ("c0", "both") else 0
     c1 = GaussComplex(qs[2], qs[3]) if shape in ("c1", "both") else 0
-    return ExtScalar(c0, c1, modulus)
+    return ExtScalar(c0, c1, MOD)
 
 
 class TestScalarArith:
