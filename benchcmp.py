@@ -14,7 +14,9 @@ slower apart from code that did more work; it is reported, not judged.
 
 The result is ``BENCH_<tag>.json``: every run, and per workload (over all
 seeds, and per seed) each metric's median and quartiles on both sides, the
-pairs each side won (ties count for neither side) and whether the change
+median and quartiles of the per-pair ratio change/base (a pair shares its
+seed, so the ratio drops the spread between seeds that do different work),
+the pairs each side won (ties count for neither side) and whether the change
 gains.  A gain needs at least ten pairs, the change winning at least nine
 tenths of them, and medians further apart than the interquartile range of the
 base's runs.  The exit code is 0 only if every run's checks passed.
@@ -101,19 +103,22 @@ def side_stats(values: list) -> dict:
 
 
 def compare(pairs: list, better: str) -> dict:
-    """Both sides of one metric over ``pairs`` of (base, change) values."""
+    """Both sides of one metric over ``pairs`` of (base, change) values,
+    and the per-pair ratio change/base (of the pairs with a nonzero base)."""
     sign = 1.0 if better == "higher" else -1.0
     won = sum(sign * (c - b) > 0 for b, c in pairs)
     lost = sum(sign * (c - b) < 0 for b, c in pairs)
     base = side_stats([b for b, _ in pairs])
     change = side_stats([c for _, c in pairs])
+    ratios = [c / b for b, c in pairs if b]
     ahead = sign * (change["median"] - base["median"])
     gain = (len(pairs) >= MIN_PAIRS and won >= WIN_SHARE * len(pairs)
             and ahead > base["iqr"])
     return {"better": better, "pairs": len(pairs), "change_won": won,
             "base_won": lost, "base": base, "change": change,
             "change_over_base": change["median"] / base["median"]
-            if base["median"] else None, "gain": gain}
+            if base["median"] else None,
+            "ratio": side_stats(ratios) if ratios else None, "gain": gain}
 
 
 def summarize(runs: list, metrics: list) -> dict:
@@ -200,9 +205,11 @@ def main(argv=None) -> int:
         for name, c in s["all"].items():
             if name == "cpu_s":
                 continue
+            ratio = (f"ratio {c['ratio']['median']:.4g} (IQR "
+                     f"{c['ratio']['iqr']:.3g})" if c["ratio"] else "no ratio")
             print(f"{workload} {name}: base {c['base']['median']:.6g} "
                   f"change {c['change']['median']:.6g} "
-                  f"(base IQR {c['base']['iqr']:.3g}); change won "
+                  f"(base IQR {c['base']['iqr']:.3g}), {ratio}; change won "
                   f"{c['change_won']} of {c['pairs']} pairs"
                   + ("  GAIN" if c["gain"] else ""))
     print(f"wrote {path}")

@@ -768,6 +768,16 @@ def to_ext(k: KappaGraded, params) -> ExtScalar:
     return k.value if isinstance(k.value, ExtScalar) else params.ext(k.value)
 
 
+def _odd_cubic_root(f1, f2, what: str) -> Fraction:
+    """The root -alpha/gamma of alpha + gamma b^2, for the odd cubic
+    f(b) = alpha b + gamma b^3 with f(1) = f1 and f(2) = f2; a zero gamma
+    raises ``DomainError`` naming the degenerate ``what``."""
+    gamma = (f2 - 2 * f1) / 6
+    if gamma == 0:
+        raise DomainError(f"degenerate {what}")
+    return -(f1 - gamma) / gamma
+
+
 def _b2_root_from_s32(params, basis) -> Fraction:
     """Solve the s^(-3/2) cancellation for b^2 without assuming it.
 
@@ -783,11 +793,8 @@ def _b2_root_from_s32(params, basis) -> Fraction:
         if not is_zero(v.c1) or not is_zero(imag_part(v)):
             raise AssertionError("s^(-3/2) coefficient not a real rational")
         vals[bval] = v.c0.re
-    gamma = (vals[F(2)] - 2 * vals[F(1)]) / 6
-    alpha = vals[F(1)] - gamma
-    if gamma == 0:
-        raise DomainError("degenerate cubic in the b-determination")
-    return -alpha / gamma
+    return _odd_cubic_root(vals[F(1)], vals[F(2)],
+                           "cubic in the b-determination")
 
 
 def _params_with_rational_b(params, bval: Fraction) -> ProfileParams:
@@ -998,13 +1005,10 @@ def formal_pipeline(p, delta) -> FormalResult:
     P1 = _formal_P(p, d, beta, F(1), F(0))
     P2 = _formal_P(p, d, beta, F(2), F(0))
     P3 = _formal_P(p, d, beta, F(3), F(0))
-    gamma = (P2 - 2 * P1) / 6
-    alpha = P1 - gamma
-    if P3 != 3 * alpha + 27 * gamma:
+    # an odd cubic through P1 and P2 takes 4 P2 - 5 P1 at b = 3
+    if P3 != 4 * P2 - 5 * P1:
         raise AssertionError("P is not an odd cubic in b")
-    if gamma == 0:
-        raise DomainError("degenerate formal cubic")
-    b2_root = -alpha / gamma
+    b2_root = _odd_cubic_root(P1, P2, "formal cubic")
 
     mu_bracket = (
         8 * (p + 1) * d

@@ -19,24 +19,26 @@ being even in y; a step takes its boundary value (one value for both
 ends) and the band's right part from it, and evaluates phi only on the
 band's left part, whose y are the mirrored ones up to rounding.
 
-Runs are stepped in blocks: ``run_block`` advances k runs on one s grid as
-the rows of one (k, N) field, and ``run`` is its k = 1 case.  The s-only
-work of a step (phi on the band and on the grid, the boundary value, the
-cutoff chi) is done once for the block, the elementwise work on the whole
-block, and the BLAS products (the projector, the change of coordinates,
-the mode reconstruction) row by row, since a BLAS product can round a
-column differently at different batch widths.  So each row equals the run
-of its pair alone, bit for bit, whatever block it is stepped in.  A row
-retires once it has exited and served its grace steps.  Shooting probes
-fan out over a process pool in :mod:`cglblow.shooting`, one block per
-worker.
+A run's state is always a block: the fields of k runs on one s grid are
+the rows of one (k, N) array, with one theta and one modulation flag per
+row.  ``run_block`` advances such a block, ``run`` is its k = 1 case, and
+every helper (``modulate``, ``project_q``, ``diagnose``, ``step``) works
+on rows.  The s-only work of a step (phi on the band and on the grid, the
+boundary value, the cutoff chi) is done once for the block, the
+elementwise work on the whole block, and the BLAS products (the projector,
+the change of coordinates, the mode reconstruction) row by row, since a
+BLAS product can round a column differently at different batch widths.
+So each row equals the run of its pair alone, bit for bit, whatever block
+it is stepped in.  A row retires once it has exited and served its grace
+steps.  Shooting probes fan out over a process pool in
+:mod:`cglblow.shooting`, one block per worker.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -102,15 +104,15 @@ class SimConfig:
 
 @dataclass
 class SimState:
-    """The field w of one run, shape (N,), or of a block, shape (k, N); the
-    common time s; and theta, a float or one value per row.  ``no_root``
-    marks the runs whose last modulation found no root (all of them until
-    a modulation has run)."""
+    """A block of k runs: their fields w, shape (k, N), the common time s,
+    and theta, shape (k,).  ``no_root``, shape (k,), marks the runs whose
+    last modulation found no root (all of them until a modulation has
+    run)."""
 
     w: np.ndarray
     s: float
-    theta: Union[float, np.ndarray]
-    no_root: Union[bool, np.ndarray] = True
+    theta: np.ndarray
+    no_root: np.ndarray
 
 
 @dataclass
@@ -132,7 +134,8 @@ class ShrinkReport:
 @dataclass
 class RunResult:
     """A run: ``history`` maps each name of ``Simulator.columns``, in that
-    order, to its column view of the run's one float table."""
+    order, to its column view of the run's one float table; ``state`` is
+    its last state, a one-row block."""
 
     history: dict
     report: ShrinkReport
@@ -270,11 +273,13 @@ class Simulator:
         return self._grid
 
     def initial_state(self, spec: InitialDataSpec) -> SimState:
+        """The initial data of the pair ``spec``, as a one-row block."""
         s0 = self.config.s0
         psi = initial_data(spec, self.config, self.combos, self.bf, self.y,
                            self._proj).psi
         w = np.exp(1j * self.Phi(s0, 0.0)) * (self.phi_grid(s0) + psi)
-        return SimState(w=w, s=s0, theta=0.0)
+        return SimState(w=w[None], s=s0, theta=np.zeros(1),
+                        no_root=np.ones(1, dtype=bool))
 
     # -- modulation ------------------------------------------------------------
 
@@ -293,8 +298,7 @@ class Simulator:
         it keeps its theta and is marked in ``state.no_root``.  Returns
         True if every row found a root.
         """
-        s = state.s
-        w, theta = _rows(state)
+        s, w = state.s, state.w
         # phi on the band: its right part is the grid's, at the same y
         band_phi = np.concatenate([phi(self._y_band_left, self.fp, s),
                                    self.phi_grid(s)[self._band_right]])
@@ -311,28 +315,25 @@ class Simulator:
         half = np.arccos(g / r[on])[:, None]
         roots = (np.arctan2(b[on], a[on])[:, None] + half * _PLUS_MINUS
                  - self.Phi(s, 0.0))
-        prev = theta[on][:, None]
+        prev = state.theta[on][:, None]
         roots += 2 * np.pi * np.rint((prev - roots) / (2 * np.pi))
         gap = np.abs(roots - prev)
         near = np.where(gap[:, 1] < gap[:, 0], roots[:, 1], roots[:, 0])
         if not every:  # a row without a root keeps its theta
-            theta = theta.copy()
+            theta = state.theta.copy()
             theta[found] = near
             near = theta
-        if state.w.ndim == 1:
-            state.theta, state.no_root = float(near[0]), not every
-        else:
-            state.theta, state.no_root = near, ~found
+        state.theta, state.no_root = near, ~found
         return every
 
     # -- diagnostics -----------------------------------------------------------
 
     def project_q(self, state: SimState):
-        """q of each row, its coordinates (q_n) and (qt_n), and its
-        remainder past the tracked modes, shaped like the rows of w."""
-        w, theta = _rows(state)
-        e = np.exp(-1j * self.Phi(state.s, theta))
-        q = e[:, None] * w
+        """q of each row, shape (k, N); its coordinates (q_n) and (qt_n),
+        each (k, M_track + 1); and its remainder past the tracked modes,
+        shape (k, N)."""
+        e = np.exp(-1j * self.Phi(state.s, state.theta))
+        q = e[:, None] * state.w
         q -= self.phi_grid(state.s)
         M1 = self.config.M_track + 1
         qn, qtn = np.empty((len(q), M1)), np.empty((len(q), M1))
@@ -341,19 +342,14 @@ class Simulator:
             qn[j], qtn[j] = self.bf.convert_Q(self._proj @ row)
             np.subtract(row, np.concatenate([qn[j], qtn[j]]) @ self._modes,
                         out=qminus[j])
-        out = q, qn, qtn, qminus
-        return tuple(x[0] for x in out) if state.w.ndim == 1 else out
+        return q, qn, qtn, qminus
 
-    def diagnose(self, state: SimState, theta_prime,
-                 modulation_failed=False):
-        """The history row of each row of ``state``, one value per name in
-        ``columns``, and its bound ratios, in the order of ``bound_names``;
-        theta' and the modulation flag are one value or one per row."""
+    def diagnose(self, state: SimState, theta_prime):
+        """The history rows of ``state``, shape (k, len(columns)), and their
+        bound ratios, shape (k, len(bound_names)); theta' is one value or
+        one per row, and the modulation flag is ``state.no_root``."""
         s = state.s
-        single = state.w.ndim == 1
         q, qn, qtn, qminus = self.project_q(state)
-        if single:
-            q, qn, qtn, qminus = q[None], qn[None], qtn[None], qminus[None]
         M1 = qn.shape[1]
         row = np.empty((len(q), len(self.columns)))
         row[:, 0], row[:, 1], row[:, 2] = s, state.theta, theta_prime
@@ -375,10 +371,10 @@ class Simulator:
         qminus = np.abs(qminus)
         qminus /= self._weight_pow
         row[:, -2] = qminus.max(axis=1)
-        row[:, -1] = modulation_failed
+        row[:, -1] = state.no_root
         bound = self._bound_num / s**self._bound_pow
         ratios = np.abs(row[:, self._bound_at]) / bound
-        return (row[0], ratios[0]) if single else (row, ratios)
+        return row, ratios
 
     # -- stepping ----------------------------------------------------------------
 
@@ -389,7 +385,7 @@ class Simulator:
         # serves both ends; the product is numpy's scalar one, row by row,
         # which its vector loop can round differently in the last bit
         end = self.phi_grid(s_new)[-1]
-        bc = np.array([x * end for x in np.atleast_1d(e)]).reshape(np.shape(e))
+        bc = np.array([x * end for x in e])
         w_new = self.stepper.step(state.w, bc, bc)
         if not np.isfinite(w_new.view(float)).all():
             raise FloatingPointError(f"scheme blow-up at s = {s_new}")
@@ -423,9 +419,10 @@ class Simulator:
         cfg = self.config
         starts = [self.initial_state(spec) for spec in specs]
         k = len(starts)
-        state = SimState(w=np.stack([st.w for st in starts]), s=starts[0].s,
-                         theta=np.array([st.theta for st in starts], float),
-                         no_root=np.ones(k, dtype=bool))
+        state = SimState(w=np.concatenate([st.w for st in starts]),
+                         s=starts[0].s,
+                         theta=np.concatenate([st.theta for st in starts]),
+                         no_root=np.concatenate([st.no_root for st in starts]))
         self.stepper.reset_history()
         nsteps = int(round((cfg.s_end - cfg.s0) / cfg.ds))
         table = np.empty((k, nsteps + 1, len(self.columns)))
@@ -437,17 +434,15 @@ class Simulator:
         exit_at = np.zeros(k, dtype=int)   # step of each exit, 0 before it
         exit_by = np.zeros(k, dtype=int)   # the exit's component index
         final_w = [None] * k
-        converged = self.modulate(state)
-        table[:, 0], ratios[:, 0] = self.diagnose(
-            state, 0.0, False if converged else state.no_root)
+        self.modulate(state)
+        table[:, 0], ratios[:, 0] = self.diagnose(state, 0.0)
         waiting = False        # a run still in the block has exited
         for it in range(1, nsteps + 1):    # validate() ensures one step
             self.step(state)
-            converged = self.modulate(state)
+            self.modulate(state)
             span = min(it, 10)
             tp = (state.theta - theta[live, it - span]) / (span * cfg.ds)
-            row, rat = self.diagnose(state, tp,
-                                     False if converged else state.no_root)
+            row, rat = self.diagnose(state, tp)
             table[live, it], ratios[live, it] = row, rat
             over = rat > 1.0
             if over.any():
@@ -458,7 +453,7 @@ class Simulator:
             if waiting and stop_on_exit and it > exit_grace:
                 done = exit_at[runs] > 0
                 for j in np.flatnonzero(done):
-                    final_w[runs[j]] = state.w[j].copy()
+                    final_w[runs[j]] = state.w[j:j + 1].copy()
                 filled[runs[done]] = it + 1
                 keep = ~done
                 runs = live = runs[keep]
@@ -469,7 +464,7 @@ class Simulator:
                 if not len(runs):
                     break
         for j, r in enumerate(runs):
-            final_w[r] = state.w[j]
+            final_w[r] = state.w[j:j + 1]
         meta = {
             "scheme": cfg.scheme,
             "space_order": cfg.space_order,
@@ -491,16 +486,11 @@ class Simulator:
                 exit_component=self.bound_names[exit_by[r]] if hit else None,
             )
             end = SimState(w=final_w[r], s=float(hist["s"][-1]),
-                           theta=float(hist["theta"][-1]),
-                           no_root=bool(hist["modulation_failed"][-1]))
+                           theta=hist["theta"][-1:].copy(),
+                           no_root=hist["modulation_failed"][-1:] == 1.0)
             results.append(RunResult(history=hist, report=report,
                                      config_meta=dict(meta), state=end))
         return results
-
-
-def _rows(state: SimState):
-    """``state.w`` as (k, N) rows and ``state.theta`` as k values."""
-    return state.w.reshape(-1, state.w.shape[-1]), np.atleast_1d(state.theta)
 
 
 def s0_scaling_study(config: SimConfig, s0_values=(50.0, 100.0, 200.0),

@@ -53,6 +53,31 @@ class TestGainRule:
         assert (c["change_won"], c["base_won"]) == (1, 0)
 
 
+class TestPairedRatio:
+    def test_ratio_of_each_pair(self):
+        c = benchcmp.compare([(1.0, 2.0), (2.0, 3.0), (4.0, 4.0)], "lower")
+        assert c["ratio"] == benchcmp.side_stats([2.0, 1.5, 1.0])
+        assert benchcmp.compare([(0.0, 1.0)], "lower")["ratio"] is None
+
+    # per-pair ratio IQRs of the runs in BENCH_pr15_all.json, to 3 decimals
+    COMMITTED_RATIO_IQR = {
+        ("linear-modes", "wall_s"): 0.115,
+        ("linear-modes", "ops_per_s"): 0.120,
+        ("linear-modes", "setup_s"): 0.219,
+        ("sim-full", "wall_s"): 0.053,
+    }
+
+    def test_committed_runs_give_the_paired_spread(self):
+        report = json.loads((ROOT / "BENCH_pr15_all.json").read_text())
+        metrics = json.loads(
+            (ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+        for (workload, name), iqr in self.COMMITTED_RATIO_IQR.items():
+            runs = [r for r in report["runs"] if r["workload"] == workload]
+            ratio = benchcmp.summarize(runs, metrics)[name]["ratio"]
+            assert ratio["n"] == 8
+            assert round(ratio["iqr"], 3) == iqr, (workload, name)
+
+
 @pytest.mark.skipif(not has_head(), reason="needs a git checkout")
 def test_head_against_itself_claims_no_win(tmp_path):
     worktrees = subprocess.run(

@@ -120,6 +120,15 @@ class TestCancellations:
         ode = ode_coefficients(pm)
         assert ode.b2_root == pm.b2
 
+    def test_odd_cubic_root(self):
+        from cglblow.constants import _odd_cubic_root
+
+        # f(b) = -2 b + b^3 vanishes at b^2 = 2
+        assert _odd_cubic_root(F(-1), F(4), "cubic") == 2
+        # f(b) = 3 b has no cubic term to solve against
+        with pytest.raises(DomainError, match="^degenerate cubic$"):
+            _odd_cubic_root(F(3), F(6), "cubic")
+
     def test_kappa_homogeneity_guard(self):
         # a deliberately inhomogeneous sum must abort
         pm = derive_params(3, 1)

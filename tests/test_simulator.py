@@ -74,6 +74,12 @@ def small_config(pm, **kw):
     return SimConfig(**defaults)
 
 
+def one_row(w, s, theta):
+    """The field ``w`` at s as a one-row block, before any modulation."""
+    return SimState(w=w[None], s=s, theta=np.array([theta]),
+                    no_root=np.ones(1, dtype=bool))
+
+
 class TestStepper:
     def test_scheme_order(self):
         # global error ratios on the decaying eigenmode reference
@@ -269,9 +275,10 @@ class TestRunBlock:
             assert np.array_equal(got.report.ratios, want.report.ratios)
             assert got.report.exit_s == want.report.exit_s
             assert got.report.exit_component == want.report.exit_component
+            assert got.state.w.shape == (1, sim.config.N)
             assert np.array_equal(got.state.w, want.state.w)
-            assert (got.state.s, got.state.theta) == (want.state.s,
-                                                      want.state.theta)
+            assert got.state.s == want.state.s
+            assert np.array_equal(got.state.theta, want.state.theta)
         lengths = [len(r.history["s"]) for r in block]
         if stop_on_exit:
             # the exiting rows left the block before the others
@@ -286,9 +293,9 @@ class TestRunBlock:
         # has no root for any theta
         zero = InitialDataSpec(0.0, 0.5)
         start = sim.initial_state
-        monkeypatch.setattr(sim, "initial_state", lambda spec: SimState(
-            w=np.zeros(sim.config.N, dtype=complex), s=sim.config.s0,
-            theta=0.0) if spec is zero else start(spec))
+        monkeypatch.setattr(sim, "initial_state", lambda spec: one_row(
+            np.zeros(sim.config.N, dtype=complex), sim.config.s0, 0.0)
+            if spec is zero else start(spec))
         pair = InitialDataSpec(0.0, 0.0)
         ok, failed = sim.run_block([pair, zero], stop_on_exit=False)
         assert not ok.history["modulation_failed"].any()
@@ -299,14 +306,18 @@ class TestRunBlock:
             assert np.array_equal(ok.history[name], want.history[name])
 
     def test_modulate_marks_the_row_without_a_root(self, sim):
-        w = sim.initial_state(InitialDataSpec(0.0, 0.5)).w
-        single = SimState(w=w.copy(), s=sim.config.s0, theta=0.0)
+        w = sim.initial_state(InitialDataSpec(0.0, 0.5)).w[0]
+        single = one_row(w.copy(), sim.config.s0, 0.0)
         assert sim.modulate(single) is True
         block = SimState(w=np.stack([w, np.zeros_like(w)]), s=sim.config.s0,
-                         theta=np.array([0.0, 0.3]))
+                         theta=np.array([0.0, 0.3]),
+                         no_root=np.ones(2, dtype=bool))
         assert sim.modulate(block) is False
         assert list(block.no_root) == [False, True]
-        assert block.theta[0] == single.theta and block.theta[1] == 0.3
+        assert block.theta[0] == single.theta[0] and block.theta[1] == 0.3
+        # the diagnostics read the flag off the state
+        row, _ = sim.diagnose(block, 0.0)
+        assert list(row[:, sim.columns.index("modulation_failed")]) == [0, 1]
 
     def test_non_finite_row_raises(self, sim, monkeypatch):
         bad = InitialDataSpec(0.0, 0.5)
@@ -315,7 +326,7 @@ class TestRunBlock:
         def nan_row(spec):
             st = start(spec)
             if spec is bad:
-                st.w[len(st.w) // 2] = np.nan
+                st.w[0, sim.config.N // 2] = np.nan
             return st
 
         monkeypatch.setattr(sim, "initial_state", nan_row)
@@ -420,10 +431,10 @@ class TestSingleStep:
         cfg = small_config(pm, scheme="imex1")
         sim = Simulator(cfg)
         w = np.exp(1j * sim.Phi(cfg.s0, 0.0)) * sim.phi_grid(cfg.s0)
-        st = SimState(w=w, s=cfg.s0, theta=0.0)
+        st = one_row(w, cfg.s0, 0.0)
         sim.step(st)
         q = (
-            np.exp(-1j * sim.Phi(st.s, 0.0)) * st.w
+            np.exp(-1j * sim.Phi(st.s, 0.0)) * st.w[0]
             - sim.phi_grid(st.s)
         )
         rnorm = np.max(np.abs(rest_Rstar(sim.y, sim.fp, cfg.s0)))
@@ -475,25 +486,25 @@ class TestModulation:
         w = np.exp(1j * (sim.Phi(cfg.s0, theta_star))) * (
             sim.phi_grid(cfg.s0) + psi
         )
-        st = SimState(w=w, s=cfg.s0, theta=theta_prev)
+        st = one_row(w, cfg.s0, theta_prev)
         assert sim.modulate(st)
-        assert abs(st.theta - theta_star) < 1e-9
-        _, qn, _, _ = sim.project_q(st)
+        assert abs(st.theta[0] - theta_star) < 1e-9
+        _, (qn,), _, _ = sim.project_q(st)
         assert abs(qn[0]) < 1e-9
 
     def test_no_root_keeps_theta(self, pm):
         # w = 0: q_0 = -(unit coordinate of phi) for every theta
         cfg = small_config(pm)
         sim = Simulator(cfg)
-        st = SimState(w=np.zeros(cfg.N, dtype=complex), s=cfg.s0, theta=0.3)
+        st = one_row(np.zeros(cfg.N, dtype=complex), cfg.s0, 0.3)
         assert not sim.modulate(st)
-        assert st.theta == 0.3
+        assert st.theta[0] == 0.3
 
     def test_run_records_failed_modulation(self, pm, monkeypatch):
         cfg = small_config(pm, N=512, s_end=100.003)
         sim = Simulator(cfg)
-        monkeypatch.setattr(sim, "initial_state", lambda spec: SimState(
-            w=np.zeros(cfg.N, dtype=complex), s=cfg.s0, theta=0.0))
+        monkeypatch.setattr(sim, "initial_state", lambda spec: one_row(
+            np.zeros(cfg.N, dtype=complex), cfg.s0, 0.0))
         spec = InitialDataSpec(d0_tilde=0.0, d1_tilde=0.0)
         res = sim.run(spec, stop_on_exit=False)
         assert list(res.history["modulation_failed"]) == [1.0] * 4
@@ -514,8 +525,8 @@ class TestDiagnose:
         cfg = small_config(pm)
         sim = Simulator(cfg)
         w = np.exp(1j * sim.Phi(cfg.s0, 0.0)) * sim.phi_grid(cfg.s0)
-        st = SimState(w=w, s=cfg.s0, theta=0.0)
-        row, ratios = sim.diagnose(st, 0.0)
+        st = one_row(w, cfg.s0, 0.0)
+        (row,), (ratios,) = sim.diagnose(st, 0.0)
         record = dict(zip(sim.columns, row))
         assert abs(record["qt2"]) < 1e-12
         want = abs(sim.combos["At2"]) / cfg.s0 * cfg.s0**1.25 / cfg.A**10
@@ -529,7 +540,7 @@ class TestDiagnose:
         spec = InitialDataSpec(d0_tilde=0.2, d1_tilde=-0.1)
         st = sim.initial_state(spec)
         sim.modulate(st)
-        q, qn, qtn, qminus = sim.project_q(st)
+        (q,), (qn,), (qtn,), (qminus,) = sim.project_q(st)
         m = project_sampled(q, sim.y, sim.bf)
         assert np.max(np.abs(qn - m.q)) < 1e-12
         assert np.max(np.abs(qtn - m.q_tilde)) < 1e-12
@@ -541,7 +552,7 @@ class TestDiagnose:
         spec = InitialDataSpec(d0_tilde=0.0, d1_tilde=0.0)
         st = sim.initial_state(spec)
         sim.modulate(st)
-        row, _ = sim.diagnose(st, 0.0)
+        (row,), _ = sim.diagnose(st, 0.0)
         record = dict(zip(sim.columns, row))
         # Qt2 = qt2 - At2/s starts at the cutoff-truncation level
         assert abs(record["Qt2"]) < 1e-6
@@ -879,7 +890,7 @@ class TestNullModeDecayRate:
             sim.step(st)
             sim.modulate(st)
             if it % 50 == 0:
-                row, _ = sim.diagnose(st, 0.0)
+                (row,), _ = sim.diagnose(st, 0.0)
                 rec = dict(zip(sim.columns, row))
                 ss.append(rec["s"])
                 qq.append(rec["Qt2"])
