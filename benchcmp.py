@@ -16,8 +16,11 @@ The result is ``BENCH_<tag>.json``: every run, and per workload (over all
 seeds, and per seed) each metric's median and quartiles on both sides, the
 median and quartiles of the per-pair ratio change/base (a pair shares its
 seed, so the ratio drops the spread between seeds that do different work),
-the pairs each side won (ties count for neither side) and whether the change
-gains.  A gain needs at least ten pairs, the change winning at least nine
+the pairs each side won (ties count for neither side), a verdict against the
+metric's ``bound`` in ``BENCHMARK.json`` and whether the change gains.  The
+verdict is ``worse`` if the ratio median is worse than 1 by more than the
+bound, else ``unresolved`` if the ratio IQR exceeds the bound, else
+``within``.  A gain needs at least ten pairs, the change winning at least nine
 tenths of them, and medians further apart than the interquartile range of the
 base's runs.  The exit code is 0 only if every run's checks passed.
 """
@@ -102,15 +105,26 @@ def side_stats(values: list) -> dict:
             "iqr": q3 - q1}
 
 
-def compare(pairs: list, better: str) -> dict:
+def verdict(ratio: dict, better: str, bound: float) -> str:
+    """``worse``, ``unresolved`` or ``within``: the per-pair ``ratio``
+    stats of a metric judged against its relative ``bound``."""
+    med = ratio["median"]
+    if (med > 1.0 + bound) if better == "lower" else (med < 1.0 - bound):
+        return "worse"
+    return "unresolved" if ratio["iqr"] > bound else "within"
+
+
+def compare(pairs: list, better: str, bound: float) -> dict:
     """Both sides of one metric over ``pairs`` of (base, change) values,
-    and the per-pair ratio change/base (of the pairs with a nonzero base)."""
+    the per-pair ratio change/base (of the pairs with a nonzero base) and
+    its verdict against the metric's ``bound``."""
     sign = 1.0 if better == "higher" else -1.0
     won = sum(sign * (c - b) > 0 for b, c in pairs)
     lost = sum(sign * (c - b) < 0 for b, c in pairs)
     base = side_stats([b for b, _ in pairs])
     change = side_stats([c for _, c in pairs])
     ratios = [c / b for b, c in pairs if b]
+    ratio = side_stats(ratios) if ratios else None
     ahead = sign * (change["median"] - base["median"])
     gain = (len(pairs) >= MIN_PAIRS and won >= WIN_SHARE * len(pairs)
             and ahead > base["iqr"])
@@ -118,7 +132,8 @@ def compare(pairs: list, better: str) -> dict:
             "base_won": lost, "base": base, "change": change,
             "change_over_base": change["median"] / base["median"]
             if base["median"] else None,
-            "ratio": side_stats(ratios) if ratios else None, "gain": gain}
+            "ratio": ratio, "gain": gain,
+            "verdict": verdict(ratio, better, bound) if ratio else None}
 
 
 def summarize(runs: list, metrics: list) -> dict:
@@ -133,7 +148,7 @@ def summarize(runs: list, metrics: list) -> dict:
                   p["change"]["metrics"].get(m["name"])) for p in sides]
         pairs = [(b, c) for b, c in pairs if b is not None and c is not None]
         if pairs:
-            out[m["name"]] = compare(pairs, m["better"])
+            out[m["name"]] = compare(pairs, m["better"], m["bound"])
     if sides:
         out["cpu_s"] = {side: side_stats([p[side]["cpu_s"] for p in sides])
                         for side in ("base", "change")}
@@ -206,7 +221,8 @@ def main(argv=None) -> int:
             if name == "cpu_s":
                 continue
             ratio = (f"ratio {c['ratio']['median']:.4g} (IQR "
-                     f"{c['ratio']['iqr']:.3g})" if c["ratio"] else "no ratio")
+                     f"{c['ratio']['iqr']:.3g}) {c['verdict']}"
+                     if c["ratio"] else "no ratio")
             print(f"{workload} {name}: base {c['base']['median']:.6g} "
                   f"change {c['change']['median']:.6g} "
                   f"(base IQR {c['base']['iqr']:.3g}), {ratio}; change won "

@@ -69,8 +69,12 @@ def parse_config(path) -> dict:
     return cfg
 
 
-def _frac(s: str) -> Fraction:
-    return Fraction(s)
+def _frac(cfg: dict, key: str) -> Fraction:
+    """The config value ``key`` as a fraction; 1/0 is invalid input."""
+    try:
+        return Fraction(cfg[key])
+    except ZeroDivisionError:
+        raise ValueError(f"{key} = {cfg[key]}: zero denominator") from None
 
 
 def header_lines(cfg: dict, extra: dict = None) -> list:
@@ -94,8 +98,7 @@ def _scalar_json(v, kappa: float) -> dict:
 
 
 def _params_for(cfg) -> "ProfileParams":
-    pm = derive_params(_frac(cfg["p"]), _frac(cfg["delta"]))
-    return pm
+    return derive_params(_frac(cfg, "p"), _frac(cfg, "delta"))
 
 
 def cmd_constants(cfg, args) -> int:
@@ -152,7 +155,7 @@ def cmd_constants(cfg, args) -> int:
 def cmd_verify(cfg, args) -> int:
     from .verify import verification_report
 
-    checks = verification_report(_frac(cfg["p"]), _frac(cfg["delta"]))
+    checks = verification_report(_frac(cfg, "p"), _frac(cfg, "delta"))
     out = Path(cfg["output.dir"])
     out.mkdir(parents=True, exist_ok=True)
     path = out / "verify.txt"

@@ -20,18 +20,18 @@ ends) and the band's right part from it, and evaluates phi only on the
 band's left part, whose y are the mirrored ones up to rounding.
 
 A run's state is always a block: the fields of k runs on one s grid are
-the rows of one (k, N) array, with one theta and one modulation flag per
-row.  ``run_block`` advances such a block, ``run`` is its k = 1 case, and
-every helper (``modulate``, ``project_q``, ``diagnose``, ``step``) works
-on rows.  The s-only work of a step (phi on the band and on the grid, the
-boundary value, the cutoff chi) is done once for the block, the
-elementwise work on the whole block, and the BLAS products (the projector,
-the change of coordinates, the mode reconstruction) row by row, since a
-BLAS product can round a column differently at different batch widths.
-So each row equals the run of its pair alone, bit for bit, whatever block
-it is stepped in.  A row retires once it has exited and served its grace
-steps.  Shooting probes fan out over a process pool in
-:mod:`cglblow.shooting`, one block per worker.
+the rows of one (k, N) array, with one theta, one modulation flag and one
+Adams-Bashforth history per row.  ``run_block`` advances such a block,
+``run`` is its k = 1 case, and every helper (``modulate``, ``project_q``,
+``diagnose``, ``step``) works on rows.  The s-only work of a step (phi on
+the band and on the grid, the boundary value, the cutoff chi) is done once
+for the block, the elementwise work on the whole block, and the BLAS
+products (the projector, the change of coordinates, the mode
+reconstruction) row by row, since a BLAS product can round a column
+differently at different batch widths.  So each row equals the run of its
+pair alone, bit for bit, whatever block it is stepped in.  A row retires
+once it has exited and served its grace steps.  Shooting probes fan out
+over a process pool in :mod:`cglblow.shooting`, one block per worker.
 """
 
 from __future__ import annotations
@@ -107,12 +107,20 @@ class SimState:
     """A block of k runs: their fields w, shape (k, N), the common time s,
     and theta, shape (k,).  ``no_root``, shape (k,), marks the runs whose
     last modulation found no root (all of them until a modulation has
-    run)."""
+    run).  ``history``, shape (k, N), is imex2's last reaction term: None
+    before the first step, and always for imex1."""
 
     w: np.ndarray
     s: float
     theta: np.ndarray
     no_root: np.ndarray
+    history: Optional[np.ndarray] = None
+
+    def take(self, keep) -> "SimState":
+        """The rows ``keep`` selects (a boolean mask or indices)."""
+        return SimState(self.w[keep], self.s, self.theta[keep],
+                        self.no_root[keep],
+                        None if self.history is None else self.history[keep])
 
 
 @dataclass
@@ -135,7 +143,8 @@ class ShrinkReport:
 class RunResult:
     """A run: ``history`` maps each name of ``Simulator.columns``, in that
     order, to its column view of the run's one float table; ``state`` is
-    its last state, a one-row block."""
+    its last state, a one-row block without a history, so a step from it
+    starts the two-step scheme afresh."""
 
     history: dict
     report: ShrinkReport
@@ -386,11 +395,10 @@ class Simulator:
         # which its vector loop can round differently in the last bit
         end = self.phi_grid(s_new)[-1]
         bc = np.array([x * end for x in e])
-        w_new = self.stepper.step(state.w, bc, bc)
+        w_new, history = self.stepper.step(state.w, state.history, bc, bc)
         if not np.isfinite(w_new.view(float)).all():
             raise FloatingPointError(f"scheme blow-up at s = {s_new}")
-        state.w = w_new
-        state.s = s_new
+        state.w, state.s, state.history = w_new, s_new, history
         return state
 
     # -- the run loop --------------------------------------------------------------
@@ -423,7 +431,6 @@ class Simulator:
                          s=starts[0].s,
                          theta=np.concatenate([st.theta for st in starts]),
                          no_root=np.concatenate([st.no_root for st in starts]))
-        self.stepper.reset_history()
         nsteps = int(round((cfg.s_end - cfg.s0) / cfg.ds))
         table = np.empty((k, nsteps + 1, len(self.columns)))
         ratios = np.empty((k, nsteps + 1, len(self.bound_names)))
@@ -432,7 +439,6 @@ class Simulator:
         live = slice(None)     # their table rows: a slice until one leaves
         filled = np.full(k, nsteps + 1)    # table rows of each run
         exit_at = np.zeros(k, dtype=int)   # step of each exit, 0 before it
-        exit_by = np.zeros(k, dtype=int)   # the exit's component index
         final_w = [None] * k
         self.modulate(state)
         table[:, 0], ratios[:, 0] = self.diagnose(state, 0.0)
@@ -448,19 +454,15 @@ class Simulator:
             if over.any():
                 new = runs[over.any(axis=1) & (exit_at[runs] == 0)]
                 exit_at[new] = it
-                exit_by[new] = np.argmax(ratios[new, it], axis=1)
                 waiting = True
             if waiting and stop_on_exit and it > exit_grace:
                 done = exit_at[runs] > 0
                 for j in np.flatnonzero(done):
                     final_w[runs[j]] = state.w[j:j + 1].copy()
                 filled[runs[done]] = it + 1
-                keep = ~done
-                runs = live = runs[keep]
+                runs = live = runs[~done]
                 waiting = False
-                state.w, state.theta = state.w[keep], state.theta[keep]
-                state.no_root = state.no_root[keep]
-                self.stepper.keep_rows(keep)
+                state = state.take(~done)
                 if not len(runs):
                     break
         for j, r in enumerate(runs):
@@ -483,7 +485,8 @@ class Simulator:
                 s=hist["s"],
                 ratios=ratios[r, :filled[r]],
                 exit_s=float(hist["s"][exit_at[r]]) if hit else None,
-                exit_component=self.bound_names[exit_by[r]] if hit else None,
+                exit_component=self.bound_names[
+                    np.argmax(ratios[r, exit_at[r]])] if hit else None,
             )
             end = SimState(w=final_w[r], s=float(hist["s"][-1]),
                            theta=hist["theta"][-1:].copy(),
@@ -552,13 +555,13 @@ def linear_eigenmode_error(n: int, beta: float, L: float = 16.0,
     f_vals = np.polyval(fn[::-1], y)
     stp = Stepper(y, ds, beta, 3.0, 1.0, scheme=scheme,
                   space_order=space_order, reaction=False)
-    w = f_vals.astype(np.complex128)
+    w, prev = f_vals.astype(np.complex128), None
     s = 0.0
     nsteps = int(round(s_end / ds))
     for _ in range(nsteps):
         s += ds
         decay = np.exp(-0.5 * n * s)
-        w = stp.step(w, decay * f_vals[0], decay * f_vals[-1])
+        w, prev = stp.step(w, prev, decay * f_vals[0], decay * f_vals[-1])
     exact = np.exp(-0.5 * n * s_end) * f_vals
     mask = np.abs(y) <= eval_halfwidth
     rel = np.max(np.abs(w[mask] - exact[mask])) / np.max(np.abs(exact[mask]))

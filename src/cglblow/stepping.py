@@ -17,7 +17,9 @@ The kernels live in :mod:`cglblow._kernels_np`, which loads scipy's LAPACK
 extension file directly rather than importing scipy.linalg, whose package
 init costs a fresh process about 0.3 s and 28 MB; it falls back to
 ``scipy.linalg.lapack`` when the file cannot be loaded on its own.  Both
-routes give the same routines.
+routes give the same routines.  A ``Stepper`` is fixed once built: ``step``
+returns the Adams-Bashforth history (its reaction term) for the caller to
+pass back in.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ class Stepper:
     (Crank-Nicolson / Adams-Bashforth 2).  space_order: 2 or 4 (the
     4th-order Laplacian falls back to 2nd order one point from each
     boundary).  reaction=False drops every zeroth-order term, leaving the
-    pure drift-diffusion flow used by the linear-mode tests.
+    pure drift-diffusion flow of the linear-mode tests.  It serves any
+    number of fields; the caller keeps the history of each.
     """
 
     def __init__(self, y: np.ndarray, ds: float, beta: float, p: float,
@@ -53,7 +56,6 @@ class Stepper:
         self.scheme = scheme
         self.space_order = space_order
         self.reaction = reaction
-        self._prev_rhs = None
         self._op = self._operator()
         bands = self._bands()
         if space_order == 2:
@@ -113,23 +115,15 @@ class Stepper:
 
     # -- stepping ------------------------------------------------------------
 
-    def reset_history(self):
-        self._prev_rhs = None
-
-    def keep_rows(self, keep):
-        """Keep the Adams-Bashforth history of the rows ``keep`` selects
-        (a boolean mask or indices), as a block drops its retired runs."""
-        if self._prev_rhs is not None:
-            self._prev_rhs = self._prev_rhs[keep]
-
-    def step(self, w: np.ndarray, bc_left, bc_right) -> np.ndarray:
+    def step(self, w: np.ndarray, prev, bc_left, bc_right):
         """Advance the field w, shape (..., N), one ds.
 
-        The boundary values are for the new time level, one per row (or one
-        for all rows).
+        ``prev`` is the history the last step of these rows returned, None
+        on a first step; the boundary values are for the new time level, one
+        per row (or one for all rows).  Returns the new field and its
+        history: this step's reaction term for imex2, None for imex1.
         """
         w = np.ascontiguousarray(w, dtype=np.complex128)
-        prev = self._prev_rhs  # None for imex1 and on a first imex2 step
         if self.scheme == "imex1":
             half_ds, c_new, c_old = 0.0, self.ds, 0.0
         elif prev is None:
@@ -140,8 +134,7 @@ class Stepper:
             w, prev, self._op, self.p, self.delta, half_ds, c_new, c_old,
             self.reaction,
         )
-        if self.scheme == "imex2":
-            self._prev_rhs = react
         rhs[..., 0] = bc_left
         rhs[..., -1] = bc_right
-        return self._solve(self._fact, rhs.T).T
+        history = react if self.scheme == "imex2" else None
+        return self._solve(self._fact, rhs.T).T, history

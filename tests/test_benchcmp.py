@@ -26,38 +26,40 @@ def has_head() -> bool:
 class TestGainRule:
     def test_ten_clear_wins_gain(self):
         pairs = [(100.0 + i, 150.0 + i) for i in range(10)]
-        c = benchcmp.compare(pairs, "higher")
+        c = benchcmp.compare(pairs, "higher", 0.25)
         assert c["gain"] and c["change_won"] == 10 and c["base_won"] == 0
 
     def test_lower_is_better(self):
         pairs = [(2.0 + 0.01 * i, 1.0) for i in range(10)]
-        assert benchcmp.compare(pairs, "lower")["gain"]
-        assert not benchcmp.compare(pairs, "higher")["gain"]
+        assert benchcmp.compare(pairs, "lower", 0.25)["gain"]
+        assert not benchcmp.compare(pairs, "higher", 0.25)["gain"]
 
     def test_fewer_than_ten_pairs_never_gain(self):
         pairs = [(100.0, 200.0)] * 9
-        assert not benchcmp.compare(pairs, "higher")["gain"]
+        assert not benchcmp.compare(pairs, "higher", 0.25)["gain"]
 
     def test_two_losses_in_ten_do_not_gain(self):
         pairs = [(100.0, 150.0)] * 8 + [(150.0, 100.0)] * 2
-        assert not benchcmp.compare(pairs, "higher")["gain"]
+        assert not benchcmp.compare(pairs, "higher", 0.25)["gain"]
 
     def test_gap_within_the_base_spread_does_not_gain(self):
         # the change wins every pair, by less than the base's IQR
         pairs = [(100.0 + 10 * i, 101.0 + 10 * i) for i in range(10)]
-        c = benchcmp.compare(pairs, "higher")
+        c = benchcmp.compare(pairs, "higher", 0.25)
         assert c["change_won"] == 10 and not c["gain"]
 
     def test_ties_count_for_neither_side(self):
-        c = benchcmp.compare([(1.0, 1.0), (1.0, 2.0)], "higher")
+        c = benchcmp.compare([(1.0, 1.0), (1.0, 2.0)], "higher", 0.25)
         assert (c["change_won"], c["base_won"]) == (1, 0)
 
 
 class TestPairedRatio:
     def test_ratio_of_each_pair(self):
-        c = benchcmp.compare([(1.0, 2.0), (2.0, 3.0), (4.0, 4.0)], "lower")
+        c = benchcmp.compare([(1.0, 2.0), (2.0, 3.0), (4.0, 4.0)], "lower",
+                             0.25)
         assert c["ratio"] == benchcmp.side_stats([2.0, 1.5, 1.0])
-        assert benchcmp.compare([(0.0, 1.0)], "lower")["ratio"] is None
+        none = benchcmp.compare([(0.0, 1.0)], "lower", 0.25)
+        assert none["ratio"] is None and none["verdict"] is None
 
     # per-pair ratio IQRs of the runs in BENCH_pr15_all.json, to 3 decimals
     COMMITTED_RATIO_IQR = {
@@ -76,6 +78,43 @@ class TestPairedRatio:
             ratio = benchcmp.summarize(runs, metrics)[name]["ratio"]
             assert ratio["n"] == 8
             assert round(ratio["iqr"], 3) == iqr, (workload, name)
+
+
+class TestVerdict:
+    @pytest.mark.parametrize("better, change, verdict", [
+        # ratio medians 1.3 and 0.7: worse than 1 by more than the bound
+        ("lower", 1.3, "worse"), ("higher", 0.7, "worse"),
+        # the same medians on the better side, and medians inside the bound
+        ("higher", 1.3, "within"), ("lower", 0.7, "within"),
+        ("lower", 1.2, "within"), ("higher", 0.8, "within"),
+    ])
+    def test_median_against_the_bound(self, better, change, verdict):
+        pairs = [(1.0, change)] * 10
+        assert benchcmp.compare(pairs, better, 0.25)["verdict"] == verdict
+
+    def test_wide_ratio_spread_is_unresolved(self):
+        # ratio median 1, IQR 0.5: not worse, but wider than the bound
+        pairs = [(1.0, 0.75), (1.0, 0.75), (1.0, 1.0), (1.0, 1.25),
+                 (1.0, 1.25)]
+        c = benchcmp.compare(pairs, "lower", 0.25)
+        assert c["ratio"]["median"] == 1.0 and c["ratio"]["iqr"] == 0.5
+        assert c["verdict"] == "unresolved"
+        # a worse median outranks the spread
+        worse = [(b, 1.5 * c) for b, c in pairs]
+        assert benchcmp.compare(worse, "lower", 0.25)["verdict"] == "worse"
+
+    def test_committed_runs_are_within_their_bounds(self):
+        report = json.loads((ROOT / "BENCH_pr15_all.json").read_text())
+        metrics = json.loads(
+            (ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+        verdicts = {}
+        for workload in sorted({r["workload"] for r in report["runs"]}):
+            runs = [r for r in report["runs"] if r["workload"] == workload]
+            summary = benchcmp.summarize(runs, metrics)
+            for m in metrics:
+                verdicts[workload, m["name"]] = summary[m["name"]]["verdict"]
+        assert len(verdicts) == 16
+        assert set(verdicts.values()) == {"within"}, verdicts
 
 
 @pytest.mark.skipif(not has_head(), reason="needs a git checkout")

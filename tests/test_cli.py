@@ -45,7 +45,7 @@ class TestExitCodes:
         "ds = 0", "ds = -1e-3", "s_end = 100", "s_end = 99",
         "s_end = 100.0001", "s_end = inf", "grid.N = 2",
         "A = -20", "A = 0", "K = 0.5", "s0 = 1", "grid.L = nan",
-        "grid.L = inf",
+        "grid.L = inf", "p = 3/0", "delta = 1/0",
     ])
     def test_bad_step_config_is_2(self, tmp_path, capsys, bad):
         path = write_cfg(tmp_path, f"{bad}\noutput.dir = {tmp_path / 'o'}\n")

@@ -104,7 +104,7 @@ class TestStepper:
         for _ in range(20):
             w = rng.uniform(-1, 1, len(y)) + 1j * rng.uniform(-1, 1, len(y))
             w[0] = w[-1] = 0.0
-            out = stp.step(w, 0.0, 0.0)
+            out, _ = stp.step(w, None, 0.0, 0.0)
             assert np.max(np.abs(out)) <= np.max(np.abs(w)) * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("space_order", [2, 4])
@@ -121,9 +121,10 @@ class TestStepper:
         nb, bands = space_order // 2, ref._bands()
         ref._solve = lambda fact, rhs: solve_banded((nb, nb), bands, rhs)
         w = w_ref = w0
+        prev = prev_ref = None
         for _ in range(50):
-            w = stp.step(w, 0.1, -0.2j)
-            w_ref = ref.step(w_ref, 0.1, -0.2j)
+            w, prev = stp.step(w, prev, 0.1, -0.2j)
+            w_ref, prev_ref = ref.step(w_ref, prev_ref, 0.1, -0.2j)
         assert np.max(np.abs(w - w_ref)) < 1e-12
 
     @pytest.mark.parametrize("space_order", [2, 4])
@@ -198,8 +199,9 @@ class TestStepper:
         )
         stp = Stepper(y, 1e-3, 0.5, p, 1.0, scheme=scheme,
                       space_order=space_order, reaction=reaction)
+        prev = None
         for _ in range(3):
-            w = stp.step(w, 0.1, -0.2j)
+            w, prev = stp.step(w, prev, 0.1, -0.2j)
         assert len(diffs) == 3 and max(diffs) <= 1e-15
 
     @pytest.mark.parametrize("factor, rows", [
@@ -228,23 +230,22 @@ class TestBlockStepping:
             1.0 + 0.1 * rng.standard_normal((k, len(y)))
             + 0.1j * rng.standard_normal((k, len(y))))
 
-        def stepper():
-            return Stepper(y, 1e-3, 0.5, 3.0, 1.0, scheme=scheme,
-                           space_order=space_order)
-
-        block, singles = stepper(), [stepper() for _ in range(k)]
-        alone = list(w)
+        # one Stepper steps the block and every row alone
+        stp = Stepper(y, 1e-3, 0.5, 3.0, 1.0, scheme=scheme,
+                      space_order=space_order)
+        alone, alone_prev, prev = list(w), [None] * k, None
         rows = np.arange(k)
         for it in range(6):  # AB2 history on both sides of the drop
             bc = 0.1 * (rows + 1) - 0.2j
-            w = block.step(w, bc, -bc)
+            w, prev = stp.step(w, prev, bc, -bc)
             for j, r in enumerate(rows):
-                alone[r] = singles[r].step(alone[r], bc[j], -bc[j])
+                alone[r], alone_prev[r] = stp.step(alone[r], alone_prev[r],
+                                                   bc[j], -bc[j])
                 assert np.array_equal(w[j], alone[r]), (it, r)
             if it == 2:
                 keep = rows != 1
                 rows, w = rows[keep], w[keep]
-                block.keep_rows(keep)
+                prev = None if prev is None else prev[keep]
         assert w.shape == (k - 1, len(y)) and w.flags.c_contiguous
 
 
@@ -287,6 +288,23 @@ class TestRunBlock:
         else:
             assert lengths == [31] * len(specs)
         assert block[0].report.exit_s == 100.001
+
+    def test_step_after_runs_equals_a_fresh_step(self, pm):
+        # the two-step history is the state's, so runs of other pairs, one
+        # alone or three in a block, leave nothing behind for a new state
+        cfg = small_config(pm, N=1024, s_end=100.03)
+
+        def first_step(sim):
+            st = sim.initial_state(InitialDataSpec(0.0, 0.0))
+            sim.modulate(st)
+            return sim.step(st).w
+
+        want = first_step(Simulator(cfg))
+        used = Simulator(cfg)
+        used.run(InitialDataSpec(0.0, 0.5))
+        assert np.array_equal(first_step(used), want)
+        used.run_block([InitialDataSpec(*d) for d in self.PAIRS[1:4]])
+        assert np.array_equal(first_step(used), want)
 
     def test_no_root_row_fails_alone(self, sim, monkeypatch):
         # row 1 starts at w = 0, where q_0 = -(unit coordinate of phi)
@@ -363,7 +381,8 @@ class TestLapackLoader:
             y = np.linspace(-10, 10, 201)
             for order in (2, 4):
                 stp = Stepper(y, 1e-3, 0.5, 3.0, 1.0, space_order=order)
-                w = stp.step(np.exp(-y**2).astype(complex), 0.1, -0.2j)
+                w, _ = stp.step(np.exp(-y**2).astype(complex), None, 0.1,
+                                -0.2j)
                 assert np.all(np.isfinite(w))
             assert "scipy.linalg" not in sys.modules
         """
@@ -440,6 +459,26 @@ class TestSingleStep:
         rnorm = np.max(np.abs(rest_Rstar(sim.y, sim.fp, cfg.s0)))
         dq = np.max(np.abs(q))
         assert 0.2 * cfg.ds * rnorm < dq < 5.0 * cfg.ds * rnorm
+
+    @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
+    def test_state_keeps_the_reaction_term(self, pm, scheme):
+        # an imex2 step leaves its reaction term in the state, and the next
+        # step reads it; imex1 keeps no history
+        cfg = small_config(pm, N=1024, scheme=scheme)
+        sim = Simulator(cfg)
+        st = sim.initial_state(InitialDataSpec(0.0, 0.5))
+        w0 = st.w
+        sim.step(st)
+        if scheme == "imex1":
+            assert st.history is None
+        else:
+            _, react = KERNELS.cn_rhs(w0, None, sim.stepper._op, sim.fp.p,
+                                      sim.fp.delta, 0.5 * cfg.ds, cfg.ds,
+                                      0.0, True)
+            assert np.array_equal(st.history, react)
+            restart = SimState(st.w.copy(), st.s, st.theta.copy(),
+                               st.no_root.copy())
+            assert not np.array_equal(sim.step(st).w, sim.step(restart).w)
 
 
 class TestProfileOnTheGrid:
