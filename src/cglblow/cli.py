@@ -32,7 +32,7 @@ from .constants import (
     ode_coefficients,
     shrink_combo_constants,
 )
-from .exact import format_poly, to_complex
+from .exact import format_poly, is_zero, to_complex
 
 CONFIG_KEYS = {
     "p": "3",
@@ -131,7 +131,9 @@ def cmd_constants(cfg, args) -> int:
             "Htilde1_selfconsistent": _scalar_json(ode.Htilde1_selfconsistent, kap),
             "Htilde2": _scalar_json(ode.Htilde2, kap),
             "b2_root": str(ode.b2_root),
-            "cancellations_zero": True,
+            "cancellations_zero": all(is_zero(c) for c in (
+                ode.coef_1_over_s, ode.coef_q2_over_sqrt_s, ode.coef_q2sq,
+                ode.coef_s32)),
         },
         "shrink_combos": {
             k: v for k, v in combos.float_map(kap).items()

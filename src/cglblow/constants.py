@@ -200,10 +200,10 @@ def _profile_series(params, tmax: int):
     return w, g, gc, t, fmod, gpow
 
 
-def potential_series(params, tmax: int = 2):
-    """V1, V2 as truncated (t, y) series; exact, per the definitions."""
+def potential_series(params):
+    """V1, V2 as (t, y) series to t-order 2; exact, per the definitions."""
     p, delta = params.p, params.delta
-    w, g, gc, t, fmod, gpow = _profile_series(params, tmax)
+    w, g, gc, t, fmod, gpow = _profile_series(params, 2)
     u = fmod - 1
     cd = GaussComplex(1, delta)
     ah = _a_hat(params)
@@ -223,7 +223,6 @@ class WTables:
     W12: Poly
     W21: Poly
     W22: Poly
-    transcribed: dict
     matches: dict
 
 
@@ -282,28 +281,28 @@ def potential_polys(params) -> WTables:
     matches["W22_printed"] = reg["W22"] == tr["W22"]
     return WTables(
         W11=reg["W11"], W12=reg["W12"], W21=reg["W21"], W22=reg["W22"],
-        transcribed=tr, matches=matches,
+        matches=matches,
     )
 
 
-def rest_series(params, mu: ExtScalar, tmax: int = 4):
+def rest_series(params, mu: ExtScalar):
     """The rest term (per unit kappa) and the phase-derivative multiplier.
 
     Returns (rstar_hat, theta_hat): R* = kappa * rstar_hat + theta'(s) *
-    kappa * theta_hat with t = s^(-1/2), exactly to t-order tmax.  The
+    kappa * theta_hat with t = s^(-1/2), exactly to t-order 4.  The
     phase mu log s enters exactly as theta' does, through mu/s: rstar_hat
     is affine in mu with slope t^2 * theta_hat.  :func:`rest_expansion`
     uses that; this direct form at one mu is the second route.
     """
     p, delta, beta = params.p, params.delta, params.beta
-    w, g, gc, t, fmod, gpow = _profile_series(params, tmax)
+    w, g, gc, t, fmod, gpow = _profile_series(params, 4)
     gam1 = _gamma1(params)
     cd = GaussComplex(1, delta)
     cb = GaussComplex(1, beta)
     ci = GaussComplex(0, 1)
     ah = _a_hat(params)
     bq = params.b * (1 / (p - 1))
-    zsq = TSeries.term(params.ext(1), 1, 2, tmax)
+    zsq = TSeries.term(params.ext(1), 1, 2, 4)
 
     z_dz_g = (2 * gam1 * bq) * (zsq * gpow(gam1 - 1))
     g_zz = (2 * gam1 * bq) * gpow(gam1 - 1) + (
@@ -355,15 +354,8 @@ class RestTables:
         )
 
 
-def _graded_poly(p: Poly, grade: int, params=None) -> Poly:
-    def lift(c):
-        if isinstance(c, KappaGraded):
-            return c
-        if not isinstance(c, ExtScalar):
-            c = params.ext(c)
-        return KappaGraded(c, grade)
-
-    return Poly([lift(c) for c in p.coeffs], p.var)
+def _graded_poly(p: Poly, grade: int, params) -> Poly:
+    return Poly([KappaGraded(params.ext(c), grade) for c in p.coeffs])
 
 
 def _rest_modes(params, basis: BasisTable, rstar) -> tuple:
@@ -761,13 +753,6 @@ class _Assembly:
         self.mu_target = self.combos.At2 * (self.Htilde1 + 1) + self.Htilde2
 
 
-def to_ext(k: KappaGraded, params) -> ExtScalar:
-    """Strip a grade-0 graded scalar back to the extension field."""
-    if k.grade != 0 and not k.is_zero():
-        raise MixedKappaGrade("expected kappa-grade 0")
-    return k.value if isinstance(k.value, ExtScalar) else params.ext(k.value)
-
-
 def _odd_cubic_root(f1, f2, what: str) -> Fraction:
     """The root -alpha/gamma of alpha + gamma b^2, for the odd cubic
     f(b) = alpha b + gamma b^3 with f(1) = f1 and f(2) = f2; a zero gamma
@@ -789,7 +774,7 @@ def _b2_root_from_s32(params, basis) -> Fraction:
     for bval in (F(1), F(2)):
         pm2 = _params_with_rational_b(params, bval)
         asm = _Assembly(pm2, basis, pm2.ext(0))
-        v = to_ext(KappaGraded(asm.coef_s32.value, 0), pm2)
+        v = asm.coef_s32.value
         if not is_zero(v.c1) or not is_zero(imag_part(v)):
             raise AssertionError("s^(-3/2) coefficient not a real rational")
         vals[bval] = v.c0.re

@@ -21,9 +21,10 @@ verify.  ``kappa`` is never evaluated: products add grades, and sums demand
 equal grades, so any inhomogeneous formula raises instead of silently mixing
 scales.  Addition with an exact zero is grade-agnostic.
 
-``Poly`` is a univariate polynomial with coefficients from any level of the
-tower (they are promoted on contact); it also accepts Python complex for the
-float pipeline.
+``Poly`` is a polynomial in the real variable y with coefficients from any
+level of the tower (they are promoted on contact).  Nothing here takes
+Python complex or float in; float values leave the tower through
+``to_complex`` and ``Poly.to_complex_coeffs``.
 """
 
 from __future__ import annotations
@@ -320,10 +321,6 @@ class ExtScalar:
     def __init__(self, c0, c1=0, modulus: RationalLike = None):
         if modulus is None:
             raise KindMismatch("ExtScalar requires an explicit modulus")
-        if isinstance(c0, ExtScalar):
-            if not is_zero(c0.c1):
-                raise KindMismatch("nested ExtScalar with a B-part")
-            c0 = c0.c0
         object.__setattr__(self, "c0", _gc(c0))
         object.__setattr__(self, "c1", _gc(c1))
         object.__setattr__(self, "modulus", _as_fraction(modulus))
@@ -657,28 +654,22 @@ def kappa_unit(modulus: RationalLike) -> KappaGraded:
 
 
 def conj(x):
-    """Complex conjugate across the tower (and plain complex)."""
+    """Complex conjugate across the tower."""
     if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, (GaussComplex, ExtScalar, KappaGraded)):
-        return x.conj()
-    return x.conjugate()
+    return x.conj()
 
 
 def real_part(x):
     if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, (GaussComplex, ExtScalar, KappaGraded)):
-        return x.real_part()
-    return complex(x).real
+    return x.real_part()
 
 
 def imag_part(x):
     if isinstance(x, (int, Fraction)):
         return 0 * x
-    if isinstance(x, (GaussComplex, ExtScalar, KappaGraded)):
-        return x.imag_part()
-    return complex(x).imag
+    return x.imag_part()
 
 
 def is_zero(x) -> bool:
@@ -693,8 +684,6 @@ def to_complex(x, kappa: float = None) -> complex:
         if x.grade != 0 and not x.is_zero() and kappa is None:
             raise KindMismatch("graded scalar needs a kappa value")
         return x.to_complex(1.0 if kappa is None else kappa)
-    if isinstance(x, (GaussComplex, ExtScalar)):
-        return complex(x)
     return complex(x)
 
 
@@ -704,31 +693,30 @@ def to_complex(x, kappa: float = None) -> complex:
 
 
 class Poly:
-    """Univariate polynomial; coefficients from the exact tower or complex.
+    """Univariate polynomial in y; coefficients from the exact tower.
 
-    Coefficient index = power of the variable.  Trailing zeros are trimmed,
-    so ``degree`` is len-1 for nonzero polynomials and -1 for the zero one.
+    Coefficient index = power of y.  Trailing zeros are trimmed, so
+    ``degree`` is len-1 for nonzero polynomials and -1 for the zero one.
     """
 
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Sequence, var: str = "y"):
+    def __init__(self, coeffs: Sequence):
         cs = list(coeffs)
         while cs and is_zero(cs[-1]):
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "var", var)
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
 
     @classmethod
-    def zero(cls, var: str = "y") -> "Poly":
-        return cls([], var)
+    def zero(cls) -> "Poly":
+        return cls([])
 
     @classmethod
-    def monomial(cls, k: int, coeff=1, var: str = "y") -> "Poly":
-        return cls([0] * k + [coeff], var)
+    def monomial(cls, k: int, coeff) -> "Poly":
+        return cls([0] * k + [coeff])
 
     @property
     def degree(self) -> int:
@@ -743,19 +731,17 @@ class Poly:
         return 0
 
     def __add__(self, other):
-        o = other if isinstance(other, Poly) else Poly([other], self.var)
+        o = other if isinstance(other, Poly) else Poly([other])
         n = max(len(self.coeffs), len(o.coeffs))
-        return Poly(
-            [self.coeff(k) + o.coeff(k) for k in range(n)], self.var
-        )
+        return Poly([self.coeff(k) + o.coeff(k) for k in range(n)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs], self.var)
+        return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        o = other if isinstance(other, Poly) else Poly([other], self.var)
+        o = other if isinstance(other, Poly) else Poly([other])
         return self + (-o)
 
     def __rsub__(self, other):
@@ -763,17 +749,17 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            return Poly([c * other for c in self.coeffs], self.var)
+            return Poly([c * other for c in self.coeffs])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
         for i, a in enumerate(self.coeffs):
             if is_zero(a):
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return Poly(out, self.var)
+        return Poly(out)
 
     def __rmul__(self, other):
-        return Poly([other * c for c in self.coeffs], self.var)
+        return Poly([other * c for c in self.coeffs])
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -788,9 +774,7 @@ class Poly:
         return hash(self.coeffs)
 
     def deriv(self) -> "Poly":
-        return Poly(
-            [k * c for k, c in enumerate(self.coeffs)][1:], self.var
-        )
+        return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def eval(self, y0):
         acc = 0
@@ -799,20 +783,20 @@ class Poly:
         return acc
 
     def conj(self) -> "Poly":
-        # The variable is real, so conjugation acts on coefficients only.
-        return Poly([conj(c) for c in self.coeffs], self.var)
+        # y is real, so conjugation acts on coefficients only.
+        return Poly([conj(c) for c in self.coeffs])
 
     def real_part(self) -> "Poly":
-        return Poly([real_part(c) for c in self.coeffs], self.var)
+        return Poly([real_part(c) for c in self.coeffs])
 
-    def to_complex_coeffs(self, kappa: float = None) -> list:
-        return [to_complex(c, kappa) for c in self.coeffs]
+    def to_complex_coeffs(self) -> list:
+        return [to_complex(c) for c in self.coeffs]
 
     def __reduce__(self):
-        return (Poly, (list(self.coeffs), self.var))
+        return (Poly, (list(self.coeffs),))
 
     def __repr__(self):
-        return f"Poly({list(self.coeffs)!r}, var={self.var!r})"
+        return f"Poly({list(self.coeffs)!r})"
 
     def __str__(self):
         return format_poly(self)
@@ -864,7 +848,7 @@ def format_poly(p: Poly) -> str:
     for k, c in enumerate(p.coeffs):
         if is_zero(c):
             continue
-        terms.append(f"[{format_scalar(c)}] * {p.var}^{k}")
+        terms.append(f"[{format_scalar(c)}] * y^{k}")
     return " + ".join(terms)
 
 
@@ -903,20 +887,20 @@ def parse_scalar(s: str, modulus: Fraction = None):
     return KappaGraded(ext, int(grade))
 
 
-def parse_poly(s: str, modulus: Fraction = None, var: str = "y") -> Poly:
+def parse_poly(s: str, modulus: Fraction = None) -> Poly:
     s = s.strip()
     if s == "0":
-        return Poly.zero(var)
+        return Poly.zero()
     coeffs: dict[int, object] = {}
     for term in s.split(" + ["):
         term = term.strip()
         if term.startswith("["):
             term = term[1:]
-        body, _, power = term.rpartition(f"* {var}^")
+        body, _, power = term.rpartition("* y^")
         body = body.strip()
         if not body.endswith("]"):
             raise ValueError(f"bad poly term: {term!r}")
         k = int(power)
         coeffs[k] = parse_scalar(body[:-1], modulus=modulus)
     n = max(coeffs) + 1
-    return Poly([coeffs.get(k, 0) for k in range(n)], var)
+    return Poly([coeffs.get(k, 0) for k in range(n)])

@@ -3,7 +3,9 @@
 Used to regenerate the slow-time expansions of the potential and rest
 terms: t plays the role of the inverse square root of the self-similar
 time, y is the space variable, and everything beyond a fixed t-order is
-discarded.  Coefficients live in the exact tower of :mod:`cglblow.exact`.
+discarded (t-order 2 for the potential, 4 for the rest term).
+Coefficients live in the exact tower of :mod:`cglblow.exact`, and
+``t_coefficient`` reads one t-order back as a :class:`Poly` in y.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ class TSeries:
 
         return TSeries({k: conj(v) for k, v in self.terms.items()}, self.tmax)
 
-    def t_coefficient(self, jt: int, var: str = "y") -> Poly:
+    def t_coefficient(self, jt: int) -> Poly:
         """The y-polynomial multiplying t**jt."""
         if jt > self.tmax:
             raise ValueError("beyond truncation order")
@@ -105,7 +107,7 @@ class TSeries:
         for (kt, jy), v in self.terms.items():
             if kt == jt:
                 coeffs[jy] = coeffs[jy] + v
-        return Poly(coeffs, var)
+        return Poly(coeffs)
 
     def __repr__(self):
         keys = sorted(self.terms)

@@ -179,21 +179,12 @@ def _scan(sim: Simulator, pairs, workers: int, *, pool) -> list:
     return [pr for done in pool.map(_run_probe, blocks) for pr in done]
 
 
-QUADRANTS = {(-1, -1), (-1, 1), (1, -1), (1, 1)}
-
-
-def _quadrant(pr: ProbeResult):
-    s0 = 1 if pr.phi0 >= 0 else -1
-    s1 = 1 if pr.phi1 >= 0 else -1
-    return (s0, s1)
-
-
 def _first_quadrant_cell(probes: dict, cells):
     """The first cell (i0, i1, j0, j1) whose corner probes cover all four
-    sign quadrants, or None."""
+    strict sign quadrants (see ``exit_sign_pattern``), or None."""
     for i0, i1, j0, j1 in cells:
         four = [probes[i, j] for i in (i0, i1) for j in (j0, j1)]
-        if {_quadrant(p) for p in four} == QUADRANTS:
+        if exit_sign_pattern(four) == {(-1, -1), (-1, 1), (1, -1), (1, 1)}:
             return i0, i1, j0, j1
     return None
 

@@ -537,13 +537,12 @@ def final_profile(x, params: ProfileParams) -> complex:
 def linear_eigenmode_error(n: int, beta: float, L: float = 16.0,
                            dy: float = 0.01, ds: float = 1e-4,
                            s_end: float = 1.0, scheme: str = "imex2",
-                           space_order: int = 4, eval_halfwidth: float = 5.0,
-                           kernel_check: bool = False):
+                           space_order: int = 4, kernel_check: bool = False):
     """Evolve f_n under the pure drift-diffusion flow and compare decays.
 
-    Returns (relative error against exp(-n s/2) f_n on |y| <= halfwidth,
-    kernel-quadrature mismatch or None).  Boundary values are pinned to the
-    exact decaying eigenmode.
+    Returns (relative error against exp(-n s/2) f_n on |y| <= 5, kernel-
+    quadrature mismatch or None).  Boundary values are pinned to the exact
+    decaying eigenmode.
     """
     from .spectral import hermite_f, semigroup_apply
     from fractions import Fraction
@@ -563,7 +562,7 @@ def linear_eigenmode_error(n: int, beta: float, L: float = 16.0,
         decay = np.exp(-0.5 * n * s)
         w, prev = stp.step(w, prev, decay * f_vals[0], decay * f_vals[-1])
     exact = np.exp(-0.5 * n * s_end) * f_vals
-    mask = np.abs(y) <= eval_halfwidth
+    mask = np.abs(y) <= 5.0
     rel = np.max(np.abs(w[mask] - exact[mask])) / np.max(np.abs(exact[mask]))
     kerr = None
     if kernel_check:

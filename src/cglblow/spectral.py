@@ -263,7 +263,7 @@ class BasisTable:
         (zero whenever deg P <= M).
         """
         Q = self._f_expand_gc(p)
-        rem = Poly.zero(p.var)
+        rem = Poly.zero()
         for n in range(self.M + 1, len(Q)):
             if not is_zero(Q[n]):
                 rem = rem + Q[n] * hermite_f(n, self.beta)

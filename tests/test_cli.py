@@ -169,6 +169,31 @@ class TestOutputs:
         assert data["params"]["b2"] == "1/63"
         assert data["ode"]["Htilde1_closed"] == "-379/252"
         assert data["params"]["mu_selfconsistent"]["exact"].startswith("-124/1323")
+        assert data["ode"]["cancellations_zero"] is True
+
+    @pytest.mark.parametrize("field", [
+        "coef_1_over_s", "coef_q2_over_sqrt_s", "coef_q2sq", "coef_s32",
+    ])
+    def test_cancellations_zero_reads_the_coefficients(self, tmp_path,
+                                                       monkeypatch, field):
+        # one nonzero cancellation coefficient turns the flag false
+        from dataclasses import replace
+
+        import cglblow.cli as cli
+        from cglblow.exact import KappaGraded
+
+        real = cli.ode_coefficients
+
+        def one_nonzero(pm):
+            ode = real(pm)
+            one = KappaGraded(pm.ext(1), getattr(ode, field).grade)
+            return replace(ode, **{field: one})
+
+        monkeypatch.setattr(cli, "ode_coefficients", one_nonzero)
+        path = write_cfg(tmp_path, f"output.dir = {tmp_path / 'o'}\n")
+        assert main(["constants", "--config", path]) == 0
+        data = json.loads((tmp_path / "o" / "constants.json").read_text())
+        assert data["ode"]["cancellations_zero"] is False
 
     def test_basis_golden_roundtrip(self, cfgfile):
         path, out = cfgfile

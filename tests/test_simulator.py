@@ -481,6 +481,22 @@ class TestSingleStep:
             assert not np.array_equal(sim.step(st).w, sim.step(restart).w)
 
 
+@pytest.mark.parametrize("scheme, ratio", [("imex1", 2.0), ("imex2", 4.0)])
+def test_nonlinear_time_order(pm, scheme, ratio):
+    # self-convergence of the full run (reaction, modulation, boundary
+    # phase) in ds: the differences of successive halvings shrink by 2^order
+    ends = []
+    for ds in (1e-3, 5e-4, 2.5e-4):
+        cfg = small_config(pm, N=1024, ds=ds, s_end=100.05, scheme=scheme)
+        res = Simulator(cfg).run(InitialDataSpec(0.5, 0.5), stop_on_exit=False)
+        ends.append((res.state.w[0], res.history["Qt0"][-1]))
+    (w1, q1), (w2, q2), (w3, q3) = ends
+    dw = np.max(np.abs(w1 - w2)) / np.max(np.abs(w2 - w3))
+    dq = abs(q1 - q2) / abs(q2 - q3)
+    assert 0.9 * ratio < dw < 1.1 * ratio
+    assert 0.9 * ratio < dq < 1.1 * ratio
+
+
 class TestProfileOnTheGrid:
     @pytest.mark.parametrize("N", [2048, 2047])
     def test_phi_grid_is_even_and_matches_phi(self, pm, N):
@@ -774,12 +790,13 @@ class TestShooting:
             assert one.meta["final_cell"] == other.meta["final_cell"]
         # the final cell is a probed cell whose corners show all four sign
         # quadrants, one or two halvings of a coarse cell of width 2
-        from cglblow.shooting import QUADRANTS, _quadrant
+        from cglblow.shooting import exit_sign_pattern
 
         d0s, d1s = one.meta["final_cell"]
         assert d0s[1] - d0s[0] == d1s[1] - d1s[0] in (1.0, 0.5)
         at = {(p.d0, p.d1): p for p in one.probes}
-        assert {_quadrant(at[a, b]) for a in d0s for b in d1s} == QUADRANTS
+        assert exit_sign_pattern([at[a, b] for a in d0s for b in d1s]) == {
+            (-1, -1), (-1, 1), (1, -1), (1, 1)}
 
     def test_no_refinement_runs_no_level(self, pm):
         from cglblow.shooting import shoot
