@@ -3,9 +3,13 @@
     python3 benchcmp.py --base HEAD~1 --workload linear-modes \\
         --seeds 1 2 3 4 --pairs 3 --tag linear_modes
 
-The base revision is checked out with ``git worktree add --detach`` into a
-temporary directory, which is removed at the end.  ``perfbench/run.py`` runs
-in both trees in alternating pairs: the side that runs first alternates from
+Both sides run from fresh copies made the same way, in one temporary
+directory that is removed at the end: the base is ``git archive`` of the
+revision, and the change is ``git archive`` of ``git stash create`` (the
+tracked files as they are in this checkout, staged or not), or of HEAD when
+no tracked file is modified.  Untracked files are not part of the change
+side, and no side runs in the checkout itself.  ``perfbench/run.py`` runs
+in both copies in alternating pairs: the side that runs first alternates from
 one pair to the next, over the listed workloads and seeds.  Each run records
 the end-to-end metrics that ``BENCHMARK.json`` lists, ``correct`` and
 ``failed``, the ``machine`` line, and the CPU time of the run and its workers
@@ -72,6 +76,15 @@ def parse_args(argv, spec: dict):
 def git(*args: str) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+def export(commit: str, dest: Path) -> Path:
+    """The files of ``commit``, written into the new directory ``dest``."""
+    dest.mkdir()
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit],
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return dest
 
 
 def run_once(tree: Path, workload: str, seed: int, args) -> dict:
@@ -160,15 +173,15 @@ def main(argv=None) -> int:
     args = parse_args(argv, spec)
     base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     head = git("rev-parse", "HEAD")
-    modified = bool(git("status", "--porcelain", "--untracked-files=no"))
-    # a terminated comparison still removes the base checkout
+    # a commit of the modified tracked files, or "" when there are none
+    stash = git("stash", "create")
+    # a terminated comparison still removes the copies
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
     scratch = Path(tempfile.mkdtemp(prefix="benchcmp-"))
-    base_tree = scratch / "base"
     runs, k = [], 0
     try:
-        git("worktree", "add", "--detach", str(base_tree), base_commit)
-        trees = {"base": base_tree, "change": ROOT}
+        trees = {"base": export(base_commit, scratch / "base"),
+                 "change": export(stash or head, scratch / "change")}
         for workload in args.workload:
             for seed in args.seeds:
                 for pair in range(args.pairs):
@@ -186,11 +199,7 @@ def main(argv=None) -> int:
                                           if v is not None),
                               flush=True)
     finally:
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "remove",
-                        "--force", str(base_tree)], capture_output=True)
         shutil.rmtree(scratch, ignore_errors=True)
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"],
-                       capture_output=True)
 
     metrics = spec["end_to_end"]
     summary = {}
@@ -205,7 +214,7 @@ def main(argv=None) -> int:
         "tag": args.tag,
         "command": ["python3", "benchcmp.py", *(argv or sys.argv[1:])],
         "base": {"rev": args.base, "commit": base_commit},
-        "change": {"commit": head, "modified": modified},
+        "change": {"commit": head, "modified": bool(stash)},
         "seconds": args.seconds, "size": args.size, "seeds": args.seeds,
         "pairs_per_seed": args.pairs,
         "gain_rule": {"min_pairs": MIN_PAIRS, "win_share": WIN_SHARE,

@@ -226,12 +226,12 @@ class WTables:
     matches: dict
 
 
-def _transcribed_W(params, corrected: bool = False) -> dict:
-    """The printed quadratic/quartic potential coefficients.
+def _transcribed_W(params) -> dict:
+    """The printed quadratic/quartic potential coefficients, repaired.
 
-    ``corrected=True`` repairs the one documented misprint: the y^4 bracket
-    of W22 reads (p-2+2i delta) in the table but (p-1+2i delta) in the
-    underlying modulus-power expansion (and in the regeneration).
+    W22 carries the underlying modulus-power expansion's y^4 bracket
+    (p-1+2i delta); the table prints (p-2+2i delta), which W22_printed
+    keeps.  The two differ by one y^4 term.
     """
     p, d, beta = params.p, params.delta, params.beta
     b = params.b
@@ -255,15 +255,17 @@ def _transcribed_W(params, corrected: bool = False) -> dict:
         + GaussComplex((p + 1) * (p - 3) * (1 + d**2))
         + GaussComplex(1, -d) ** 2 * ((p - 3) * (p - 5) / 2)
     )
-    lead = GaussComplex(p - 1 if corrected else p - 2, 2 * d)
-    W22 = (cd * F(1, 2) / (p - 1) ** 4) * (b * b) * (
-        lead * GaussComplex(p - 1, d) * y4
+    w22_scale = (cd * F(1, 2) / (p - 1) ** 4) * (b * b)
+    W22 = w22_scale * (
+        GaussComplex(p - 1, 2 * d) * GaussComplex(p - 1, d) * y4
         - GaussComplex(
             2 * (p - 1) * (p - 2) + (2 * p - 10) * d**2, (8 * p - 16) * d
         ) * ((1 - d * beta)) * y2
         + ((1 - d * beta) ** 2 * bracket0) * one
     )
-    return {"W11": W11, "W12": W12, "W21": W21, "W22": W22}
+    W22_printed = W22 - w22_scale * (GaussComplex(p - 1, d) * y4)
+    return {"W11": W11, "W12": W12, "W21": W21, "W22": W22,
+            "W22_printed": W22_printed}
 
 
 def potential_polys(params) -> WTables:
@@ -276,9 +278,8 @@ def potential_polys(params) -> WTables:
         "W22": v2.t_coefficient(2),
     }
     tr = _transcribed_W(params)
-    trc = _transcribed_W(params, corrected=True)
-    matches = {k: reg[k] == trc[k] for k in reg}
-    matches["W22_printed"] = reg["W22"] == tr["W22"]
+    matches = {k: reg[k] == tr[k] for k in reg}
+    matches["W22_printed"] = reg["W22"] == tr["W22_printed"]
     return WTables(
         W11=reg["W11"], W12=reg["W12"], W21=reg["W21"], W22=reg["W22"],
         matches=matches,
@@ -530,10 +531,11 @@ def b_quadratic_constants(params, basis: BasisTable) -> BQuadTables:
 class OdeCoefficients:
     """Targeted coefficients of the null-mode ODE plus both H constants.
 
-    Htilde1 is assembled with the printed value of L~_{0,2} and agrees with
-    the reference closed form; Htilde1_selfconsistent uses the regenerated
-    projection instead (see PRINTED_DEVIATIONS["Lt02"]).  Htilde2 and the
-    four cancellation coefficients are identical in both conventions.
+    Htilde1_selfconsistent is assembled with the regenerated projection
+    L~_{0,2}; Htilde1 is that value shifted to the printed L~_{0,2} (see
+    :class:`_Assembly` and PRINTED_DEVIATIONS["Lt02"]) and agrees with the
+    reference closed form.  Htilde2 and the four cancellation coefficients
+    do not involve L~_{0,2}.
     """
 
     coef_1_over_s: KappaGraded
@@ -611,16 +613,16 @@ class _Assembly:
     basis) with mu unset; this is the one place mu enters them, as the
     affine shift of the rest tables (:meth:`RestTables.at`).
 
-    ``lt02_printed`` switches the value of the phase-projection constant
-    L~_{0,2} used inside the slow feedback of the unit mode: False takes
-    the regenerated projection -beta(1+delta^2) (self-consistent with the
-    basis tables and with the printed L_{0,2}); True takes the printed
-    -2 delta + delta^2 beta - beta, which is what the reference closed
-    form of the null-mode decay constant was evidently assembled with.
+    Everything is assembled with the regenerated L~_{0,2} = -beta(1+delta^2)
+    (self-consistent with the basis tables and with the printed L_{0,2}).
+    The printed -2 delta + delta^2 beta - beta, with which the reference
+    closed form of the null-mode decay constant was evidently assembled,
+    reaches Htilde1 only through Dt_{2,0} Ct0; so Htilde1_printed is
+    Htilde1 shifted by Dt_{2,0} nu (L~_{0,2} printed - regenerated) / 2,
+    and ``mu_target`` holds the mu target of each convention.
     """
 
-    def __init__(self, params: ProfileParams, basis: BasisTable, mu: ExtScalar,
-                 lt02_printed: bool = False):
+    def __init__(self, params: ProfileParams, basis: BasisTable, mu: ExtScalar):
         if params.beta == 0:
             raise DomainError(
                 "beta = 0 (delta^2 = p): the Jordan coupling c_2 vanishes "
@@ -629,7 +631,6 @@ class _Assembly:
         self.params = params
         self.basis = basis
         self.mu = mu
-        self.lt02_printed = lt02_printed
         key = params.with_mu(None)
         self.proj = projection_tables(key, basis)
         self.rest = rest_expansion(key, basis).at(mu)
@@ -660,11 +661,7 @@ class _Assembly:
         C2c = pr.D[(2, 2)] - nu * (1 + d**2) / 2 + c4 * pr.Dt[(4, 2)] + (
             Th20 * c2 / kap
         )
-        lt02 = (
-            pm.ext(-2 * d + d**2 * beta - beta)
-            if self.lt02_printed
-            else pm.ext(pr.Lt[(0, 2)])
-        )
+        lt02 = pm.ext(pr.Lt[(0, 2)])
         Ct0 = nu * lt02 / 2 - pr.Dt[(0, 2)] - Tht00 * c2 / kap
         C4 = KappaGraded(F(1, 2) * pr.D[(4, 2)], 0)
         Ct4 = KappaGraded(pr.Dt[(4, 2)], 0)
@@ -750,7 +747,15 @@ class _Assembly:
             + KappaGraded(b * b * (bracket_mu / (2 * (p - 1) ** 4)), 0) * R01
         )
 
-        self.mu_target = self.combos.At2 * (self.Htilde1 + 1) + self.Htilde2
+        lt02_printed = pm.ext(-2 * d + d**2 * beta - beta)
+        self.Htilde1_printed = (
+            self.Htilde1 + pr.Dt[(2, 0)] * nu * (lt02_printed - lt02) / 2
+        )
+
+        self.mu_target = {
+            "selfconsistent": At2 * (self.Htilde1 + 1) + self.Htilde2,
+            "printed": At2 * (self.Htilde1_printed + 1) + self.Htilde2,
+        }
 
 
 def _odd_cubic_root(f1, f2, what: str) -> Fraction:
@@ -793,22 +798,6 @@ def _params_with_rational_b(params, bval: Fraction) -> ProfileParams:
                            ExtScalar(bval, 0, b2), params.p_cri2)
 
 
-def cancellation_residuals(params) -> dict:
-    """Just the four targeted ODE coefficients, one exact pass (mu = 0).
-
-    All four must be exactly zero at the critical parameters with the
-    derived b^2; mu does not enter any of them.
-    """
-    basis = build_basis(6, params.p, params.delta, params.beta)
-    asm = _Assembly(params, basis, params.ext(0))
-    return {
-        "coef_1_over_s": asm.coef_1_over_s,
-        "coef_q2_over_sqrt_s": asm.coef_q2_sqrt,
-        "coef_q2sq": asm.coef_q2sq,
-        "coef_s32": asm.coef_s32,
-    }
-
-
 def ode_coefficients(params) -> OdeCoefficients:
     """The four targeted cancellations plus Htilde1/Htilde2, all exact.
 
@@ -818,16 +807,15 @@ def ode_coefficients(params) -> OdeCoefficients:
     asm0 = _Assembly(params, basis, params.ext(0))
     asm1 = _Assembly(params, basis, params.ext(1))
     for name in ("coef_q2_sqrt", "coef_q2sq", "coef_1_over_s", "coef_s32",
-                 "Htilde1", "Htilde2"):
+                 "Htilde1", "Htilde1_printed", "Htilde2"):
         if getattr(asm0, name) != getattr(asm1, name):
             raise AssertionError(f"{name} unexpectedly depends on mu")
-    asm_p = _Assembly(params, basis, params.ext(0), lt02_printed=True)
     return OdeCoefficients(
         coef_1_over_s=asm0.coef_1_over_s,
         coef_q2_over_sqrt_s=asm0.coef_q2_sqrt,
         coef_q2sq=asm0.coef_q2sq,
         coef_s32=asm0.coef_s32,
-        Htilde1=asm_p.Htilde1,
+        Htilde1=asm0.Htilde1_printed,
         Htilde1_closed=htilde1_closed_form(params.p, params.delta),
         Htilde1_selfconsistent=asm0.Htilde1,
         Htilde2=asm0.Htilde2,
@@ -841,7 +829,6 @@ class MuResult:
     a0: KappaGraded
     a1: KappaGraded
     residual: KappaGraded
-    flavor: str = "selfconsistent"
 
 
 def mu_critical(params, flavor: str = "selfconsistent") -> MuResult:
@@ -851,16 +838,14 @@ def mu_critical(params, flavor: str = "selfconsistent") -> MuResult:
     map, guard against hidden quadratic terms, and the root is substituted
     back for a final exact zero residual.  The series stages are computed
     once per (params, basis), so each evaluation costs one assembly over
-    the rest tables shifted to its mu.  ``flavor`` picks the L~_{0,2}
-    convention entering Htilde1 (see OdeCoefficients).
+    the rest tables shifted to its mu.  ``flavor``, "selfconsistent" or
+    "printed", picks the L~_{0,2} convention entering Htilde1 (see
+    :class:`_Assembly`); the assemblies are the same for both.
     """
     basis = build_basis(6, params.p, params.delta, params.beta)
-    printed = flavor == "printed"
-    if flavor not in ("selfconsistent", "printed"):
-        raise ValueError(f"unknown flavor {flavor!r}")
     f = {}
     for m in (0, 1, 2):
-        f[m] = _Assembly(params, basis, params.ext(m), printed).mu_target
+        f[m] = _Assembly(params, basis, params.ext(m)).mu_target[flavor]
     if not (f[2] - 2 * f[1] + f[0]).is_zero():
         raise AssertionError("mu target is not affine in mu")
     a0 = f[1] - f[0]
@@ -873,8 +858,8 @@ def mu_critical(params, flavor: str = "selfconsistent") -> MuResult:
     mu = mu_graded.value
     if not is_zero(imag_part(mu)):
         raise AssertionError("mu came out non-real")
-    residual = _Assembly(params, basis, mu, printed).mu_target
-    return MuResult(mu=mu, a0=a0, a1=a1, residual=residual, flavor=flavor)
+    residual = _Assembly(params, basis, mu).mu_target[flavor]
+    return MuResult(mu=mu, a0=a0, a1=a1, residual=residual)
 
 
 def shrink_combo_constants(params,
@@ -1028,13 +1013,6 @@ def formal_pipeline(p, delta) -> FormalResult:
     )
 
 
-def formal_mu(p, delta, C) -> Fraction:
-    """The formal mu at an explicit value of the free constant."""
-    res = formal_pipeline(p, delta)
-    p, d = F(p), F(delta)
-    return res.mu_bracket * res.b2_root / (p - 1) ** 4 + res.mu_C_coefficient * F(C)
-
-
 # ---------------------------------------------------------------------------
 # printed-table transcriptions (the "other route") and deviations
 # ---------------------------------------------------------------------------
@@ -1051,9 +1029,10 @@ PRINTED_DEVIATIONS = {
     # The deepest one.  The printed L~_{0,2} (= -2d + d^2 b - b) is not the
     # projection of i*ht_2 in the printed basis: the exact decomposition
     # gives -beta(1+delta^2), consistent with the printed L_{0,2}.
-    # Substituting the printed value into the decay-constant assembly
-    # reproduces the reference closed form exactly (we prove this for every
-    # sample), while the self-consistent assembly gives exactly -3/2.  Both
+    # L~_{0,2} enters the decay constant only through Dt_{2,0} Ct0, so the
+    # printed value shifts the self-consistent assembly (exactly -3/2) by
+    # Dt_{2,0} nu (printed - regenerated) / 2; the shifted value reproduces
+    # the reference closed form exactly (checked for every sample).  Both
     # are exposed; the closed form is kept as the contract value.
     "Lt02": "printed -2d+d^2*beta-beta; the exact projection of i*ht_2 is "
             "-beta(1+delta^2)",
@@ -1217,9 +1196,10 @@ def transcription_report(params) -> dict:
     """
     basis = build_basis(6, params.p, params.delta, params.beta)
     mu = params.ext(0)
-    asm = _Assembly(params, basis, mu)
     tr = transcribed_constants(params, mu)
-    pr, rs = asm.proj, asm.rest
+    key = params.with_mu(None)
+    pr = projection_tables(key, basis)
+    rs = rest_expansion(key, basis)
     reg = {
         "Dt42": KappaGraded(pr.Dt[(4, 2)], 0),
         "D22": KappaGraded(pr.D[(2, 2)], 0),
@@ -1247,7 +1227,7 @@ def transcription_report(params) -> dict:
         "Tht20": rs.Theta_t[(2, 0)],
         "Th20": rs.Theta[(2, 0)],
         "Tht21": rs.Theta_t[(2, 1)],
-        "Btilde2": asm.bq.Btilde2,
+        "Btilde2": b_quadratic_constants(key, basis).Btilde2,
     }
     report = {}
     for name, rv in reg.items():

@@ -2,6 +2,7 @@
 itself."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -122,12 +123,15 @@ def test_head_against_itself_claims_no_win(tmp_path):
     worktrees = subprocess.run(
         ["git", "-C", str(ROOT), "worktree", "list", "--porcelain"],
         capture_output=True, text=True).stdout
+    temp = tmp_path / "temp"
+    temp.mkdir()
     proc = subprocess.run(
         [sys.executable, str(ROOT / "benchcmp.py"), "--base", "HEAD",
          "--workload", "linear-modes", "--seeds", "1", "--pairs", "1",
          "--size", "tiny", "--tag", "smoke",
          "--out-dir", str(tmp_path)],
-        capture_output=True, text=True, timeout=600)
+        capture_output=True, text=True, timeout=600,
+        env=dict(os.environ, TMPDIR=str(temp)))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     report = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     head = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
@@ -146,7 +150,8 @@ def test_head_against_itself_claims_no_win(tmp_path):
         assert set(summary) == set(names) | {"cpu_s"}
         assert not any(summary[n]["gain"] for n in names)
         assert all(summary[n]["pairs"] == 1 for n in names)
-    # the base checkout is gone again
+    # both copies are gone again, and no worktree was added
+    assert not any(temp.iterdir())
     assert subprocess.run(
         ["git", "-C", str(ROOT), "worktree", "list", "--porcelain"],
         capture_output=True, text=True).stdout == worktrees

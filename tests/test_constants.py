@@ -13,12 +13,10 @@ from cglblow.constants import (
     critical_beta,
     derive_params,
     formal_pipeline,
-    formal_mu,
     htilde1_closed_form,
     htilde1_plus_32_closed_form,
     mu_critical,
     ode_coefficients,
-    cancellation_residuals,
     potential_polys,
     shrink_combo_constants,
     transcription_report,
@@ -112,8 +110,10 @@ class TestCancellations:
     @pytest.mark.parametrize("p,d", SAMPLES)
     def test_four_cancellations(self, p, d):
         pm = derive_params(p, d)
-        res = cancellation_residuals(pm)
-        assert all(is_zero(v) for v in res.values())
+        ode = ode_coefficients(pm)
+        for name in ("coef_1_over_s", "coef_q2_over_sqrt_s", "coef_q2sq",
+                     "coef_s32"):
+            assert is_zero(getattr(ode, name)), name
 
     def test_b2_root_from_ode(self):
         pm = derive_params(3, 2)
@@ -190,12 +190,10 @@ class TestFormalPipeline:
         assert not formal_pipeline(3, 1).mu_bracket_matches_printed
 
     def test_beta_zero_point(self):
-        # delta^2 = p: the free constant drops out entirely
+        # delta^2 = p: the free constant drops out of the formal mu entirely
         fr = formal_pipeline(4, 2)
         assert fr.mu_C_coefficient == 0
         assert fr.b2_root == b_critical(4, 2)
-        c_val = 2 * F(4) * fr.b2_root / (F(4) - 1) ** 3
-        assert formal_mu(4, 2, c_val) == formal_mu(4, 2, 0)
 
 
 class TestShrinkCombos:
@@ -408,6 +406,40 @@ class TestCaches:
         transcription_report(pm)
         Simulator(SimConfig(params=pm.with_mu(mu), N=512))
         assert [f.cache_info().misses for f in stages] == misses
+
+    @pytest.mark.parametrize("command,built", [("constants", 13),
+                                               ("verify", 12)])
+    def test_assemblies_per_command(self, monkeypatch, tmp_path, command,
+                                    built):
+        # at the default pair (3, 1): ode_coefficients builds 4 (two mu
+        # values, two synthetic b), each of the two mu_critical calls 4,
+        # and constants 1 more for the shrink combos
+        from cglblow import cli, constants
+
+        count = []
+        init = constants._Assembly.__init__
+
+        def counting(self, *args):
+            count.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(constants._Assembly, "__init__", counting)
+        assert cli.main([command, "--output-dir", str(tmp_path)]) == 0
+        assert len(count) == built
+
+    def test_projection_tables_calls_of_a_simulation_setup(self):
+        # the per-layer count the benchmark reports for its sim-full set-up
+        from cglblow.constants import projection_tables
+        from cglblow.simulate import SimConfig, Simulator
+
+        def calls():
+            info = projection_tables.cache_info()
+            return info.hits + info.misses
+
+        before = calls()
+        pm = derive_params(3, 1)
+        Simulator(SimConfig(params=pm.with_mu(mu_critical(pm).mu), N=512))
+        assert calls() - before == 5
 
 
 class TestFullMBound:

@@ -497,6 +497,23 @@ def test_nonlinear_time_order(pm, scheme, ratio):
     assert 0.9 * ratio < dq < 1.1 * ratio
 
 
+@pytest.mark.parametrize("space_order, ratio", [(2, 4.0), (4, 16.0)])
+def test_nonlinear_space_order(pm, space_order, ratio):
+    # self-convergence of the full run in y: N - 1 doubles, so the grid
+    # spacing halves exactly and y = 0 stays a grid point; the differences
+    # of successive refinements shrink by 2^space_order
+    ends = []
+    for N in (1025, 2049, 4097):
+        cfg = small_config(pm, N=N, ds=1e-3, s_end=100.05,
+                           space_order=space_order)
+        res = Simulator(cfg).run(InitialDataSpec(0.5, 0.5), stop_on_exit=False)
+        ends.append(np.array([res.history["Qt0"][-1], res.history["qt2"][-1],
+                              res.state.w[0][N // 2]]))
+    e1, e2, e3 = ends
+    for got in np.abs(e1 - e2) / np.abs(e2 - e3):
+        assert 0.9 * ratio < got < 1.1 * ratio
+
+
 class TestProfileOnTheGrid:
     @pytest.mark.parametrize("N", [2048, 2047])
     def test_phi_grid_is_even_and_matches_phi(self, pm, N):
