@@ -27,6 +27,12 @@ bound, else ``unresolved`` if the ratio IQR exceeds the bound, else
 ``within``.  A gain needs at least ten pairs, the change winning at least nine
 tenths of them, and medians further apart than the interquartile range of the
 base's runs.  The exit code is 0 only if every run's checks passed.
+
+    python3 benchcmp.py --from BENCH_pr18_all.json
+
+re-summarises a committed result: it runs nothing and writes nothing, and
+prints the summary of that file's runs by today's rules, with the same exit
+code.
 """
 
 from __future__ import annotations
@@ -52,8 +58,10 @@ TINY_SECONDS = 0.1
 
 def parse_args(argv, spec: dict):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--base", required=True, help="git revision to compare")
-    ap.add_argument("--workload", nargs="+", required=True,
+    ap.add_argument("--from", dest="source", type=Path,
+                    help="re-summarise this BENCH_*.json; run nothing")
+    ap.add_argument("--base", help="git revision to compare")
+    ap.add_argument("--workload", nargs="+",
                     choices=[w["name"] for w in spec["workloads"]])
     ap.add_argument("--seeds", nargs="+", type=int, default=[1])
     ap.add_argument("--pairs", type=int, default=1,
@@ -61,9 +69,15 @@ def parse_args(argv, spec: dict):
     ap.add_argument("--size", choices=("full", "tiny"), default="full",
                     help="full runs measure for BENCHMARK.json's run_seconds,"
                     f" tiny ones for {TINY_SECONDS} s")
-    ap.add_argument("--tag", required=True, help="names BENCH_<tag>.json")
+    ap.add_argument("--tag", help="names BENCH_<tag>.json")
     ap.add_argument("--out-dir", type=Path, default=ROOT)
     args = ap.parse_args(argv)
+    if args.source is not None:
+        return args
+    missing = [f"--{n}" for n in ("base", "workload", "tag")
+               if getattr(args, n) is None]
+    if missing:
+        ap.error(f"{', '.join(missing)} required unless --from is given")
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     if not re.fullmatch(r"[A-Za-z0-9_.-]+", args.tag):
@@ -168,9 +182,54 @@ def summarize(runs: list, metrics: list) -> dict:
     return out
 
 
+def summarize_all(runs: list, workloads: list, seeds: list,
+                  metrics: list) -> dict:
+    """Per workload, the summary over all seeds and per seed."""
+    summary = {}
+    for workload in workloads:
+        mine = [r for r in runs if r["workload"] == workload]
+        summary[workload] = {
+            "all": summarize(mine, metrics),
+            "seeds": {str(s): summarize([r for r in mine if r["seed"] == s],
+                                        metrics) for s in seeds},
+        }
+    return summary
+
+
+def print_summary(summary: dict) -> None:
+    for workload, s in summary.items():
+        for name, c in s["all"].items():
+            if name == "cpu_s":
+                continue
+            ratio = (f"ratio {c['ratio']['median']:.4g} (IQR "
+                     f"{c['ratio']['iqr']:.3g}) {c['verdict']}"
+                     if c["ratio"] else "no ratio")
+            print(f"{workload} {name}: base {c['base']['median']:.6g} "
+                  f"change {c['change']['median']:.6g} "
+                  f"(base IQR {c['base']['iqr']:.3g}), {ratio}; change won "
+                  f"{c['change_won']} of {c['pairs']} pairs"
+                  + ("  GAIN" if c["gain"] else ""))
+
+
+def exit_code(runs: list) -> int:
+    return 0 if runs and all(r["correct"] for r in runs) else 1
+
+
+def resummarize(path: Path, metrics: list) -> tuple:
+    """(summary, runs) of the runs recorded in ``path``, by today's rules."""
+    report = json.loads(path.read_text())
+    runs = report["runs"]
+    workloads = list(dict.fromkeys(r["workload"] for r in runs))
+    return summarize_all(runs, workloads, report["seeds"], metrics), runs
+
+
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     args = parse_args(argv, spec)
+    if args.source is not None:
+        summary, runs = resummarize(args.source, spec["end_to_end"])
+        print_summary(summary)
+        return exit_code(runs)
     base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     head = git("rev-parse", "HEAD")
     # a commit of the modified tracked files, or "" when there are none
@@ -201,15 +260,8 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
-    metrics = spec["end_to_end"]
-    summary = {}
-    for workload in args.workload:
-        mine = [r for r in runs if r["workload"] == workload]
-        summary[workload] = {
-            "all": summarize(mine, metrics),
-            "seeds": {str(s): summarize([r for r in mine if r["seed"] == s],
-                                        metrics) for s in args.seeds},
-        }
+    summary = summarize_all(runs, args.workload, args.seeds,
+                            spec["end_to_end"])
     report = {
         "tag": args.tag,
         "command": ["python3", "benchcmp.py", *(argv or sys.argv[1:])],
@@ -225,20 +277,9 @@ def main(argv=None) -> int:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     path = args.out_dir / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
-    for workload, s in summary.items():
-        for name, c in s["all"].items():
-            if name == "cpu_s":
-                continue
-            ratio = (f"ratio {c['ratio']['median']:.4g} (IQR "
-                     f"{c['ratio']['iqr']:.3g}) {c['verdict']}"
-                     if c["ratio"] else "no ratio")
-            print(f"{workload} {name}: base {c['base']['median']:.6g} "
-                  f"change {c['change']['median']:.6g} "
-                  f"(base IQR {c['base']['iqr']:.3g}), {ratio}; change won "
-                  f"{c['change_won']} of {c['pairs']} pairs"
-                  + ("  GAIN" if c["gain"] else ""))
+    print_summary(summary)
     print(f"wrote {path}")
-    return 0 if runs and all(r["correct"] for r in runs) else 1
+    return exit_code(runs)
 
 
 if __name__ == "__main__":

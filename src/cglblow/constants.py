@@ -421,26 +421,37 @@ class ProjTables:
     Lt: dict
 
 
-@cache
-def projection_tables(params, basis: BasisTable) -> ProjTables:
-    """All letter tables; entries are proved real by the exactness check.
+# The power of b in each letter table: W11 and W21 are b times a b-free
+# polynomial, W12 and W22 b^2 times one (see :func:`_transcribed_W`), and
+# the phase sources i h_j, i ht_j do not contain b.
+_B_POWER = {"C": 1, "D": 1, "Ct": 1, "Dt": 1, "E": 2, "Ff": 2, "Et": 2,
+            "Ft": 2, "K": 0, "L": 0, "Kt": 0, "Lt": 0}
 
-    Odd (n, j) combinations vanish by parity, so only even indices are
-    tabulated; each source polynomial is decomposed once and read off for
-    every n.  The tables are computed once per process and key, and
-    callers must not modify them; they do not depend on mu, so
-    :class:`_Assembly` asks for them with mu unset.
-    """
+
+def _checked_potentials(params) -> WTables:
+    """:func:`potential_polys`, raising unless both routes of W agree."""
     wt = potential_polys(params)
     bad = [k for k in ("W11", "W12", "W21", "W22") if not wt.matches[k]]
     if bad:
         raise AssertionError(f"potential transcription mismatch: {bad}")
-    out = {name: {} for name in "C D E Ff Ct Dt Et Ft K L Kt Lt".split()}
+    return wt
+
+
+@cache
+def _unit_projection_tables(unit, basis: BasisTable) -> ProjTables:
+    """The letter tables at the rational unit b = 1 (``unit`` is such a
+    parameter set), computed once per process and (p, delta, basis).
+
+    Each entry is proved real here, and free of a b-part, once.
+    """
+    wt = _checked_potentials(unit)
+    out = {name: {} for name in _B_POWER}
 
     def put(name, key, value):
-        im = imag_part(value)
-        if not is_zero(im):
+        if not is_zero(imag_part(value)):
             raise AssertionError(f"{name}{key} has a nonzero imaginary part")
+        if isinstance(value, ExtScalar) and not is_zero(value.c1):
+            raise AssertionError(f"{name}{key} has a b-part at unit b")
         out[name][key] = real_part(value)
 
     ns = range(0, min(basis.M, 6) + 1, 2)
@@ -463,6 +474,34 @@ def projection_tables(params, basis: BasisTable) -> ProjTables:
     return ProjTables(**out)
 
 
+@cache
+def projection_tables(params, basis: BasisTable) -> ProjTables:
+    """All letter tables; entries are proved real by the exactness check.
+
+    Odd (n, j) combinations vanish by parity, so only even indices are
+    tabulated; each source polynomial is decomposed once and read off for
+    every n.  The tables are homogeneous in b, so they are decomposed once
+    per (p, delta, basis) at unit b (:func:`_unit_projection_tables`) and
+    each family is scaled here by its power b^k: k = 1 for C, D, Ct, Dt,
+    k = 2 for E, Ff, Et, Ft and k = 0 for K, L, Kt, Lt.  Both routes of W
+    are still checked against each other at this b.  The result is cached
+    per process and key, and callers must not modify it; it does not
+    depend on mu, so :class:`_Assembly` asks for it with mu unset.
+    """
+    _checked_potentials(params)
+    unit = _unit_projection_tables(_params_with_rational_b(params, F(1)),
+                                   basis)
+    scale = {0: None, 1: params.b, 2: params.b * params.b}
+    out = {}
+    for name, k in _B_POWER.items():
+        table, bk = getattr(unit, name), scale[k]
+        out[name] = table if bk is None else {
+            key: bk * v.c0 if isinstance(v, ExtScalar) else v
+            for key, v in table.items()
+        }
+    return ProjTables(**out)
+
+
 @dataclass
 class BQuadTables:
     """Quadratic-interaction projections onto the null direction."""
@@ -474,23 +513,15 @@ class BQuadTables:
 
 
 @cache
-def b_quadratic_constants(params, basis: BasisTable) -> BQuadTables:
-    """Quadratic term constants, regenerated from the second-order expansion.
+def _quad_kernels(basis: BasisTable) -> dict:
+    """The quadratic kernels projected on ht_2, per unit 1/kappa.
 
-    The quadratic kernel at the profile's core value kappa is
-      (1+i delta)/(8 kappa) [ (p-3) qbar^2 + 2(p+1) q qbar + (p+1) q^2 ],
-    projected on ht_2 after substituting the slowly forced modes A2 =
-    R_{2,1} and At0 = -R~_{0,1}.  Neither moves with mu: at that t-order
-    the mu slope is the constant -i, whose decomposition is all R_{0,1}.
-    So the constants are computed once per process and key, with mu unset.
+    They are built from the basis polynomials and (p, delta) alone, so they
+    are computed once per process and basis.
     """
-    rest = rest_expansion(params, basis)
-    if not (is_zero(rest.R_mu[(2, 1)]) and is_zero(rest.Rt_mu[(0, 1)])):
-        raise AssertionError("R_{2,1} or R~_{0,1} depends on mu")
-    p, d = params.p, params.delta
+    p, d = basis.p, basis.delta
     cd = GaussComplex(1, d)
     names = {"qt0": basis.h_tilde[0], "q2": basis.h[2], "qt2": basis.h_tilde[2]}
-    inv_kappa = 1 / params.kappa
 
     def quad_poly(e1: Poly, e2: Poly) -> Poly:
         return (
@@ -507,8 +538,29 @@ def b_quadratic_constants(params, basis: BasisTable) -> BQuadTables:
             if ki != kj:
                 # unordered cross pairs appear twice in the square
                 poly = 2 * poly
-            modes = basis.decompose(_graded_poly((cd * F(1, 8)) * poly, -1, params))
-            quad[(ki, kj)] = modes.q_tilde[2]
+            quad[(ki, kj)] = basis.decompose((cd * F(1, 8)) * poly).q_tilde[2]
+    return quad
+
+
+@cache
+def b_quadratic_constants(params, basis: BasisTable) -> BQuadTables:
+    """Quadratic term constants, regenerated from the second-order expansion.
+
+    The quadratic kernel at the profile's core value kappa is
+      (1+i delta)/(8 kappa) [ (p-3) qbar^2 + 2(p+1) q qbar + (p+1) q^2 ],
+    projected on ht_2 after substituting the slowly forced modes A2 =
+    R_{2,1} and At0 = -R~_{0,1}.  Neither moves with mu: at that t-order
+    the mu slope is the constant -i, whose decomposition is all R_{0,1}.
+    The kernels do not contain b and are computed once per basis
+    (:func:`_quad_kernels`); B1 and B2 read the rest tables, which are
+    not homogeneous in b, so these constants are cached per process and
+    key, with mu unset.
+    """
+    rest = rest_expansion(params, basis)
+    if not (is_zero(rest.R_mu[(2, 1)]) and is_zero(rest.Rt_mu[(0, 1)])):
+        raise AssertionError("R_{2,1} or R~_{0,1} depends on mu")
+    quad = {k: KappaGraded(params.ext(v), -1)
+            for k, v in _quad_kernels(basis).items()}
 
     A2 = rest.R[(2, 1)]
     At0 = -rest.Rt[(0, 1)]
@@ -610,8 +662,11 @@ class _Assembly:
     """One full exact pass of the table pipeline at a fixed mu.
 
     The projection, rest and quadratic stages are cached per (params,
-    basis) with mu unset; this is the one place mu enters them, as the
-    affine shift of the rest tables (:meth:`RestTables.at`).
+    basis) with mu unset, and their b-free parts (the unit-b projection
+    tables and the quadratic kernels) once per (p, delta, basis); this is
+    the one place mu enters them, as the affine shift of the rest tables
+    (:meth:`RestTables.at`).  The assemblies at mu = 0, 1 and 2 are built
+    once per key by :func:`_mu_fit`.
 
     Everything is assembled with the regenerated L~_{0,2} = -beta(1+delta^2)
     (self-consistent with the basis tables and with the printed L_{0,2}).
@@ -801,11 +856,11 @@ def _params_with_rational_b(params, bval: Fraction) -> ProfileParams:
 def ode_coefficients(params) -> OdeCoefficients:
     """The four targeted cancellations plus Htilde1/Htilde2, all exact.
 
-    Independence from mu is verified by assembling at two values.
+    Independence from mu is verified on the assemblies at mu = 0 and 1 of
+    :func:`_mu_fit`.
     """
     basis = build_basis(6, params.p, params.delta, params.beta)
-    asm0 = _Assembly(params, basis, params.ext(0))
-    asm1 = _Assembly(params, basis, params.ext(1))
+    asm0, asm1, _ = _mu_fit(params.with_mu(None), basis)
     for name in ("coef_q2_sqrt", "coef_q2sq", "coef_1_over_s", "coef_s32",
                  "Htilde1", "Htilde1_printed", "Htilde2"):
         if getattr(asm0, name) != getattr(asm1, name):
@@ -831,25 +886,32 @@ class MuResult:
     residual: KappaGraded
 
 
+@cache
+def _mu_fit(params, basis: BasisTable) -> tuple:
+    """The assemblies at mu = 0, 1 and 2, built once per process and key
+    (callers ask with mu unset) and shared by :func:`mu_critical`, for
+    both flavors, and :func:`ode_coefficients`."""
+    return tuple(_Assembly(params, basis, params.ext(m)) for m in (0, 1, 2))
+
+
 def mu_critical(params, flavor: str = "selfconsistent") -> MuResult:
     """The unique mu killing the s^-2 forcing of the null-mode combination.
 
-    The target is affine in mu; three exact evaluations extract the affine
-    map, guard against hidden quadratic terms, and the root is substituted
-    back for a final exact zero residual.  The series stages are computed
-    once per (params, basis), so each evaluation costs one assembly over
-    the rest tables shifted to its mu.  ``flavor``, "selfconsistent" or
-    "printed", picks the L~_{0,2} convention entering Htilde1 (see
-    :class:`_Assembly`); the assemblies are the same for both.
+    The target is affine in mu: its values at mu = 0, 1 and 2 come from
+    the three assemblies of :func:`_mu_fit`, built once per (p, delta) for
+    both flavors.  They give the affine map, and their second difference
+    guards against hidden quadratic terms.  The root is substituted back
+    for a final exact zero residual, the one assembly this call builds.
+    ``flavor``, "selfconsistent" or "printed", picks the L~_{0,2}
+    convention entering Htilde1 (see :class:`_Assembly`).
     """
     basis = build_basis(6, params.p, params.delta, params.beta)
-    f = {}
-    for m in (0, 1, 2):
-        f[m] = _Assembly(params, basis, params.ext(m)).mu_target[flavor]
-    if not (f[2] - 2 * f[1] + f[0]).is_zero():
+    f0, f1, f2 = (asm.mu_target[flavor]
+                  for asm in _mu_fit(params.with_mu(None), basis))
+    if not (f2 - 2 * f1 + f0).is_zero():
         raise AssertionError("mu target is not affine in mu")
-    a0 = f[1] - f[0]
-    a1 = f[0]
+    a0 = f1 - f0
+    a1 = f0
     if a0.is_zero():
         raise DomainError("a0 = 0: the mu equation is degenerate")
     mu_graded = -a1 / a0

@@ -118,6 +118,44 @@ class TestVerdict:
         assert set(verdicts.values()) == {"within"}, verdicts
 
 
+class TestResummarise:
+    METRICS = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+    def test_committed_ratio_iqrs_are_reproduced(self):
+        summary, _ = benchcmp.resummarize(ROOT / "BENCH_pr15_all.json",
+                                          self.METRICS)
+        iqrs = TestPairedRatio.COMMITTED_RATIO_IQR
+        for (workload, name), iqr in iqrs.items():
+            ratio = summary[workload]["all"][name]["ratio"]
+            assert ratio["n"] == 8
+            assert round(ratio["iqr"], 3) == iqr, (workload, name)
+
+    def test_a_committed_gain_is_still_a_gain(self, capsys):
+        def listing():
+            return {p: p.stat().st_mtime_ns for p in ROOT.iterdir()}
+
+        before = listing()
+        code = benchcmp.main(["--from", str(ROOT / "BENCH_pr18_all.json")])
+        out = capsys.readouterr().out
+        assert code == 0
+        line = next(ln for ln in out.splitlines()
+                    if ln.startswith("exact-sweep ops_per_s:"))
+        assert line.endswith("change won 10 of 10 pairs  GAIN"), line
+        # it ran nothing and wrote nothing
+        assert "wrote" not in out and listing() == before
+
+    def test_a_failed_run_gives_a_nonzero_exit(self):
+        _, runs = benchcmp.resummarize(ROOT / "BENCH_pr15_all.json",
+                                       self.METRICS)
+        assert benchcmp.exit_code(runs) == 0
+        failed = [dict(runs[0], correct=False), *runs[1:]]
+        assert benchcmp.exit_code(failed) == 1 and benchcmp.exit_code([]) == 1
+
+    def test_a_comparison_needs_its_arguments(self):
+        with pytest.raises(SystemExit):
+            benchcmp.main(["--base", "HEAD", "--tag", "x"])
+
+
 @pytest.mark.skipif(not has_head(), reason="needs a git checkout")
 def test_head_against_itself_claims_no_win(tmp_path):
     worktrees = subprocess.run(

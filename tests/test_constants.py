@@ -262,6 +262,132 @@ class TestBQuadratic:
         assert bq.B2 == want
 
 
+def _direct_projection_tables(params, basis) -> dict:
+    """Every letter table decomposed from W h_j at this b itself, the
+    reference for the tables scaled from unit b."""
+    from cglblow.exact import GaussComplex, real_part
+
+    wt = potential_polys(params)
+    out = {}
+    for j in (0, 2, 4):
+        hj, tj = basis.h[j], basis.h_tilde[j]
+        sources = {
+            ("C", "Ct"): wt.W11 * hj + wt.W21 * hj.conj(),
+            ("D", "Dt"): wt.W11 * tj + wt.W21 * tj.conj(),
+            ("E", "Et"): wt.W12 * hj + wt.W22 * hj.conj(),
+            ("Ff", "Ft"): wt.W12 * tj + wt.W22 * tj.conj(),
+            ("K", "Kt"): GaussComplex(0, 1) * hj,
+            ("L", "Lt"): GaussComplex(0, 1) * tj,
+        }
+        for (plain, tilde), poly in sources.items():
+            m = basis.decompose(poly)
+            for n in range(0, min(basis.M, 6) + 1, 2):
+                out[plain, (n, j)] = real_part(m.q[n])
+                out[tilde, (n, j)] = real_part(m.q_tilde[n])
+    return out
+
+
+def _direct_quad_kernels(params, basis) -> dict:
+    """The quadratic kernels decomposed at this b on kappa-graded
+    coefficients, the reference for the b-free kernels."""
+    from cglblow.constants import _graded_poly
+    from cglblow.exact import GaussComplex
+
+    p, d = params.p, params.delta
+    names = {"qt0": basis.h_tilde[0], "q2": basis.h[2],
+             "qt2": basis.h_tilde[2]}
+    keys = list(names)
+    out = {}
+    for i, ki in enumerate(keys):
+        for kj in keys[i:]:
+            e1, e2 = names[ki], names[kj]
+            poly = ((p - 3) * (e1.conj() * e2.conj())
+                    + (p + 1) * (e1 * e2.conj() + e2 * e1.conj())
+                    + (p + 1) * (e1 * e2))
+            if ki != kj:
+                poly = 2 * poly
+            graded = _graded_poly((GaussComplex(1, d) * F(1, 8)) * poly, -1,
+                                  params)
+            out[ki, kj] = basis.decompose(graded).q_tilde[2]
+    return out
+
+
+@pytest.fixture
+def cold_fit():
+    """An empty cache of mu fits, emptied again afterwards, so that the
+    test builds its own fit and leaves none built under its patches."""
+    from cglblow.constants import _mu_fit
+
+    _mu_fit.cache_clear()
+    yield
+    _mu_fit.cache_clear()
+
+
+HOMOGENEITY_PAIRS = [(F(3), F(1)), (F(3, 2), F(1, 2)), (F(7), F(4)),
+                     (F(2), F(1, 3))]
+
+
+class TestHomogeneityInB:
+    """The tables built from unit-b and b-free pieces equal those decomposed
+    at each b directly, value and type."""
+
+    @pytest.mark.parametrize("p,d", HOMOGENEITY_PAIRS)
+    @pytest.mark.parametrize("b", ["real", 2])
+    def test_projection_tables_equal_the_direct_ones(self, p, d, b):
+        from cglblow.constants import _params_with_rational_b, projection_tables
+
+        pm = derive_params(p, d)
+        if b != "real":
+            pm = _params_with_rational_b(pm, F(b))
+        basis = build_basis(6, pm.p, pm.delta, pm.beta)
+        tables = projection_tables(pm, basis)
+        direct = _direct_projection_tables(pm, basis)
+        got = {(name, key): v for name, table in vars(tables).items()
+               for key, v in table.items()}
+        assert got.keys() == direct.keys()
+        for k, want in direct.items():
+            assert type(got[k]) is type(want), k
+            assert got[k] == want, k
+
+    @pytest.mark.parametrize("p,d", HOMOGENEITY_PAIRS)
+    def test_quad_kernels_do_not_depend_on_b(self, p, d):
+        from cglblow.constants import (
+            _params_with_rational_b, b_quadratic_constants,
+        )
+
+        pm = derive_params(p, d)
+        basis = build_basis(6, pm.p, pm.delta, pm.beta)
+        values = []
+        for params in (_params_with_rational_b(pm, F(1)),
+                       _params_with_rational_b(pm, F(2)), pm):
+            quad = b_quadratic_constants(params, basis).quad
+            direct = _direct_quad_kernels(params, basis)
+            assert quad.keys() == direct.keys()
+            # every lifted kernel is graded; the direct route leaves the
+            # qt0 qt0 one, a constant with no ht_2 part, a plain zero
+            for k, want in direct.items():
+                assert quad[k] == want, k
+                assert quad[k].grade == -1 and is_zero(quad[k].value.c1), k
+            values.append({k: v.value.c0 for k, v in quad.items()})
+        assert values[0] == values[1] == values[2]
+
+    def test_unit_b_part_raises(self, monkeypatch):
+        from cglblow import constants
+
+        pm = derive_params(3, 1)
+        unit = constants._params_with_rational_b(pm, F(1))
+        wt = potential_polys(unit)
+        # a W11 with a b-part where unit b has none
+        shifted = constants.WTables(
+            W11=wt.W11 + wt.W11 * constants.ExtScalar(0, 1, 1),
+            W12=wt.W12, W21=wt.W21, W22=wt.W22, matches=wt.matches)
+        monkeypatch.setattr(constants, "potential_polys",
+                            lambda params: shifted)
+        with pytest.raises(AssertionError, match="b-part at unit b"):
+            constants._unit_projection_tables.__wrapped__(
+                unit, build_basis(6, pm.p, pm.delta, pm.beta))
+
+
 AFFINE_PAIRS = [(F(3), F(1)), (F(3), F(2)), (F(5, 2), F(1, 3)),
                 (F(4), F(1)), (F(2), F(1))]
 
@@ -322,7 +448,7 @@ class TestAffineMu:
         with pytest.raises(AssertionError, match="depends on mu"):
             constants.b_quadratic_constants.__wrapped__(pm, basis)
 
-    def test_affinity_guard_raises(self, monkeypatch):
+    def test_affinity_guard_raises(self, monkeypatch, cold_fit):
         from cglblow.constants import RestTables
 
         at = RestTables.at
@@ -330,7 +456,7 @@ class TestAffineMu:
         with pytest.raises(AssertionError, match="not affine"):
             mu_critical(derive_params(3, 1))
 
-    def test_independence_guard_raises(self, monkeypatch):
+    def test_independence_guard_raises(self, monkeypatch, cold_fit):
         from cglblow.constants import RestTables
 
         at = RestTables.at
@@ -389,12 +515,14 @@ class TestS0Study:
 class TestCaches:
     def test_pure_stages_computed_once_per_pair(self):
         from cglblow.constants import (
+            _mu_fit, _quad_kernels, _unit_projection_tables,
             b_quadratic_constants, projection_tables, rest_expansion,
         )
         from cglblow.simulate import SimConfig, Simulator
 
         stages = (build_basis, projection_tables, rest_expansion,
-                  b_quadratic_constants)
+                  b_quadratic_constants, _unit_projection_tables,
+                  _quad_kernels, _mu_fit)
         pm = derive_params(3, 1)
         mu = mu_critical(pm).mu
         # the b^2 determination probes two synthetic-b parameter sets,
@@ -407,13 +535,13 @@ class TestCaches:
         Simulator(SimConfig(params=pm.with_mu(mu), N=512))
         assert [f.cache_info().misses for f in stages] == misses
 
-    @pytest.mark.parametrize("command,built", [("constants", 13),
-                                               ("verify", 12)])
+    @pytest.mark.parametrize("command,built", [("constants", 8),
+                                               ("verify", 7)])
     def test_assemblies_per_command(self, monkeypatch, tmp_path, command,
-                                    built):
-        # at the default pair (3, 1): ode_coefficients builds 4 (two mu
-        # values, two synthetic b), each of the two mu_critical calls 4,
-        # and constants 1 more for the shrink combos
+                                    built, cold_fit):
+        # at the default pair (3, 1): ode_coefficients builds the fit at
+        # mu = 0, 1, 2 and the two synthetic b, each of the two mu_critical
+        # calls its residual, and constants 1 more for the shrink combos
         from cglblow import cli, constants
 
         count = []
@@ -427,8 +555,10 @@ class TestCaches:
         assert cli.main([command, "--output-dir", str(tmp_path)]) == 0
         assert len(count) == built
 
-    def test_projection_tables_calls_of_a_simulation_setup(self):
-        # the per-layer count the benchmark reports for its sim-full set-up
+    def test_projection_tables_calls_of_a_simulation_setup(self, cold_fit):
+        # the per-layer count the benchmark reports for its sim-full set-up,
+        # which runs in a fresh process: 3 for the mu fit, 1 for the
+        # residual and 1 for the shrink combos
         from cglblow.constants import projection_tables
         from cglblow.simulate import SimConfig, Simulator
 
