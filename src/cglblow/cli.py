@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -205,9 +204,7 @@ def cmd_profile(cfg, args) -> int:
         raise ValueError(f"grid.N must be >= 2, got {N}")
     if not (math.isfinite(s) and s > 1.0):
         raise ValueError(f"s0 must be finite and > 1, got {s}")
-    pm = _params_for(cfg)
-    pm = pm.with_mu(mu_critical(pm).mu)
-    fp = FloatParams.from_exact(pm)
+    fp = FloatParams.from_exact(_params_for(cfg))
     y = np.linspace(-L, L, N)
     ph = phi(y, fp, s)
     v1, v2 = potentials(y, fp, s)
@@ -229,12 +226,12 @@ def cmd_profile(cfg, args) -> int:
     return 0
 
 
-def _sim_config(cfg, **probe):
-    """The run's SimConfig with mu set.  It and its ``probe`` variant (N or
-    ds replaced for shooting probes) are validated before the costly mu."""
+def _sim_config(cfg):
+    """The run's SimConfig, with mu unset: the Simulator built on it
+    validates it and only then derives mu."""
     from .simulate import SimConfig
 
-    sc = SimConfig(
+    return SimConfig(
         params=_params_for(cfg),
         L=float(cfg["grid.L"]),
         N=int(cfg["grid.N"]),
@@ -246,9 +243,6 @@ def _sim_config(cfg, **probe):
         M_track=int(cfg["M_track"]),
         scheme=cfg["scheme"],
     )
-    sc.validate()
-    replace(sc, **probe).validate()
-    return replace(sc, params=sc.params.with_mu(mu_critical(sc.params).mu))
 
 
 def cmd_simulate(cfg, args) -> int:
@@ -286,17 +280,13 @@ def cmd_simulate(cfg, args) -> int:
 
 
 def cmd_shoot(cfg, args) -> int:
-    from .shooting import check_grid_n, exit_sign_pattern, shoot, worker_count
+    from .shooting import exit_sign_pattern, shoot
 
-    check_grid_n(args.grid_n)
-    workers = worker_count(args.workers)
-    probe = {k: v for k, v in (("N", args.probe_N), ("ds", args.probe_ds))
-             if v is not None}
-    sc = _sim_config(cfg, **probe)
+    sc = _sim_config(cfg)
     res = shoot(
         sc, grid_n=args.grid_n, refine=not args.no_refine,
         probe_N=args.probe_N, probe_ds=args.probe_ds,
-        workers=workers,
+        workers=args.workers,
     )
     payload = {
         "version": __version__,
@@ -352,8 +342,8 @@ def main(argv=None) -> int:
     ap.add_argument("--probe-ds", type=float, default=None,
                     help="shoot: cheaper probe step")
     ap.add_argument("--workers", type=int, default=None,
-                    help="shoot: worker count >= 1 (default CGLBLOW_WORKERS, "
-                         "else min(CPUs in the affinity mask, 8))")
+                    help="shoot: worker count >= 1 (default min(CPUs in the "
+                         "affinity mask, 8))")
     ap.add_argument("--s0-study", action="store_true",
                     help="shoot: record bound-ratio scaling over s0 in {50,100,200}")
     args = ap.parse_args(argv)

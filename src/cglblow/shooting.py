@@ -12,14 +12,18 @@ the pair with the latest exit wins, ties going to the smallest |Phi|.
 Probes are keyed by integer lattice indices: a coarse index times
 2**bisect_levels, so every bisection midpoint is an integer halving.
 
+``shoot`` owns its set-up: it checks its own arguments, and the one
+``Simulator`` it builds validates the probe configuration and only then
+derives mu, so a caller passes its configuration as it is.
+
 A search builds one ``Simulator`` at probe resolution and every probe runs
 on it.  A scan splits its probe list into min(workers, probes) contiguous
 blocks; each block is stepped as one ``Simulator.run_block``, whose rows
 equal the probes' single runs bit for bit, so the search does not depend
 on the worker count.  The blocks fan out over a process pool whose workers
 inherit the Simulator, one block per worker; the pool size is the
-``workers`` argument, else CGLBLOW_WORKERS, else the number of CPUs the
-process may run on, capped at 8.  A count below 1 is an error.  One pool
+``workers`` argument, else the number of CPUs the process may run on,
+capped at 8.  A count below 1 is an error.  One pool
 serves the coarse scan and every bisection level of a search; a serial
 search runs each scan as one block in the calling process.  Each pool
 worker sets the OpenBLAS that numpy and scipy bundle to one thread as it
@@ -135,27 +139,13 @@ def _usable_cpus() -> int:
 
 
 def worker_count(workers: Optional[int] = None) -> int:
-    """The pool size: ``workers``, else CGLBLOW_WORKERS, else min(CPUs, 8)."""
+    """The pool size: ``workers``, else min(usable CPUs, 8).  ``shoot``
+    alone calls it, on its own argument."""
     if workers is None:
-        env = os.environ.get("CGLBLOW_WORKERS", "").strip()
-        if not env:
-            return min(_usable_cpus(), 8)
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ValueError(
-                f"CGLBLOW_WORKERS must be an integer >= 1, got {env!r}"
-            ) from None
+        return min(_usable_cpus(), 8)
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     return workers
-
-
-def check_grid_n(grid_n: int) -> int:
-    """``grid_n``, if the coarse scan has at least one cell to search."""
-    if grid_n < 2:
-        raise ValueError(f"grid_n must be >= 2, got {grid_n}")
-    return grid_n
 
 
 def _pool(sim: Simulator, workers: int):
@@ -200,14 +190,19 @@ def shoot(config: SimConfig, grid_n: int = 8, refine: bool = True,
     the degree argument); the cell is then bisected, keeping a sub-cell
     with the full quadrant pattern, until ``bisect_levels`` halvings.
 
-    One ``Simulator`` is built for the probe configuration (which validates
-    it before any pool starts) and shared by every probe of every scan;
-    with more than one worker, one process pool runs all the scans.
+    ``shoot`` checks its own arguments before any set-up: ``config``,
+    then ``grid_n``, ``bisect_levels`` and the worker count.  One
+    ``Simulator`` is then built for the probe configuration; it validates
+    that configuration and only then derives mu, if ``config`` leaves it
+    unset.  It is shared by every probe of every scan; with more than one
+    worker, one process pool runs all the scans.
     ``probe_N``/``probe_ds`` allow cheaper probe runs than the certified
     configuration (recorded in the metadata); the returned best pair should
     be re-run at full resolution by the caller.
     """
-    check_grid_n(grid_n)
+    config.validate()
+    if grid_n < 2:
+        raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     if bisect_levels < 0:
         raise ValueError(f"bisect_levels must be >= 0, got {bisect_levels}")
     nworkers = worker_count(workers)

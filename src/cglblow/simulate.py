@@ -201,7 +201,12 @@ def _shrink_bounds(A: float, M: int, columns: list):
 
 
 class Simulator:
-    """Precomputed machinery for runs at one parameter set."""
+    """Precomputed machinery for runs at one parameter set.
+
+    It owns its configuration's set-up: ``__init__`` validates ``config``
+    and only then derives mu, when ``config.params.mu`` is None, so callers
+    pass a ``SimConfig`` as it is and check nothing of it themselves.
+    """
 
     def __init__(self, config: SimConfig):
         config.validate()

@@ -93,7 +93,7 @@ class TestAcceptance:
         ok = True
         for (p, d) in SAMPLES_22:
             fr = formal_pipeline(p, d)
-            ok &= fr.C_coefficient_of_P == 0
+            ok &= fr.C_coefficient_of_P == (0, 0)
             ok &= fr.b2_root == b_critical(p, d)
             ok &= fr.mu_assembled_matches
         # the printed final bracket has a documented misprint in its

@@ -31,6 +31,18 @@ class TestConfig:
         assert cfg["p"] == "2" and cfg["delta"] == "1/3"
 
 
+@pytest.fixture
+def no_mu(monkeypatch):
+    """mu_critical of the Simulator's set-up raises: a test that exits 2
+    with it shows that the rejection came before mu."""
+    import cglblow.simulate as simulate
+
+    def no_mu(pm, **kw):
+        raise AssertionError("mu_critical ran")
+
+    monkeypatch.setattr(simulate, "mu_critical", no_mu)
+
+
 class TestExitCodes:
     def test_domain_error_is_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "p = 3\ndelta = 4\n")
@@ -47,24 +59,21 @@ class TestExitCodes:
         "A = -20", "A = 0", "K = 0.5", "s0 = 1", "grid.L = nan",
         "grid.L = inf", "p = 3/0", "delta = 1/0",
     ])
-    def test_bad_step_config_is_2(self, tmp_path, capsys, bad):
+    def test_bad_step_config_is_2(self, tmp_path, capsys, no_mu, bad):
         path = write_cfg(tmp_path, f"{bad}\noutput.dir = {tmp_path / 'o'}\n")
         assert main(["simulate", "--config", path]) == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("value", ["0", "-2", "abc"])
-    @pytest.mark.parametrize("source", ["env", "flag"])
-    def test_bad_worker_count_is_2(self, tmp_path, monkeypatch, source, value):
+    @pytest.mark.parametrize("value", ["0", "-2", "abc"],
+                             ids=lambda v: f"flag-{v}")
+    def test_bad_worker_count_is_2(self, tmp_path, no_mu, value):
         path = write_cfg(
             tmp_path,
             f"grid.N = 64\ns_end = 100.001\noutput.dir = {tmp_path / 'o'}\n",
         )
-        argv = ["shoot", "--config", path, "--grid-n", "2", "--no-refine"]
-        if source == "env":
-            monkeypatch.setenv("CGLBLOW_WORKERS", value)
-        else:
-            argv += ["--workers", value]
+        argv = ["shoot", "--config", path, "--grid-n", "2", "--no-refine",
+                "--workers", value]
         try:
             rc = main(argv)
         except SystemExit as exc:  # argparse rejects a non-integer flag
@@ -72,16 +81,24 @@ class TestExitCodes:
         assert rc == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("bad, message", [
+        ("ds = 0", "ds must be in (0, 1e-3]"),
+        ("s_end = 100", "holds no step"),
+        ("grid.N = 2", "N = 2 is below the 3-point stencil"),
+    ])
+    def test_bad_shoot_config_is_2(self, tmp_path, capsys, no_mu, bad,
+                                   message):
+        # shoot validates the config it is given, not only the probe config
+        # that replaces its N and ds, before anything else
+        path = write_cfg(tmp_path, f"{bad}\noutput.dir = {tmp_path / 'o'}\n")
+        assert main(["shoot", "--config", path, "--workers", "1",
+                     "--probe-N", "1024", "--probe-ds", "1e-3"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("grid_n", ["0", "1", "-3"])
-    def test_grid_without_a_cell_is_2(self, tmp_path, monkeypatch, capsys,
-                                      grid_n):
-        # rejected before the constants or the Simulator are built
-        import cglblow.cli as cli
-
-        def no_setup(cfg):
-            raise AssertionError("set-up ran")
-
-        monkeypatch.setattr(cli, "_sim_config", no_setup)
+    def test_grid_without_a_cell_is_2(self, tmp_path, capsys, no_mu, grid_n):
+        # rejected before mu is derived
         path = write_cfg(
             tmp_path,
             f"grid.N = 64\ns_end = 100.001\noutput.dir = {tmp_path / 'o'}\n",
@@ -111,15 +128,9 @@ class TestExitCodes:
         ("--probe-ds", "1", "ds must be in (0, 1e-3]"),
         ("--probe-N", "2", "N = 2 is below the 3-point stencil"),
     ])
-    def test_bad_probe_grid_is_2(self, tmp_path, monkeypatch, capsys, flag,
-                                 value, message):
-        # rejected before the constants are built
-        import cglblow.cli as cli
-
-        def no_mu(pm, **kw):
-            raise AssertionError("mu_critical ran")
-
-        monkeypatch.setattr(cli, "mu_critical", no_mu)
+    def test_bad_probe_grid_is_2(self, tmp_path, capsys, no_mu, flag, value,
+                                 message):
+        # the probe Simulator rejects its config before it derives mu
         path = write_cfg(tmp_path, f"output.dir = {tmp_path / 'o'}\n")
         argv = ["shoot", "--config", path, "--workers", "1", flag, value]
         assert main(argv) == 2
@@ -135,14 +146,7 @@ class TestExitCodes:
         ("s0 = inf", "s0 must be finite and > 1"),
         ("s0 = 1", "s0 must be finite and > 1"),
     ])
-    def test_bad_profile_grid_is_2(self, tmp_path, monkeypatch, capsys, bad,
-                                   message):
-        import cglblow.cli as cli
-
-        def no_mu(pm, **kw):
-            raise AssertionError("mu_critical ran")
-
-        monkeypatch.setattr(cli, "mu_critical", no_mu)
+    def test_bad_profile_grid_is_2(self, tmp_path, capsys, bad, message):
         path = write_cfg(tmp_path, f"{bad}\noutput.dir = {tmp_path / 'o'}\n")
         assert main(["profile", "--config", path]) == 2
         assert message in capsys.readouterr().err
@@ -218,13 +222,12 @@ class TestOutputs:
         cols, *rows = [ln for ln in lines if not ln.startswith("#")]
         assert cols == "y,re_phi,im_phi,abs_R,abs_V1,abs_V2"
         # the rows read back exactly to the fields on the same grid
-        from cglblow.constants import derive_params, mu_critical
+        from cglblow.constants import derive_params
         from cglblow.profilefield import (
             FloatParams, phi, potentials, rest_R,
         )
 
-        pm = derive_params(3, 1)
-        fp = FloatParams.from_exact(pm.with_mu(mu_critical(pm).mu))
+        fp = FloatParams.from_exact(derive_params(3, 1))
         y = np.linspace(-88.0, 88.0, 1024)
         ph = phi(y, fp, 100.0)
         mods = [[abs(v) for v in f] for f in (rest_R(y, fp, 100.0),
@@ -233,6 +236,43 @@ class TestOutputs:
         want = np.column_stack([y, ph.real, ph.imag] + mods)
         assert data.shape == want.shape
         assert np.array_equal(data, want)
+
+    def test_profile_derives_no_mu(self, tmp_path, monkeypatch):
+        # phi, the potentials and the rest never read mu
+        import cglblow.cli as cli
+
+        def no_mu(pm, **kw):
+            raise AssertionError("mu_critical ran")
+
+        monkeypatch.setattr(cli, "mu_critical", no_mu)
+        path = write_cfg(tmp_path, f"grid.N = 64\noutput.dir = {tmp_path}\n")
+        assert main(["profile", "--config", path]) == 0
+        assert (tmp_path / "profile.csv").exists()
+
+    def test_shoot_s0_study_matches_a_preset_mu(self, tmp_path, monkeypatch):
+        # the study's Simulators derive mu themselves; their ratios equal
+        # those of the same study with mu preset
+        import functools
+        from dataclasses import replace
+
+        import cglblow.cli as cli
+        from cglblow import simulate
+        from cglblow.constants import mu_critical
+
+        small = functools.partial(simulate.s0_scaling_study,
+                                  s0_values=(50.0, 100.0), window=0.01, N=512)
+        monkeypatch.setattr(simulate, "s0_scaling_study", small)
+        out = tmp_path / "o"
+        path = write_cfg(
+            tmp_path, f"grid.N = 64\ns_end = 100.001\noutput.dir = {out}\n")
+        assert main(["shoot", "--config", path, "--grid-n", "2",
+                     "--no-refine", "--workers", "1", "--s0-study"]) == 0
+        got = json.loads((out / "shoot.json").read_text())["s0_scaling"]
+        sc = cli._sim_config(parse_config(path))
+        pm = sc.params.with_mu(mu_critical(sc.params).mu)
+        want = small(replace(sc, params=pm))
+        assert got == json.loads(json.dumps(want))
+        assert set(got) == {"50.0", "100.0"}
 
     def test_simulate_deterministic(self, cfgfile):
         path, out = cfgfile
@@ -383,6 +423,17 @@ class TestFailurePaths:
             tmp_path, f"p = 3\ndelta = 1\noutput.dir = {tmp_path / 'o'}\n"
         )
         assert main(["verify", "--config", path]) == 4
+
+    def test_non_cancelling_C_in_P_is_4(self, tmp_path, monkeypatch, capsys):
+        from cglblow import constants
+
+        real = constants._formal_P
+        monkeypatch.setattr(constants, "_formal_P",
+                            lambda p, d, beta, b, C: real(p, d, beta, b, C)
+                            + C * b)
+        path = write_cfg(tmp_path, f"output.dir = {tmp_path / 'o'}\n")
+        assert main(["verify", "--config", path]) == 4
+        assert "[FAIL] formal/C-cancels-from-P" in capsys.readouterr().out
 
     def test_singular_implicit_matrix_is_3(self, tmp_path, monkeypatch,
                                            capsys):

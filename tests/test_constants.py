@@ -181,9 +181,23 @@ class TestFormalPipeline:
     @pytest.mark.parametrize("p,d", SAMPLES)
     def test_b2_and_C_freeness(self, p, d):
         fr = formal_pipeline(p, d)
-        assert fr.C_coefficient_of_P == 0
+        assert fr.C_coefficient_of_P == (0, 0)
         assert fr.b2_root == b_critical(p, d)
         assert fr.mu_assembled_matches
+
+    def test_non_cancelling_C_fails_its_verify_row(self, monkeypatch):
+        # the row judges the measured coefficient of C in P, not a constant
+        from cglblow import constants
+        from cglblow.verify import verification_report
+
+        real = constants._formal_P
+        monkeypatch.setattr(constants, "_formal_P",
+                            lambda p, d, beta, b, C: real(p, d, beta, b, C)
+                            + C * b)
+        assert formal_pipeline(3, 1).C_coefficient_of_P == (1, 3)
+        rows = {name: ok for name, ok, _ in verification_report(3, 1)}
+        assert rows["formal/C-cancels-from-P"] is False
+        assert sum(not ok for ok in rows.values()) == 1
 
     def test_printed_bracket_matches_only_at_p2(self):
         assert formal_pipeline(2, 1).mu_bracket_matches_printed

@@ -930,7 +930,6 @@ class TestShooting:
                                                             monkeypatch):
         from cglblow.shooting import worker_count
 
-        monkeypatch.delenv("CGLBLOW_WORKERS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
