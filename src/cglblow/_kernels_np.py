@@ -5,10 +5,13 @@ as bands in the diagonal-ordered layout of ``scipy.linalg.solve_banded``:
 entry (i, j) at row nb + i - j.  The implicit matrix I - wgt L_h is
 constant, so it is LU-factored once with LAPACK's pivoted banded routines
 (``zgttrf`` for the tridiagonal 2nd-order operator, ``zgbtrf`` for the
-pentadiagonal 4th-order one) and every step only runs the matching
-back-substitution, for one right side or for the k columns of an (n, k)
-array in one call.  The explicit side, ``cn_rhs``, applies L_h itself as a
-banded product in difference form.
+pentadiagonal 4th-order one).  Every step then solves with those factors,
+for one right side or for the k columns of an (n, k) array in one call:
+``zgttrs`` for the tridiagonal matrix; for the pentadiagonal one, the row
+interchanges of ``zgbtrf`` in order, with banded triangular solves
+(``ztbtrs``) between them, which is ``zgbtrs``'s arithmetic bit for bit
+without its per-column rank-1 updates.  The explicit side, ``cn_rhs``,
+applies L_h itself as a banded product in difference form.
 
 The four routines come from scipy's f2py LAPACK extension,
 ``scipy/linalg/_flapack``, which is loaded straight from its file.
@@ -47,7 +50,7 @@ def _flapack_path():
 
 
 def _load_lapack(locate=_flapack_path):
-    """The module that holds zgttrf/zgttrs/zgbtrf/zgbtrs.
+    """The module that holds zgttrf/zgttrs/zgbtrf/ztbtrs.
 
     ``locate`` finds the extension file; when it finds none, or the file
     does not load, ``scipy.linalg.lapack`` is used.  The extension loads
@@ -97,20 +100,63 @@ def tri_solve_factored(fact, rhs):
 
 
 def penta_factor(bands):
-    """LU factors of a pentadiagonal matrix given as (5, n) bands."""
+    """LU factors of a pentadiagonal matrix given as (5, n) bands.
+
+    ``zgbtrf`` leaves U in rows 0-4 of its 7-row array (rows 0-1 hold the
+    fill-in of pivoting), the multipliers of the unit lower factor in rows
+    5-6 and its row interchanges in ``ipiv``.  ``zgbtrs`` solves L by
+    running, for j = 0 .. n-2, the interchange of rows j and ipiv[j] and
+    then the update of rows j+1, j+2 from row j; between two interchanges
+    that is a unit-lower banded solve.  So the factors are kept as
+    ``(segments, upper)``.  A segment ``(start, stop, pivot, band)`` swaps
+    rows ``start`` and ``pivot`` and solves rows start .. stop-1 with the
+    multipliers ``band`` (lower band storage, kd = 2).  A segment that ends
+    at the next interchange c solves through row c+1 with the multiplier
+    of row c+1 in column c set to zero: rows c and c+1 then hold every
+    update ``zgbtrs`` makes to them before its interchange at c, and the
+    next segment, starting at c, makes the rest.  ``upper`` is U in upper
+    band storage, kd = 2 when the fill-in rows are zero and 4 otherwise.
+    Every band is Fortran-ordered, so ``ztbtrs`` reads it without a copy.
+    """
+    n = bands.shape[1]
     # zgbtrf needs kl = 2 extra rows on top for the fill-in of pivoting
-    ab = np.zeros((7, bands.shape[1]), dtype=np.complex128)
+    ab = np.zeros((7, n), dtype=np.complex128)
     ab[2:] = bands
     lu, ipiv, info = lapack.zgbtrf(ab, 2, 2, overwrite_ab=True)
     _check("zgbtrf", info)
-    return lu, ipiv
+    lower = lu[4:]  # the diagonal row is unread under diag="U"
+    swapped = np.flatnonzero(ipiv != np.arange(n))
+    starts = [0] + [int(c) for c in swapped if c > 0]
+    segments = []
+    for start, end in zip(starts, starts[1:] + [n]):
+        stop = min(n, end + 2)
+        band = np.array(lower[:, start:stop], order="F")
+        if end < n:
+            band[1, end - start] = 0.0
+        segments.append((start, stop, int(ipiv[start]), band))
+    upper = np.asfortranarray(lu[:5] if lu[:2].any() else lu[2:5])
+    return tuple(segments), upper
 
 
 def penta_solve_factored(fact, rhs):
-    """Solve with the factors of ``penta_factor``; rhs is (n,) or (n, k)."""
-    lu, ipiv = fact
-    x, info = lapack.zgbtrs(lu, 2, 2, rhs, ipiv)
-    _check("zgbtrs", info)
+    """Solve with the factors of ``penta_factor``; rhs is (n,) or (n, k).
+
+    The same steps as ``zgbtrs`` in the same order, so the result equals
+    it bit for bit: the lower segments in turn, then U by back-substitution.
+    """
+    segments, upper = fact
+    x = np.array(rhs, dtype=np.complex128, order="F")
+    for start, stop, pivot, band in segments:
+        if pivot != start:
+            x[[start, pivot]] = x[[pivot, start]]
+        part = x[start:stop]
+        out, info = lapack.ztbtrs(band, part, uplo="L", diag="U",
+                                  overwrite_b=1)
+        _check("ztbtrs", info)
+        if out is not part:  # a row slice of an (n, k) array is copied
+            part[...] = out
+    x, info = lapack.ztbtrs(upper, x, overwrite_b=1)
+    _check("ztbtrs", info)
     return x
 
 

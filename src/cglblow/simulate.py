@@ -539,6 +539,50 @@ def final_profile(x, params: ProfileParams) -> complex:
     return phase * np.exp(expo * np.log(core))
 
 
+# 2**-64 as a logarithm: the share of a term that the kernel check lets
+# aliasing, or the integrand at the ends of the grid, carry
+LOG_STRIDE_TOL = 64 * math.log(2.0)
+
+
+def kernel_stride(s: float, y: np.ndarray, ev: np.ndarray,
+                  values: np.ndarray, beta: float) -> int:
+    """Stride m of the nodes of y that the kernel quadrature of e^{sL} v needs.
+
+    At each evaluation point ``ev`` the integrand K(ev, x) v(x) of
+    e^{sL} v is a Gaussian in x, of Fourier decay exp(-(1-e^{-s}) xi^2),
+    times the sampled polynomial v.  The trapezoid rule on every m-th node,
+    spacing H = m (y[1] - y[0]), then aliases with the factor
+    exp(-(1-e^{-s}) (2 pi / H)^2) (Trefethen and Weideman, SIAM Rev. 56,
+    2014); m is the largest divisor of len(y) - 1 that keeps it at most
+    2**-64.  That bound needs the integrand to have decayed at the ends of
+    the grid, so m = 1 unless, at every evaluation point, both end-node
+    terms |K(ev, y[0]) v(y[0])| and |K(ev, y[-1]) v(y[-1])| are below
+    2**-64 of the row's largest term on the strided nodes.  (The largest
+    term, not the one at the node nearest e^{-s/2} ev: an odd mode
+    vanishes at y = 0, which is a node.)
+    """
+    last = len(y) - 1
+    decay = -math.expm1(-s)
+    h_max = 2.0 * math.pi * math.sqrt(decay / LOG_STRIDE_TOL)
+    h = y[1] - y[0]
+    m = max((d for d in range(2, last + 1)
+             if last % d == 0 and d * h <= h_max), default=1)
+    if m == 1:
+        return 1
+    # log |K(ev, x) v(x)| up to the kernel's constant factor
+    a = 1.0 / (4.0 * (1.0 + beta * beta) * decay)
+    ye = np.asarray(ev) * math.exp(-s / 2.0)
+    with np.errstate(divide="ignore"):
+        log_v = np.log(np.abs(values))
+    ends = np.maximum(log_v[0] - a * (ye - y[0]) ** 2,
+                      log_v[-1] - a * (ye - y[-1]) ** 2)
+    t = np.subtract.outer(ye, y[::m])
+    t *= t
+    t *= -a
+    t += log_v[::m]
+    return m if np.all(ends < t.max(axis=1) - LOG_STRIDE_TOL) else 1
+
+
 def linear_eigenmode_error(n: int, beta: float, L: float = 16.0,
                            dy: float = 0.01, ds: float = 1e-4,
                            s_end: float = 1.0, scheme: str = "imex2",
@@ -546,8 +590,12 @@ def linear_eigenmode_error(n: int, beta: float, L: float = 16.0,
     """Evolve f_n under the pure drift-diffusion flow and compare decays.
 
     Returns (relative error against exp(-n s/2) f_n on |y| <= 5, kernel-
-    quadrature mismatch or None).  Boundary values are pinned to the exact
-    decaying eigenmode.
+    quadrature mismatch or None).  The grid holds N = round(2L / dy) + 1
+    points on [-L, L], so its spacing is dy rounded to divide 2L.  Boundary
+    values are pinned to the exact decaying eigenmode.  The kernel check
+    compares the flow with the quadrature of e^{s_end L} f_n on every m-th
+    grid node, m = ``kernel_stride`` (taken from the grid's own spacing),
+    which keeps aliasing and the grid's end terms below 2**-64.
     """
     from .spectral import hermite_f, semigroup_apply
     from fractions import Fraction
@@ -571,6 +619,7 @@ def linear_eigenmode_error(n: int, beta: float, L: float = 16.0,
     rel = np.max(np.abs(w[mask] - exact[mask])) / np.max(np.abs(exact[mask]))
     kerr = None
     if kernel_check:
-        ker = semigroup_apply(s_end, y[mask], y, f_vals, beta)
+        m = kernel_stride(s_end, y, y[mask], f_vals, beta)
+        ker = semigroup_apply(s_end, y[mask], y[::m], f_vals[::m], beta)
         kerr = np.max(np.abs(w[mask] - ker)) / np.max(np.abs(exact[mask]))
     return rel, kerr

@@ -12,7 +12,9 @@ unstable (AB2 has no imaginary-axis stability).
 The discrete operator L_h is written once, as bands, in
 ``Stepper._operator``.  Both sides of the step read it: the implicit matrix
 I - wgt L_h is LU-factored exactly once, in ``Stepper.__init__`` (L_h does
-not depend on s), and the explicit side applies L_h in difference form.
+not depend on s), every step only solves with those factors (for the
+pentadiagonal matrix, by its row interchanges and banded triangular
+solves), and the explicit side applies L_h in difference form.
 The kernels live in :mod:`cglblow._kernels_np`, which loads scipy's LAPACK
 extension file directly rather than importing scipy.linalg, whose package
 init costs a fresh process about 0.3 s and 28 MB; it falls back to

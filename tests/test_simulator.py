@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,10 +16,11 @@ from cglblow.simulate import (
     SimState,
     Simulator,
     final_profile,
+    kernel_stride,
     linear_eigenmode_error,
 )
 from cglblow.stepping import KERNELS, Stepper
-from cglblow.spectral import hermite_f, project_sampled
+from cglblow.spectral import hermite_f, project_sampled, semigroup_apply
 
 
 @pytest.fixture(scope="module")
@@ -409,6 +411,27 @@ class TestLapackLoader:
         for rhs, x in solved:
             assert np.array_equal(x, scipy_lapack_solve(bands, rhs))
 
+    @pytest.mark.parametrize("shape", ["one right side", "three"])
+    def test_penta_solve_matches_zgbtrs_under_interior_interchanges(self,
+                                                                    shape):
+        # a Stepper's bands interchange at most row 0; random bands
+        # interchange rows all along and fill U's two extra bands
+        from scipy.linalg import lapack
+
+        rng = np.random.default_rng(11)
+        for n in (9, 120, 401):
+            bands = (rng.standard_normal((5, n))
+                     + 1j * rng.standard_normal((5, n)))
+            bands[2, rng.random(n) < 0.5] *= 8.0
+            ab = np.zeros((7, n), dtype=np.complex128)
+            ab[2:] = bands
+            _, ipiv, _ = lapack.zgbtrf(ab, 2, 2)
+            assert np.count_nonzero(ipiv[1:] != np.arange(1, n)) >= n // 5
+            size = (n,) if shape == "one right side" else (n, 3)
+            rhs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            x = KERNELS.penta_solve_factored(KERNELS.penta_factor(bands), rhs)
+            assert np.array_equal(x, scipy_lapack_solve(bands, rhs))
+
     @pytest.mark.parametrize("space_order", [2, 4])
     @pytest.mark.parametrize("found", ["nothing", "a broken file"])
     def test_fallback_gives_the_same_solves(self, space_order, found,
@@ -706,12 +729,74 @@ class TestRunLaws:
             assert np.array_equal(np.array(h1[k]), np.array(h2[k])), k
 
 
+def eigenmode_on_grid(n, beta, L, dy):
+    """The grid of ``linear_eigenmode_error`` and f_n sampled on it."""
+    y = np.linspace(-L, L, int(round(2 * L / dy)) + 1)
+    fn = np.array(hermite_f(n, Fraction(beta)).to_complex_coeffs())
+    return y, np.polyval(fn[::-1], y)
+
+
 class TestKernelCrossCheck:
     def test_flow_matches_kernel_quadrature(self):
         rel, kerr = linear_eigenmode_error(
             2, 0.5, L=14.0, dy=0.01, ds=2e-4, s_end=0.5, kernel_check=True
         )
         assert kerr < 1e-6
+
+    def test_perturbed_flow_fails_the_kernel_gate(self, monkeypatch):
+        step = Stepper.step
+
+        def nudged(self, w, prev, bc_left, bc_right):
+            w, prev = step(self, w, prev, bc_left, bc_right)
+            return w * (1.0 + 4e-9), prev  # 2500 steps: 1e-5 off at the end
+
+        monkeypatch.setattr(Stepper, "step", nudged)
+        _, kerr = linear_eigenmode_error(
+            2, 0.5, L=14.0, dy=0.01, ds=2e-4, s_end=0.5, kernel_check=True
+        )
+        assert kerr > 1e-6
+
+    # the benchmark's four betas at its s = 0.06, criterion 7 and the
+    # cross-check test above
+    @pytest.mark.parametrize("beta, L, s, m", [
+        (0.25, 16.0, 0.06, 20), (0.5, 16.0, 0.06, 20), (1.0, 16.0, 0.06, 20),
+        (2.0, 16.0, 0.06, 20), (0.5, 16.0, 1.0, 64), (0.5, 14.0, 0.5, 56),
+    ])
+    def test_strided_quadrature_matches_all_nodes(self, beta, L, s, m):
+        for n in range(5):
+            y, f = eigenmode_on_grid(n, beta, L, 0.01)
+            ev = y[np.abs(y) <= 5.0]
+            assert kernel_stride(s, y, ev, f, beta) == m
+            full = semigroup_apply(s, ev, y, f, beta)
+            strided = semigroup_apply(s, ev, y[::m], f[::m], beta)
+            scale = np.exp(-0.5 * n * s) * np.max(np.abs(f[np.abs(y) <= 5.0]))
+            assert np.max(np.abs(strided - full)) <= 1e-14 * scale
+
+    def test_no_stride_while_the_integrand_reaches_the_grid_ends(self):
+        # aliasing alone allows m = 64 at s = 1 (as for beta = 0.5), but at
+        # beta = 2 the kernel is wide enough that even the all-node
+        # quadrature misses e^{sL} f_4 by more than 1e-5
+        y, f = eigenmode_on_grid(4, 2.0, 16.0, 0.01)
+        mask = np.abs(y) <= 5.0
+        assert kernel_stride(1.0, y, y[mask], f, 2.0) == 1
+        exact = np.exp(-2.0) * f[mask]
+        full = semigroup_apply(1.0, y[mask], y, f, 2.0)
+        assert np.max(np.abs(full - exact)) > 1e-5 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("dy", [0.01, 0.0101, 0.013])
+    def test_stride_is_the_largest_divisor_within_the_bound(self, dy):
+        # the spacing is the grid's own, 2L / (N - 1), not dy
+        s = 0.06
+        y, f = eigenmode_on_grid(0, 0.5, 16.0, dy)
+        m = kernel_stride(s, y, y[np.abs(y) <= 5.0], f, 0.5)
+        h, last = y[1] - y[0], len(y) - 1
+
+        def alias(d):
+            return np.exp(np.expm1(-s) * (2 * np.pi / (d * h)) ** 2)
+
+        assert m > 1 and last % m == 0 and alias(m) <= 2.0**-64
+        assert all(alias(d) > 2.0**-64
+                   for d in range(m + 1, last + 1) if last % d == 0)
 
 
 class TestFinalProfile:
