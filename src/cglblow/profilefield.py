@@ -87,11 +87,30 @@ def phi0(z: np.ndarray, fp: FloatParams) -> np.ndarray:
 
 
 def phi(y: np.ndarray, fp: FloatParams, s: float) -> np.ndarray:
-    """The slowly modulated approximate profile phi(y, s)."""
+    """The slowly modulated approximate profile phi(y, s).
+
+    phi0 at z = y / s^(1/4) plus (1 + i delta) a / sqrt(s), written as
+    in-place passes over one real and one complex buffer: the base
+    1 + y^2 b / ((p-1) sqrt s) and its logarithm, then the complex
+    exponential of -(1 + i delta) / (p-1) times it, scaled by kappa and
+    shifted.  A scalar y gives a scalar.
+    """
     if not s > 1.0:  # a NaN s fails too
         raise ValueError("s must exceed 1")
-    z = np.asarray(y, dtype=float) / s**0.25
-    return phi0(z, fp) + (1.0 + 1j * fp.delta) * fp.a / np.sqrt(s)
+    y = np.asarray(y, dtype=float)
+    root = np.sqrt(s)
+    t = np.multiply(y, y, out=np.empty(y.shape))
+    t *= fp.b / ((fp.p - 1.0) * root)
+    t += 1.0
+    np.log(t, out=t)
+    out = np.empty(y.shape, dtype=complex)
+    expo = -(1.0 + 1j * fp.delta) / (fp.p - 1.0)
+    np.multiply(t, expo.real, out=out.real)
+    np.multiply(t, expo.imag, out=out.imag)
+    np.exp(out, out=out)
+    out *= fp.kappa
+    out += (1.0 + 1j * fp.delta) * fp.a / root
+    return out[()]
 
 
 def potentials(y: np.ndarray, fp: FloatParams, s: float):
@@ -190,19 +209,24 @@ def bound_M(fp: FloatParams) -> int:
     return M + (M % 2)
 
 
-def cutoff_chi0(xi: np.ndarray) -> np.ndarray:
-    """C^2 monotone cutoff: 1 below 1, 0 above 2, quintic blend between.
+def one_minus_chi0(xi: np.ndarray) -> np.ndarray:
+    """1 - chi0(xi) = u^3 (10 - 15 u + 6 u^2), u = xi - 1 clipped to [0, 1].
 
-    The blend is evaluated on the points between 1 and 2 only (and on NaN,
-    which stays NaN).
+    Exactly 0 for xi <= 1 and exactly 1 for xi >= 2, with no masks; a NaN
+    stays NaN.  The cube is two products, not a power.
     """
-    xi = np.asarray(xi, dtype=float)
-    inner = xi <= 1.0
-    blend = ~(inner | (xi >= 2.0))
-    out = np.where(inner, 1.0, 0.0)
-    u = xi[blend] - 1.0
-    out[blend] = 1.0 - u**3 * (10.0 - 15.0 * u + 6.0 * u**2)
+    u = np.clip(np.asarray(xi, dtype=float) - 1.0, 0.0, 1.0)
+    cube = u * u
+    out = 10.0 - 15.0 * u
+    out += 6.0 * cube
+    cube *= u
+    out *= cube
     return out
+
+
+def cutoff_chi0(xi: np.ndarray) -> np.ndarray:
+    """C^2 monotone cutoff: 1 below 1, 0 above 2, quintic blend between."""
+    return 1.0 - one_minus_chi0(xi)
 
 
 def cutoff_chi(y: np.ndarray, s: float, K: float) -> np.ndarray:

@@ -9,23 +9,33 @@ coordinates, shrinking-set combinations and norms are recorded as one row
 of the run's float table, whose columns ``Simulator.columns`` names.
 
 Every projection is a fixed linear map built once per ``Simulator``: the
-trapezoid projector onto the f_n, the sampled h_n / ht_n for the
-reconstruction and the real matrix of the triangular change of coordinates.
-The projector keeps only the band of grid points on which the complex
-Gaussian weight is not negligible (1568 of 8192 at p=3, delta=1, L=88), so
-the modulation needs phi on that band alone.  The full-grid phi is
-evaluated once per s, on one half of the symmetric grid, and mirrored, phi
-being even in y; a step takes its boundary value (one value for both
-ends) and the band's right part from it, and evaluates phi only on the
-band's left part, whose y are the mirrored ones up to rounding.
+trapezoid projector onto the f_n, the real matrix of the triangular change
+of coordinates, and for the reconstruction the powers y^0 .. y^M of the
+grid.  The real coordinates (q_n, qt_n) fold into the M+1 complex monomial
+coefficients of sum q_n h_n + qt_n ht_n, and one real product with the
+powers evaluates them (``BasisFloats.reconstruct``, which
+``project_sampled`` uses too).  The projector keeps only the band of grid
+points on which the complex Gaussian weight is not negligible (1568 of
+8192 at p=3, delta=1, L=88), so the modulation needs phi on that band
+alone.  The full-grid phi is evaluated once per s, on one half of the
+symmetric grid, and mirrored, phi being even in y; a step takes its
+boundary value (one value for both ends) and the band's right part from
+it, and evaluates phi only on the band's left part, whose y are the
+mirrored ones up to rounding.  The modulation picks each row's root with
+scalar ``math`` calls.
+
+Both norms are the square root of a maximum of re^2 + im^2 times a squared
+weight: (1 - chi)^2 on the outer points, where ``one_minus_chi0`` gives
+1 - chi = u^3 (10 - 15 u + 6 u^2) with u = |y| / (K s^(1/4)) - 1 clipped
+to [0, 1], and the fixed 1 / (1 + |y|^(M+1))^2 for the remainder.
 
 A run's state is always a block: the fields of k runs on one s grid are
 the rows of one (k, N) array, with one theta, one modulation flag and one
 Adams-Bashforth history per row.  ``run_block`` advances such a block,
 ``run`` is its k = 1 case, and every helper (``modulate``, ``project_q``,
 ``diagnose``, ``step``) works on rows.  The s-only work of a step (phi on
-the band and on the grid, the boundary value, the cutoff chi) is done once
-for the block, the elementwise work on the whole block, and the BLAS
+the band and on the grid, the boundary value, the cutoff's weight) is done
+once for the block, the elementwise work on the whole block, and the BLAS
 products (the projector, the change of coordinates, the mode
 reconstruction) row by row, since a BLAS product can round a column
 differently at different batch widths.  So each row equals the run of its
@@ -46,11 +56,11 @@ from .constants import ProfileParams, mu_critical, shrink_combo_constants
 from .profilefield import (
     FloatParams,
     InitialDataSpec,
-    cutoff_chi,
     initial_data,
+    one_minus_chi0,
     phi,
 )
-from .spectral import build_basis
+from .spectral import build_basis, powers_table
 from .stepping import Stepper
 
 
@@ -163,8 +173,26 @@ _COMBOS = (
     ("Qt4", "qt4", None, "Bt4", "Ct4"),
 )
 
-# the two roots of the modulation, +-arccos
-_PLUS_MINUS = np.array([1.0, -1.0])
+
+def _nearest_root(a: float, b: float, g: float, shift: float,
+                  prev: float) -> Optional[float]:
+    """The root theta of a cos(theta + shift) + b sin(theta + shift) = g
+    nearest ``prev``, or None when there is none.
+
+    The roots are atan2(b, a) +- arccos(g / |(a, b)|) - shift, each moved
+    by the multiple of 2 pi that brings it nearest ``prev``; the minus root
+    is taken only when strictly nearer.
+    """
+    r = math.hypot(a, b)
+    if not (abs(g) <= r and r != 0.0):
+        return None
+    mid, half = math.atan2(b, a), math.acos(g / r)
+    best = None
+    for root in (mid + half - shift, mid - half - shift):
+        root += 2 * math.pi * round((prev - root) / (2 * math.pi))
+        if best is None or abs(root - prev) < abs(best - prev):
+            best = root
+    return best
 
 
 def _shrink_bounds(A: float, M: int, columns: list):
@@ -200,6 +228,14 @@ def _shrink_bounds(A: float, M: int, columns: list):
     )
 
 
+def _weighted_max_sq(z: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """max over each row of weight * |z|^2, 0 for an empty row."""
+    sq = np.square(z.real)
+    sq += np.square(z.imag)
+    sq *= weight
+    return np.max(sq, axis=1, initial=0.0)
+
+
 class Simulator:
     """Precomputed machinery for runs at one parameter set.
 
@@ -232,8 +268,9 @@ class Simulator:
                                                   min(mid, band.stop))]
         self._band_right = slice(max(mid, band.start), band.stop)
         self._grid_s = self._grid = None
-        self._modes = self.bf.mode_samples(self.y)
-        self._weight_pow = 1.0 + np.abs(self.y) ** (config.M_track + 1)
+        self._powers = powers_table(self.y, config.M_track)
+        # the squared weight of the qminus norm, 1 / (1 + |y|^(M+1))^2
+        self._weight_sq = (1.0 + np.abs(self.y) ** (config.M_track + 1)) ** -2
         # the two outer slices |y| > K s0^(1/4) of the grid: chi = 1 inside
         # |y| <= K s^(1/4), which holds them for every s >= s0
         edge = config.K * config.s0**0.25
@@ -241,7 +278,8 @@ class Simulator:
             slice(0, int(np.searchsorted(self.y, -edge, side="left"))),
             slice(int(np.searchsorted(self.y, edge, side="right")), None),
         )
-        self._y_outer = np.concatenate([self.y[o] for o in self._outer])
+        self._y_outer_abs = np.abs(
+            np.concatenate([self.y[o] for o in self._outer]))
         M = config.M_track
         self.columns = (
             ["s", "theta", "theta_prime"]
@@ -316,29 +354,18 @@ class Simulator:
         # phi on the band: its right part is the grid's, at the same y
         band_phi = np.concatenate([phi(self._y_band_left, self.fp, s),
                                    self.phi_grid(s)[self._band_right]])
-        g = self.bf.convert_Q(self._proj.rows @ band_phi)[0][0]
-        a, b = np.empty(len(w)), np.empty(len(w))
+        g = float(self.bf.convert_Q(self._proj.rows @ band_phi)[0][0])
+        shift = float(self.Phi(s, 0.0))
+        theta, found = state.theta.copy(), np.zeros(len(w), dtype=bool)
         for j, row in enumerate(w):
             Ww = self._proj @ row
-            a[j] = self.bf.convert_Q(Ww)[0][0]
-            b[j] = self.bf.convert_Q(-1j * Ww)[0][0]
-        r = np.hypot(a, b)
-        found = (abs(g) <= r) & (r != 0.0)
-        every = bool(found.all())
-        on = slice(None) if every else found
-        half = np.arccos(g / r[on])[:, None]
-        roots = (np.arctan2(b[on], a[on])[:, None] + half * _PLUS_MINUS
-                 - self.Phi(s, 0.0))
-        prev = state.theta[on][:, None]
-        roots += 2 * np.pi * np.rint((prev - roots) / (2 * np.pi))
-        gap = np.abs(roots - prev)
-        near = np.where(gap[:, 1] < gap[:, 0], roots[:, 1], roots[:, 0])
-        if not every:  # a row without a root keeps its theta
-            theta = state.theta.copy()
-            theta[found] = near
-            near = theta
-        state.theta, state.no_root = near, ~found
-        return every
+            a = float(self.bf.convert_Q(Ww)[0][0])
+            b = float(self.bf.convert_Q(-1j * Ww)[0][0])
+            root = _nearest_root(a, b, g, shift, float(theta[j]))
+            if root is not None:  # a row without a root keeps its theta
+                theta[j], found[j] = root, True
+        state.theta, state.no_root = theta, ~found
+        return bool(found.all())
 
     # -- diagnostics -----------------------------------------------------------
 
@@ -354,8 +381,8 @@ class Simulator:
         qminus = np.empty_like(q)
         for j, row in enumerate(q):
             qn[j], qtn[j] = self.bf.convert_Q(self._proj @ row)
-            np.subtract(row, np.concatenate([qn[j], qtn[j]]) @ self._modes,
-                        out=qminus[j])
+            self.bf.reconstruct(qn[j], qtn[j], self._powers, out=qminus[j])
+            np.subtract(row, qminus[j], out=qminus[j])
         return q, qn, qtn, qminus
 
     def diagnose(self, state: SimState, theta_prime):
@@ -373,18 +400,18 @@ class Simulator:
         a, b, c = self._combo_abc
         row[:, self._combo_at] = row[:, self._combo_of] - (
             (a / s + b / s**1.5) + c * qtn[:, 2:3] / np.sqrt(s))
-        # 1 - chi vanishes on |y| <= K s^(1/4), so only the outer slices
-        # count; their points inside that radius add zeros to the max
-        one = 1.0 - cutoff_chi(self._y_outer, s, self.config.K)
+        # each norm is the sqrt of the largest weighted |.|^2; 1 - chi
+        # vanishes on |y| <= K s^(1/4), so only the outer slices count, and
+        # their points inside that radius add zeros to the max
+        one_sq = one_minus_chi0(
+            self._y_outer_abs / (self.config.K * s**0.25))
+        one_sq *= one_sq
         left, right = self._outer
-        qe_norm = np.maximum(
-            np.max(np.abs(q[:, left] * one[:left.stop]), axis=1, initial=0.0),
-            np.max(np.abs(q[:, right] * one[left.stop:]), axis=1,
-                   initial=0.0))
-        row[:, -3] = qe_norm
-        qminus = np.abs(qminus)
-        qminus /= self._weight_pow
-        row[:, -2] = qminus.max(axis=1)
+        qe_sq = np.maximum(
+            _weighted_max_sq(q[:, left], one_sq[:left.stop]),
+            _weighted_max_sq(q[:, right], one_sq[left.stop:]))
+        row[:, -3] = np.sqrt(qe_sq)
+        row[:, -2] = np.sqrt(_weighted_max_sq(qminus, self._weight_sq))
         row[:, -1] = state.no_root
         bound = self._bound_num / s**self._bound_pow
         ratios = np.abs(row[:, self._bound_at]) / bound

@@ -329,6 +329,16 @@ def _sampled(coeffs: list, y: np.ndarray) -> np.ndarray:
     return rows
 
 
+def powers_table(y: np.ndarray, M: int) -> np.ndarray:
+    """(M+1) x len(y) rows y^0 .. y^M, for ``BasisFloats.reconstruct``."""
+    y = np.asarray(y, dtype=float)
+    rows = np.empty((M + 1, len(y)))
+    rows[0] = 1.0
+    for k in range(1, M + 1):
+        np.multiply(rows[k - 1], y, out=rows[k])
+    return rows
+
+
 @dataclass(frozen=True)
 class GridProjector:
     """The columns ``band`` of a grid projector; ``proj @ q`` is Q.
@@ -371,6 +381,13 @@ class BasisFloats:
         self.convert = np.array([
             [to_complex(v).real for v in q + qt] for q, qt in cols
         ]).T
+        # row j holds the monomial coefficients of h_0 .. h_M, ht_0 .. ht_M
+        # as (Re c_0 .. Re c_M, Im c_0 .. Im c_M), so real coordinates
+        # (q, qt) fold into those of their sum by one real product
+        modes = np.zeros((2 * (self.M + 1), self.M + 1), dtype=complex)
+        for row, c in zip(modes, self.h_coeffs + self.ht_coeffs):
+            row[:len(c)] = c
+        self.monomials = np.concatenate([modes.real, modes.imag], axis=1)
 
     def eval_f(self, n: int, y: np.ndarray) -> np.ndarray:
         return np.polyval(self.f_coeffs[n][::-1], y)
@@ -410,19 +427,26 @@ class BasisFloats:
         band = _band(mag > cut)
         return GridProjector(rows[:, band].copy(), band)
 
-    def mode_samples(self, y: np.ndarray) -> np.ndarray:
-        """2(M+1) x len(y) rows h_0 .. h_M, ht_0 .. ht_M on the grid y.
-
-        ``concatenate([q, qt]) @ mode_samples(y)`` is the Jordan-basis
-        reconstruction.
-        """
-        return _sampled(self.h_coeffs + self.ht_coeffs, y)
-
     def convert_Q(self, Q: np.ndarray):
         """Triangular (Q_n) -> (q_n, qt_n) change of coordinates."""
         Q = np.asarray(Q)
         x = self.convert @ np.concatenate([Q.real, Q.imag])
         return x[: self.M + 1], x[self.M + 1:]
+
+    def reconstruct(self, q: np.ndarray, qt: np.ndarray, powers: np.ndarray,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
+        """sum_n q_n h_n + qt_n ht_n on the grid of ``powers``.
+
+        ``powers`` is ``powers_table(y, M)``.  The real coordinates fold
+        into the M+1 complex monomial coefficients of the sum, which one
+        real (len(y), M+1) x (M+1, 2) product evaluates into the real and
+        imaginary parts of ``out`` (a new complex array if None).
+        """
+        c = (np.concatenate([q, qt]) @ self.monomials).reshape(2, self.M + 1)
+        if out is None:
+            out = np.empty(powers.shape[1], dtype=complex)
+        np.matmul(powers.T, c.T, out=out.view(float).reshape(-1, 2))
+        return out
 
 
 def project_sampled(
@@ -431,14 +455,16 @@ def project_sampled(
     """Numeric projection of grid samples onto the Jordan basis.
 
     The trapezoid rule on the grid y (``bf.projector(y)``), spectrally
-    accurate for the exponentially decaying integrand.  Raises
-    GridTooNarrow when |rho| at an end of y exceeds ``TAIL_TOL``.
+    accurate for the exponentially decaying integrand; the remainder is the
+    samples less ``bf.reconstruct`` on ``powers_table(y, bf.M)``, the
+    simulator's reconstruction.  Raises GridTooNarrow when |rho| at an end
+    of y exceeds ``TAIL_TOL``.
     """
     y = np.asarray(y, dtype=float)
     q_arr = np.asarray(samples, dtype=complex)
     Q = bf.projector(y) @ q_arr
     q, qt = bf.convert_Q(Q)
-    recon = np.concatenate([q, qt]) @ bf.mode_samples(y)
+    recon = bf.reconstruct(q, qt, powers_table(y, bf.M))
     return ModeCoeffs(
         q=list(q), q_tilde=list(qt), Q=list(Q), remainder=q_arr - recon
     )

@@ -12,6 +12,7 @@ from cglblow.profilefield import (
     InitialDataSpec,
     cutoff_chi,
     cutoff_chi0,
+    one_minus_chi0,
     initial_data,
     nonlinear_B,
     phi,
@@ -227,6 +228,28 @@ class TestCutoff:
     def test_K_validation(self):
         with pytest.raises(ValueError):
             cutoff_chi(np.array([0.0]), 100.0, 0.5)
+
+    @pytest.mark.parametrize("s", [100.0, 100.37, 104.9995])
+    def test_squared_complement_matches_the_masked_form(self, s):
+        # the oracle is the masked form: 1 on xi <= 1, 0 on xi >= 2 and
+        # 1 - u^3 (10 - 15 u + 6 u^2) on the blend, then 1 - chi
+        K = 12.0
+        y = np.linspace(0.0, 3.0 * K * s**0.25, 200001)
+        xi = y / (K * s**0.25)
+        got = one_minus_chi0(xi) ** 2
+        assert np.all(got[xi <= 1.0] == 0.0)
+        assert np.all(got[xi >= 2.0] == 1.0)
+        blend = (xi > 1.0) & (xi < 2.0)
+        u = xi[blend] - 1.0
+        chi = 1.0 - u**3 * (10.0 - 15.0 * u + 6.0 * u**2)
+        # 1 - chi is formed at the scale of 1, so compare on it
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(got[blend] - (1.0 - chi) ** 2)) <= 4 * eps
+
+    def test_complement_of_nan_and_scalars(self):
+        assert np.isnan(one_minus_chi0(np.array([np.nan]))[0])
+        assert one_minus_chi0(0.5) == 0.0 and one_minus_chi0(2.5) == 1.0
+        assert cutoff_chi0(1.5) == 1.0 - one_minus_chi0(1.5)
 
 
 @pytest.fixture(scope="module")

@@ -10,17 +10,23 @@ import numpy as np
 import pytest
 
 from cglblow.constants import derive_params, mu_critical
-from cglblow.profilefield import InitialDataSpec, phi, rest_Rstar
+from cglblow.profilefield import InitialDataSpec, cutoff_chi, phi, rest_Rstar
 from cglblow.simulate import (
     SimConfig,
     SimState,
     Simulator,
+    _nearest_root,
     final_profile,
     kernel_stride,
     linear_eigenmode_error,
 )
 from cglblow.stepping import KERNELS, Stepper
-from cglblow.spectral import hermite_f, project_sampled, semigroup_apply
+from cglblow.spectral import (
+    hermite_f,
+    powers_table,
+    project_sampled,
+    semigroup_apply,
+)
 
 
 @pytest.fixture(scope="module")
@@ -651,6 +657,79 @@ class TestDiagnose:
         record = dict(zip(sim.columns, row))
         # Qt2 = qt2 - At2/s starts at the cutoff-truncation level
         assert abs(record["Qt2"]) < 1e-6
+
+
+def vectorized_root_choice(a, b, g, shift, prev):
+    """The modulation's root choice written over arrays, the oracle for
+    ``_nearest_root``: (found, the root nearest prev where found)."""
+    r = np.hypot(a, b)
+    found = (abs(g) <= r) & (r != 0.0)
+    half = np.arccos(g[found] / r[found])[:, None]
+    roots = (np.arctan2(b[found], a[found])[:, None]
+             + half * np.array([1.0, -1.0]) - shift[found][:, None])
+    before = prev[found][:, None]
+    roots += 2 * np.pi * np.rint((before - roots) / (2 * np.pi))
+    gap = np.abs(roots - before)
+    return found, np.where(gap[:, 1] < gap[:, 0], roots[:, 1], roots[:, 0])
+
+
+class TestPerStepBookkeeping:
+    """The per-step reconstruction, norms and root choice against the
+    plainer formulas they replace."""
+
+    def test_powers_reconstruction_matches_polyval(self, pm):
+        # a real run's coordinates on the default grid (N = 8192, L = 88)
+        sim = Simulator(SimConfig(params=pm, s_end=100.01))
+        st = sim.run(InitialDataSpec(0.3, -0.2), stop_on_exit=False).state
+        (_,), (qn,), (qtn,), (qminus,) = sim.project_q(st)
+        want = sum(qn[n] * sim.bf.eval_h(n, sim.y)
+                   + qtn[n] * sim.bf.eval_ht(n, sim.y) for n in range(7))
+        got = sim.bf.reconstruct(qn, qtn, powers_table(sim.y, 6))
+        # both sums round at the size of the basis values at |y| = 88,
+        # which is the size of the remainder there
+        assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(qminus))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_norms_match_the_abs_formula(self, pm, k):
+        sim = Simulator(small_config(pm, s_end=100.03))
+        pairs = [(0.0, 0.0), (0.3, -0.2), (2.0, 2.0)][:k]
+        runs = sim.run_block([InitialDataSpec(*d) for d in pairs],
+                             stop_on_exit=False)
+        st = SimState(w=np.concatenate([r.state.w for r in runs]),
+                      s=runs[0].state.s,
+                      theta=np.concatenate([r.state.theta for r in runs]),
+                      no_root=np.zeros(k, dtype=bool))
+        rows, _ = sim.diagnose(st, 0.0)
+        q, _, _, qminus = sim.project_q(st)
+        one = 1.0 - cutoff_chi(sim.y, st.s, sim.config.K)
+        want_qe = np.max(np.abs(q * one), axis=1)
+        want_qminus = np.max(
+            np.abs(qminus) / (1.0 + np.abs(sim.y) ** 7), axis=1)
+        for name, want in (("qe_norm", want_qe),
+                           ("qminus_norm", want_qminus)):
+            got = rows[:, sim.columns.index(name)]
+            assert np.all(want > 0.0)
+            assert np.max(np.abs(got / want - 1.0)) <= 1e-15, name
+
+    def test_scalar_root_matches_the_vectorized_choice(self):
+        rng = np.random.default_rng(5)
+        n = 4000
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+        g = rng.uniform(-1.1, 1.1, n) * np.hypot(a, b)
+        shift = rng.uniform(-400.0, 400.0, n)
+        prev = rng.uniform(-3.5, 3.5, n)   # across +-pi
+        a[7] = b[7] = 0.0                  # no root inside the block
+        found, want = vectorized_root_choice(a, b, g, shift, prev)
+        got = [_nearest_root(*map(float, v))
+               for v in zip(a, b, g, shift, prev)]
+        assert [x is not None for x in got] == list(found)
+        assert not found[7] and 0.05 < found.mean() < 0.95
+        got = np.array([x for x in got if x is not None])
+        # math's acos/atan2/hypot and numpy's vector loops may differ in
+        # the last bit; the root then moves by the rounding of
+        # atan2 +- acos - shift
+        ulp = np.spacing(np.abs(shift[found]) + 2 * np.pi)
+        assert np.all(np.abs(got - want) <= 2 * ulp)
 
 
 @pytest.fixture(scope="module")
