@@ -12,9 +12,9 @@ from cglblow.profilefield import (
     InitialDataSpec,
     cutoff_chi,
     cutoff_chi0,
-    one_minus_chi0,
     initial_data,
     nonlinear_B,
+    one_minus_chi0,
     phi,
     phi0,
     potentials,
@@ -249,7 +249,6 @@ class TestCutoff:
     def test_complement_of_nan_and_scalars(self):
         assert np.isnan(one_minus_chi0(np.array([np.nan]))[0])
         assert one_minus_chi0(0.5) == 0.0 and one_minus_chi0(2.5) == 1.0
-        assert cutoff_chi0(1.5) == 1.0 - one_minus_chi0(1.5)
 
 
 @pytest.fixture(scope="module")
