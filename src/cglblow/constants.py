@@ -710,8 +710,6 @@ class _Assembly:
         Th00, Tht00 = rs.Theta[(0, 0)], rs.Theta_t[(0, 0)]
         Th20 = rs.Theta[(2, 0)]
 
-        self.c2, self.c4 = c2, c4
-
         # mode-combination constants of the shrinking set
         C2c = pr.D[(2, 2)] - nu * (1 + d**2) / 2 + c4 * pr.Dt[(4, 2)] + (
             Th20 * c2 / kap

@@ -159,10 +159,15 @@ def _pool(sim: Simulator, workers: int):
 
 def _scan(sim: Simulator, pairs, workers: int, *, pool) -> list:
     """Probe every pair, in min(workers, len(pairs)) contiguous blocks: one
-    block in this process if serial, else one block per task on ``pool``."""
+    block in this process if serial (which then clears the worker slot),
+    else one block per task on ``pool``."""
+    global _WORKER_SIM
     if workers <= 1:
         _init_worker(sim)
-        return _run_probe(pairs)
+        try:
+            return _run_probe(pairs)
+        finally:
+            _WORKER_SIM = None
     n = min(workers, len(pairs))
     cuts = [len(pairs) * i // n for i in range(n + 1)]
     blocks = [pairs[a:b] for a, b in zip(cuts, cuts[1:])]

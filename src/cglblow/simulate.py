@@ -40,14 +40,16 @@ products (the projector, the change of coordinates, the mode
 reconstruction) row by row, since a BLAS product can round a column
 differently at different batch widths.  So each row equals the run of its
 pair alone, bit for bit, whatever block it is stepped in.  A row retires
-once it has exited and served its grace steps.  Shooting probes fan out
-over a process pool in :mod:`cglblow.shooting`, one block per worker.
+at the first step from its exit on at which the block has taken more than
+``exit_grace`` steps.  Shooting probes fan out over a process pool in
+:mod:`cglblow.shooting`, one block per worker.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -60,7 +62,7 @@ from .profilefield import (
     one_minus_chi0,
     phi,
 )
-from .spectral import build_basis, powers_table
+from .spectral import build_basis, hermite_f, powers_table, semigroup_apply
 from .stepping import Stepper
 
 
@@ -250,15 +252,12 @@ class Simulator:
         pm = config.params
         if pm.mu is None:
             pm = pm.with_mu(mu_critical(pm).mu)
-        self.params = pm
         self.fp = FloatParams.from_exact(pm)
         self.y = np.linspace(-config.L, config.L, config.N)
-        self.basis = build_basis(
-            config.M_track, pm.p, pm.delta, pm.beta
-        )
-        self.bf = self.basis.float_views()
-        combos = shrink_combo_constants(pm, self.basis)
-        self.combos = combos.float_map(self.fp.kappa)
+        basis = build_basis(config.M_track, pm.p, pm.delta, pm.beta)
+        self.bf = basis.float_views()
+        self.combos = shrink_combo_constants(pm, basis).float_map(
+            self.fp.kappa)
         self._proj = self.bf.projector(self.y)
         self._y_half = self.y[config.N // 2:]
         # the band's points left of the middle, and its part of the right
@@ -454,7 +453,10 @@ class Simulator:
         ``stop_on_exit`` a run ends, and its row leaves the block, once it
         has exited and taken more than ``exit_grace`` steps, so with
         ``exit_grace=0`` its last record is the exit's.  The block ends
-        with its last row or at s_end.
+        with its last row or at s_end.  Row j of the block is run
+        ``runs[j]``, the one index of the runs still in it; each run's last
+        field is its row of one (k, N) array ``final``, set as it retires
+        or at the end, and its RunResult's state holds that row.
         """
         cfg = self.config
         starts = [self.initial_state(spec) for spec in specs]
@@ -467,42 +469,35 @@ class Simulator:
         table = np.empty((k, nsteps + 1, len(self.columns)))
         ratios = np.empty((k, nsteps + 1, len(self.bound_names)))
         theta = table[:, :, self.columns.index("theta")]
-        runs = np.arange(k)    # the runs still in the block
-        live = slice(None)     # their table rows: a slice until one leaves
+        runs = np.arange(k)    # the runs still in the block, row by row
         filled = np.full(k, nsteps + 1)    # table rows of each run
         exit_at = np.zeros(k, dtype=int)   # step of each exit, 0 before it
-        final_w = [None] * k
+        final = np.empty_like(state.w)     # each run's last field
         self.modulate(state)
         table[:, 0], ratios[:, 0] = self.diagnose(state, 0.0)
-        waiting = False        # a run still in the block has exited
         for it in range(1, nsteps + 1):    # validate() ensures one step
             self.step(state)
             self.modulate(state)
             span = min(it, 10)
-            tp = (state.theta - theta[live, it - span]) / (span * cfg.ds)
+            tp = (state.theta - theta[runs, it - span]) / (span * cfg.ds)
             row, rat = self.diagnose(state, tp)
-            table[live, it], ratios[live, it] = row, rat
+            table[runs, it], ratios[runs, it] = row, rat
             over = rat > 1.0
             if over.any():
                 new = runs[over.any(axis=1) & (exit_at[runs] == 0)]
                 exit_at[new] = it
-                waiting = True
-            if waiting and stop_on_exit and it > exit_grace:
+            if stop_on_exit and it > exit_grace:
                 done = exit_at[runs] > 0
-                for j in np.flatnonzero(done):
-                    final_w[runs[j]] = state.w[j:j + 1].copy()
-                filled[runs[done]] = it + 1
-                runs = live = runs[~done]
-                waiting = False
-                state = state.take(~done)
-                if not len(runs):
-                    break
-        for j, r in enumerate(runs):
-            final_w[r] = state.w[j:j + 1]
+                if done.any():
+                    final[runs[done]] = state.w[done]
+                    filled[runs[done]] = it + 1
+                    runs = runs[~done]
+                    state = state.take(~done)
+                    if not len(runs):
+                        break
+        final[runs] = state.w
         meta = {
-            "scheme": cfg.scheme,
             "space_order": cfg.space_order,
-            "M_track": cfg.M_track,
             "combo_flavor": "selfconsistent",
             "init_order": "first",
             "mu": self.fp.mu,
@@ -520,7 +515,7 @@ class Simulator:
                 exit_component=self.bound_names[
                     np.argmax(ratios[r, exit_at[r]])] if hit else None,
             )
-            end = SimState(w=final_w[r], s=float(hist["s"][-1]),
+            end = SimState(w=final[r:r + 1], s=float(hist["s"][-1]),
                            theta=hist["theta"][-1:].copy(),
                            no_root=hist["modulation_failed"][-1:] == 1.0)
             results.append(RunResult(history=hist, report=report,
@@ -624,9 +619,6 @@ def linear_eigenmode_error(n: int, beta: float, L: float = 16.0,
     grid node, m = ``kernel_stride`` (taken from the grid's own spacing),
     which keeps aliasing and the grid's end terms below 2**-64.
     """
-    from .spectral import hermite_f, semigroup_apply
-    from fractions import Fraction
-
     N = int(round(2 * L / dy)) + 1
     y = np.linspace(-L, L, N)
     fb = Fraction(beta).limit_denominator(10**6)

@@ -283,9 +283,8 @@ class BasisTable:
             q[n] = q_n
             qt[n] = qt_n
             for j in range(n):
-                a_h = self.h_in_f[n][j] if j < len(self.h_in_f[n]) else 0
-                a_t = self.ht_in_f[n][j] if j < len(self.ht_in_f[n]) else 0
-                adj[j] = adj[j] - q_n * a_h - qt_n * a_t
+                adj[j] = (adj[j] - q_n * self.h_in_f[n][j]
+                          - qt_n * self.ht_in_f[n][j])
         return q, qt
 
     def reconstruct(self, modes: ModeCoeffs) -> Poly:

@@ -282,6 +282,15 @@ class TestOutputs:
         second = (out / "simulate.csv").read_bytes()
         assert first == second
 
+    def test_simulate_header_names_each_key_once(self, cfgfile):
+        path, out = cfgfile
+        assert main(["simulate", "--config", path]) == 0
+        lines = (out / "simulate.csv").read_text().splitlines()
+        keys = [ln.split(" = ")[0] for ln in lines
+                if ln.startswith("# ") and " = " in ln]
+        assert {"# scheme", "# M_track", "# mu"} <= set(keys)
+        assert sorted({k for k in keys if keys.count(k) > 1}) == []
+
     def test_verify_passes(self, cfgfile):
         path, out = cfgfile
         assert main(["verify", "--config", path]) == 0

@@ -1071,6 +1071,17 @@ class TestShooting:
         assert len(res.probes) == 9 + 2 * 5
         assert len(built) == 1
 
+    def test_serial_search_releases_its_simulator(self):
+        from cglblow import shooting
+
+        cfg = SimConfig(params=derive_params(3, 1), s_end=100.01)
+        first, second = (
+            shooting.shoot(cfg, grid_n=2, probe_N=512, probe_ds=1e-3,
+                           workers=1)
+            for _ in range(2))
+        assert shooting._WORKER_SIM is None
+        assert first.probes == second.probes
+
     def test_one_pool_per_search(self, pm, monkeypatch):
         from cglblow import shooting
 
