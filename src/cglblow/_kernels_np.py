@@ -161,31 +161,30 @@ def penta_solve_factored(fact, rhs):
 
 
 def cn_rhs(w, prev, op, p, delta, half_ds, c_new, c_old, reaction):
-    """Explicit side of one IMEX step and the reaction term it used.
+    """Explicit side of one Crank-Nicolson / Adams-Bashforth 2 step,
+    ``w + half_ds L_h w + c_new react + c_old prev``, and its reaction term.
 
     ``w`` holds one field per row, shape (..., n); the operator's bands
     broadcast over the rows.  ``op`` is the spatial operator L_h in the band
     layout above.  Its rows sum to zero, so the linear part is applied in
     difference form, ``sum_k op(i, i+k) (w[i+k] - w[i])`` over the
     off-diagonal bands: the diagonal is never read, and a constant field
-    gives exactly zero.  Zero terms are skipped: L_h when ``half_ds`` is 0,
-    the reaction term (returned as None) without ``reaction``, and ``prev``
-    when it is None.
+    gives exactly zero.  Zero terms are skipped: the reaction term (returned
+    as None) without ``reaction``, and ``prev`` when it is None.
     """
     n, nb = w.shape[-1], len(op) // 2
     rhs = np.zeros(w.shape, dtype=np.complex128)
     term = np.empty(w.shape, dtype=np.complex128)
-    if half_ds:
-        diff = np.empty(w.shape, dtype=np.complex128)
-        for k in range(1, nb + 1):
-            # d[j] = w[j+k] - w[j] serves row j (entry (j, j+k) at row nb - k)
-            # and, negated, row j+k (entry (j+k, j) at row nb + k)
-            d = np.subtract(w[..., k:], w[..., :-k], out=diff[..., :n - k])
-            rhs[..., :-k] += np.multiply(op[nb - k, k:], d,
-                                         out=term[..., :n - k])
-            rhs[..., k:] -= np.multiply(op[nb + k, :-k], d,
-                                        out=term[..., :n - k])
-        rhs *= half_ds
+    diff = np.empty(w.shape, dtype=np.complex128)
+    for k in range(1, nb + 1):
+        # d[j] = w[j+k] - w[j] serves row j (entry (j, j+k) at row nb - k)
+        # and, negated, row j+k (entry (j+k, j) at row nb + k)
+        d = np.subtract(w[..., k:], w[..., :-k], out=diff[..., :n - k])
+        rhs[..., :-k] += np.multiply(op[nb - k, k:], d,
+                                     out=term[..., :n - k])
+        rhs[..., k:] -= np.multiply(op[nb + k, :-k], d,
+                                    out=term[..., :n - k])
+    rhs *= half_ds
     rhs += w
     react = None
     if reaction:

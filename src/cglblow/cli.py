@@ -54,6 +54,7 @@ def parse_config(path) -> dict:
     if path is None:
         return cfg
     text = Path(path).read_text()
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -64,6 +65,9 @@ def parse_config(path) -> dict:
         key = key.strip()
         if key not in CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+        seen.add(key)
         cfg[key] = value.strip()
     return cfg
 
@@ -231,6 +235,9 @@ def _sim_config(cfg):
     validates it and only then derives mu."""
     from .simulate import SimConfig
 
+    if cfg["scheme"] != "imex2":
+        raise ValueError(f"unknown scheme {cfg['scheme']!r} (only imex2, "
+                         "Crank-Nicolson / Adams-Bashforth 2, runs)")
     return SimConfig(
         params=_params_for(cfg),
         L=float(cfg["grid.L"]),
@@ -241,7 +248,6 @@ def _sim_config(cfg):
         K=float(cfg["K"]),
         A=float(cfg["A"]),
         M_track=int(cfg["M_track"]),
-        scheme=cfg["scheme"],
     )
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import ProfileParams
+from .spectral import GridProjector
 
 
 @dataclass(frozen=True)
@@ -250,7 +251,7 @@ def initial_data(
     combos: dict,
     basis_floats,
     y: np.ndarray,
-    proj: np.ndarray,
+    proj: GridProjector,
 ) -> InitialData:
     """The shooting initial field psi at the run's initial time on the grid.
 
@@ -258,8 +259,9 @@ def initial_data(
     and the bound scale A are read from ``config``, the run's
     ``simulate.SimConfig``.  ``combos`` is the float map of the
     shrinking-set combination constants; ``basis_floats`` the float basis
-    views and ``proj`` their projector on y (``basis_floats.projector(y)``,
-    the one the simulator and ``project_sampled`` use).  d0 is solved from
+    views and ``proj`` their ``GridProjector`` on y (``proj @ q`` is Q; the
+    ``basis_floats.projector(y)`` that the simulator and ``project_sampled``
+    use).  d0 is solved from
     the unit projection constraint P_{0,M}(psi) = 0.
 
     Only the first-order slow-drift offsets are seeded; the s0^(-3/2)

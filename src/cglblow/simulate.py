@@ -79,7 +79,6 @@ class SimConfig:
     K: float = 12.0
     A: float = 20.0
     M_track: int = 6
-    scheme: str = "imex2"
     space_order: int = 2
 
     def validate(self):
@@ -110,8 +109,6 @@ class SimConfig:
                              f"support plus margin, got {self.L}")
         if self.M_track < 6 or self.M_track % 2:
             raise ValueError("M_track must be an even integer >= 6")
-        if self.scheme not in ("imex1", "imex2"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass
@@ -119,8 +116,8 @@ class SimState:
     """A block of k runs: their fields w, shape (k, N), the common time s,
     and theta, shape (k,).  ``no_root``, shape (k,), marks the runs whose
     last modulation found no root (all of them until a modulation has
-    run).  ``history``, shape (k, N), is imex2's last reaction term: None
-    before the first step, and always for imex1."""
+    run).  ``history``, shape (k, N), is the last step's reaction term, the
+    Adams-Bashforth history: None before the first step."""
 
     w: np.ndarray
     s: float
@@ -299,7 +296,7 @@ class Simulator:
         ])
         self.stepper = Stepper(
             self.y, config.ds, self.fp.beta, self.fp.p, self.fp.delta,
-            scheme=config.scheme, space_order=config.space_order,
+            space_order=config.space_order,
         )
 
     # -- field helpers -------------------------------------------------------
@@ -532,7 +529,7 @@ def s0_scaling_study(config: SimConfig, s0_values=(50.0, 100.0, 200.0),
     the (d0~, d1~) = (0, 0) data over a fixed window at each s0 and
     reports the per-component worst bound ratios, so the s0-dependence is
     part of the shooting record rather than guesswork.  Each run is
-    ``config`` (its parameters, K, A, M_track and scheme) on a grid sized
+    ``config`` (its parameters, K, A and M_track) on a grid sized
     for the cutoff radius at the end of the window.
     """
     out = {}
@@ -607,8 +604,8 @@ def kernel_stride(s: float, y: np.ndarray, ev: np.ndarray,
 
 def linear_eigenmode_error(n: int, beta: float, L: float = 16.0,
                            dy: float = 0.01, ds: float = 1e-4,
-                           s_end: float = 1.0, scheme: str = "imex2",
-                           space_order: int = 4, kernel_check: bool = False):
+                           s_end: float = 1.0, space_order: int = 4,
+                           kernel_check: bool = False):
     """Evolve f_n under the pure drift-diffusion flow and compare decays.
 
     Returns (relative error against exp(-n s/2) f_n on |y| <= 5, kernel-
@@ -624,8 +621,8 @@ def linear_eigenmode_error(n: int, beta: float, L: float = 16.0,
     fb = Fraction(beta).limit_denominator(10**6)
     fn = np.array(hermite_f(n, fb).to_complex_coeffs())
     f_vals = np.polyval(fn[::-1], y)
-    stp = Stepper(y, ds, beta, 3.0, 1.0, scheme=scheme,
-                  space_order=space_order, reaction=False)
+    stp = Stepper(y, ds, beta, 3.0, 1.0, space_order=space_order,
+                  reaction=False)
     w, prev = f_vals.astype(np.complex128), None
     s = 0.0
     nsteps = int(round(s_end / ds))

@@ -1,9 +1,9 @@
 """IMEX time stepping for the self-similar flow.
 
 The full linear part L = (1+i beta) d2/dy2 - (y/2) d/dy is treated
-implicitly (backward Euler for the first-order scheme, Crank-Nicolson for
-the second-order one); only the reaction terms are explicit (forward Euler
-or two-step Adams-Bashforth).  Boundary values are pinned (Dirichlet).
+implicitly, by Crank-Nicolson; only the reaction terms are explicit, by
+two-step Adams-Bashforth (a forward-Euler reaction on a first step).
+Boundary values are pinned (Dirichlet).
 
 Keeping the drift implicit matters: at the production grid the advective
 Courant number sits right at 1, where explicit central drift under AB2 is
@@ -11,8 +11,8 @@ unstable (AB2 has no imaginary-axis stability).
 
 The discrete operator L_h is written once, as bands, in
 ``Stepper._operator``.  Both sides of the step read it: the implicit matrix
-I - wgt L_h is LU-factored exactly once, in ``Stepper.__init__`` (L_h does
-not depend on s), every step only solves with those factors (for the
+I - (ds/2) L_h is LU-factored exactly once, in ``Stepper.__init__`` (L_h
+does not depend on s), every step only solves with those factors (for the
 pentadiagonal matrix, by its row interchanges and banded triangular
 solves), and the explicit side applies L_h in difference form.
 The kernels live in :mod:`cglblow._kernels_np`, which loads scipy's LAPACK
@@ -32,21 +32,17 @@ from . import _kernels_np as KERNELS
 
 
 class Stepper:
-    """IMEX integrator on a fixed uniform grid.
+    """Crank-Nicolson / Adams-Bashforth 2 stepper on a fixed uniform grid.
 
-    scheme: "imex1" (backward Euler / forward Euler) or "imex2"
-    (Crank-Nicolson / Adams-Bashforth 2).  space_order: 2 or 4 (the
-    4th-order Laplacian falls back to 2nd order one point from each
-    boundary).  reaction=False drops every zeroth-order term, leaving the
-    pure drift-diffusion flow of the linear-mode tests.  It serves any
-    number of fields; the caller keeps the history of each.
+    space_order: 2 or 4 (the 4th-order Laplacian falls back to 2nd order
+    one point from each boundary).  reaction=False drops every
+    zeroth-order term, leaving the pure drift-diffusion flow of the
+    linear-mode tests.  It serves any number of fields; the caller keeps
+    the history of each.
     """
 
     def __init__(self, y: np.ndarray, ds: float, beta: float, p: float,
-                 delta: float, scheme: str = "imex1", space_order: int = 2,
-                 reaction: bool = True):
-        if scheme not in ("imex1", "imex2"):
-            raise ValueError(f"unknown scheme {scheme!r}")
+                 delta: float, space_order: int = 2, reaction: bool = True):
         if space_order not in (2, 4):
             raise ValueError("space_order must be 2 or 4")
         self.y = np.asarray(y, dtype=float)
@@ -55,7 +51,6 @@ class Stepper:
         self.beta = float(beta)
         self.p = float(p)
         self.delta = float(delta)
-        self.scheme = scheme
         self.space_order = space_order
         self.reaction = reaction
         self._op = self._operator()
@@ -104,15 +99,13 @@ class Stepper:
         return op
 
     def _bands(self) -> np.ndarray:
-        """The implicit matrix I - wgt L_h, in the layout of ``_operator``.
-
-        wgt is the full step for imex1 and the half step for Crank-Nicolson;
-        the boundary rows come out as identity rows (Dirichlet pins).
+        """The implicit matrix I - (ds/2) L_h, in the layout of
+        ``_operator``; the boundary rows come out as identity rows
+        (Dirichlet pins).
         """
-        wgt = self.ds if self.scheme == "imex1" else 0.5 * self.ds
         bands = np.zeros_like(self._op)
         bands[self.space_order // 2] = 1.0
-        bands -= wgt * self._op
+        bands -= 0.5 * self.ds * self._op
         return bands
 
     # -- stepping ------------------------------------------------------------
@@ -123,20 +116,17 @@ class Stepper:
         ``prev`` is the history the last step of these rows returned, None
         on a first step; the boundary values are for the new time level, one
         per row (or one for all rows).  Returns the new field and its
-        history: this step's reaction term for imex2, None for imex1.
+        history, this step's reaction term (None without ``reaction``).
         """
         w = np.ascontiguousarray(w, dtype=np.complex128)
-        if self.scheme == "imex1":
-            half_ds, c_new, c_old = 0.0, self.ds, 0.0
-        elif prev is None:
-            half_ds, c_new, c_old = 0.5 * self.ds, self.ds, 0.0
+        if prev is None:
+            c_new, c_old = self.ds, 0.0
         else:
-            half_ds, c_new, c_old = 0.5 * self.ds, 1.5 * self.ds, -0.5 * self.ds
+            c_new, c_old = 1.5 * self.ds, -0.5 * self.ds
         rhs, react = KERNELS.cn_rhs(
-            w, prev, self._op, self.p, self.delta, half_ds, c_new, c_old,
-            self.reaction,
+            w, prev, self._op, self.p, self.delta, 0.5 * self.ds, c_new,
+            c_old, self.reaction,
         )
         rhs[..., 0] = bc_left
         rhs[..., -1] = bc_right
-        history = react if self.scheme == "imex2" else None
-        return self._solve(self._fact, rhs.T).T, history
+        return self._solve(self._fact, rhs.T).T, react

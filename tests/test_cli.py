@@ -30,6 +30,12 @@ class TestConfig:
         cfg = parse_config(path)
         assert cfg["p"] == "2" and cfg["delta"] == "1/3"
 
+    def test_repeated_key_rejected(self, tmp_path):
+        path = write_cfg(tmp_path, "p = 3\np = 2\ndelta = 1\n")
+        with pytest.raises(ValueError) as exc:
+            parse_config(path)
+        assert str(exc.value) == f"{path}:2: repeated key 'p'"
+
 
 @pytest.fixture
 def no_mu(monkeypatch):
@@ -53,11 +59,20 @@ class TestExitCodes:
         path = write_cfg(tmp_path, "nope = 1\n")
         assert main(["constants", "--config", path]) == 2
 
+    def test_repeated_key_is_2(self, tmp_path, capsys):
+        path = write_cfg(
+            tmp_path, f"ds = 1e-3\nds = 5e-4\noutput.dir = {tmp_path / 'o'}\n"
+        )
+        assert main(["simulate", "--config", path]) == 2
+        assert "repeated key 'ds'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("bad", [
         "ds = 0", "ds = -1e-3", "s_end = 100", "s_end = 99",
         "s_end = 100.0001", "s_end = inf", "grid.N = 2",
         "A = -20", "A = 0", "K = 0.5", "s0 = 1", "grid.L = nan",
-        "grid.L = inf", "p = 3/0", "delta = 1/0",
+        "grid.L = inf", "p = 3/0", "delta = 1/0", "scheme = imex1",
+        "scheme = wibble",
     ])
     def test_bad_step_config_is_2(self, tmp_path, capsys, no_mu, bad):
         path = write_cfg(tmp_path, f"{bad}\noutput.dir = {tmp_path / 'o'}\n")
@@ -85,6 +100,7 @@ class TestExitCodes:
         ("ds = 0", "ds must be in (0, 1e-3]"),
         ("s_end = 100", "holds no step"),
         ("grid.N = 2", "N = 2 is below the 3-point stencil"),
+        ("scheme = imex1", "unknown scheme 'imex1'"),
     ])
     def test_bad_shoot_config_is_2(self, tmp_path, capsys, no_mu, bad,
                                    message):

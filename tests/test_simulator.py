@@ -73,6 +73,11 @@ def cn_rhs_expression(w, prev, y, h, p, delta, beta, half_ds, c_new, c_old,
     return rhs, react
 
 
+# ids of the stepping cases: the scheme they run, by its config name, then
+# the space order
+IMEX2_IDS = ["imex2-2", "imex2-4"]
+
+
 def small_config(pm, **kw):
     defaults = dict(
         params=pm, L=88.0, N=2048, ds=1e-3, s0=100.0, s_end=100.5,
@@ -90,42 +95,23 @@ def one_row(w, s, theta):
 
 class TestStepper:
     def test_scheme_order(self):
-        # global error ratios on the decaying eigenmode reference
-        errs = {}
-        for scheme in ("imex1", "imex2"):
-            errs[scheme] = [
-                linear_eigenmode_error(
-                    2, 0.5, L=12.0, dy=0.02, ds=ds, s_end=0.5,
-                    scheme=scheme, space_order=4,
-                )[0]
-                for ds in (4e-3, 2e-3)
-            ]
-        r1 = errs["imex1"][0] / errs["imex1"][1]
-        r2 = errs["imex2"][0] / errs["imex2"][1]
-        assert 1.6 < r1 < 2.6
+        # global error ratio on the decaying eigenmode reference
+        errs = [
+            linear_eigenmode_error(2, 0.5, L=12.0, dy=0.02, ds=ds, s_end=0.5,
+                                   space_order=4)[0]
+            for ds in (4e-3, 2e-3)
+        ]
+        r2 = errs[0] / errs[1]
         assert 3.2 < r2 < 4.8
 
-    def test_max_principle_analog(self):
-        rng = np.random.default_rng(11)
-        y = np.linspace(-88, 88, 2048)
-        stp = Stepper(y, 5e-4, 0.5, 3.0, 1.0, scheme="imex1", reaction=False)
-        for _ in range(20):
-            w = rng.uniform(-1, 1, len(y)) + 1j * rng.uniform(-1, 1, len(y))
-            w[0] = w[-1] = 0.0
-            out, _ = stp.step(w, None, 0.0, 0.0)
-            assert np.max(np.abs(out)) <= np.max(np.abs(w)) * (1.0 + 1e-12)
-
-    @pytest.mark.parametrize("space_order", [2, 4])
-    @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
-    def test_factored_solve_matches_solve_banded(self, scheme, space_order):
+    @pytest.mark.parametrize("space_order", [2, 4], ids=IMEX2_IDS)
+    def test_factored_solve_matches_solve_banded(self, space_order):
         from scipy.linalg import solve_banded
 
         y = np.linspace(-30, 30, 801)
         w0 = np.exp(-(y**2) / 4.0).astype(complex)
-        stp = Stepper(y, 1e-3, 0.5, 3.0, 1.0, scheme=scheme,
-                      space_order=space_order)
-        ref = Stepper(y, 1e-3, 0.5, 3.0, 1.0, scheme=scheme,
-                      space_order=space_order)
+        stp = Stepper(y, 1e-3, 0.5, 3.0, 1.0, space_order=space_order)
+        ref = Stepper(y, 1e-3, 0.5, 3.0, 1.0, space_order=space_order)
         nb, bands = space_order // 2, ref._bands()
         ref._solve = lambda fact, rhs: solve_banded((nb, nb), bands, rhs)
         w = w_ref = w0
@@ -143,8 +129,8 @@ class TestStepper:
         rng = np.random.default_rng(3)
         y = np.linspace(-30, 30, 801)
         w = rng.standard_normal(len(y)) + 1j * rng.standard_normal(len(y))
-        stp = Stepper(y, 1e-3, 0.5, 3.0, 1.0, scheme="imex2",
-                      space_order=space_order, reaction=False)
+        stp = Stepper(y, 1e-3, 0.5, 3.0, 1.0, space_order=space_order,
+                      reaction=False)
         nb, bands = space_order // 2, stp._bands()
         implicit = np.zeros_like(w)
         for k in range(-nb, nb + 1):  # entries (i, i + k) sit at row nb - k
@@ -164,8 +150,8 @@ class TestStepper:
         # (a product that also reads the diagonal leaves rounding residue
         # on this grid at both orders)
         y = np.linspace(-16, 16, 3201)
-        stp = Stepper(y, 1e-3, 0.5, 3.0, 1.0, scheme="imex2",
-                      space_order=space_order, reaction=False)
+        stp = Stepper(y, 1e-3, 0.5, 3.0, 1.0, space_order=space_order,
+                      reaction=False)
         w = np.full(len(y), 0.7 - 1.3j)
         rhs, react = KERNELS.cn_rhs(w, 0 * w, stp._op, 3.0, 1.0, 0.5e-3,
                                     0.0, 0.0, False)
@@ -175,14 +161,12 @@ class TestStepper:
     @pytest.mark.parametrize("p, reaction", [
         (3.0, True), (2.0, True), (1.5, True), (3.0, False),
     ], ids=["3.0", "2.0", "1.5", "no-reaction"])
-    @pytest.mark.parametrize("space_order", [2, 4])
-    @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
-    def test_cn_rhs_matches_expression_form(self, scheme, space_order, p,
-                                            reaction, monkeypatch):
-        # every call of a short run (imex2: a first step, then
-        # Adams-Bashforth steps) agrees with the expression form to
-        # rounding; the reaction term is the same to the bit, and absent
-        # (None) without reaction
+    @pytest.mark.parametrize("space_order", [2, 4], ids=IMEX2_IDS)
+    def test_cn_rhs_matches_expression_form(self, space_order, p, reaction,
+                                            monkeypatch):
+        # every call of a short run (a first step, then Adams-Bashforth
+        # steps) agrees with the expression form to rounding; the reaction
+        # term is the same to the bit, and absent (None) without reaction
         diffs = []
         banded = KERNELS.cn_rhs
         y = np.linspace(-30, 30, 801)
@@ -205,8 +189,8 @@ class TestStepper:
         w = np.exp(-(y**2) / 16.0) * (1.0 + 0.3j) + 0.1 * (
             rng.standard_normal(len(y)) + 1j * rng.standard_normal(len(y))
         )
-        stp = Stepper(y, 1e-3, 0.5, p, 1.0, scheme=scheme,
-                      space_order=space_order, reaction=reaction)
+        stp = Stepper(y, 1e-3, 0.5, p, 1.0, space_order=space_order,
+                      reaction=reaction)
         prev = None
         for _ in range(3):
             w, prev = stp.step(w, prev, 0.1, -0.2j)
@@ -228,9 +212,8 @@ class TestStepper:
 class TestBlockStepping:
     """A (k, N) field steps each row as its own 1-D field would, bit for bit."""
 
-    @pytest.mark.parametrize("space_order", [2, 4])
-    @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
-    def test_rows_step_as_single_fields(self, scheme, space_order):
+    @pytest.mark.parametrize("space_order", [2, 4], ids=IMEX2_IDS)
+    def test_rows_step_as_single_fields(self, space_order):
         rng = np.random.default_rng(7)
         y = np.linspace(-30, 30, 801)
         k = 4
@@ -239,8 +222,7 @@ class TestBlockStepping:
             + 0.1j * rng.standard_normal((k, len(y))))
 
         # one Stepper steps the block and every row alone
-        stp = Stepper(y, 1e-3, 0.5, 3.0, 1.0, scheme=scheme,
-                      space_order=space_order)
+        stp = Stepper(y, 1e-3, 0.5, 3.0, 1.0, space_order=space_order)
         alone, alone_prev, prev = list(w), [None] * k, None
         rows = np.arange(k)
         for it in range(6):  # AB2 history on both sides of the drop
@@ -403,8 +385,7 @@ class TestLapackLoader:
         """(rhs, Stepper solve) pairs on a Stepper's own bands."""
         rng = np.random.default_rng(5)
         y = np.linspace(-30, 30, 801)
-        stp = Stepper(y, 1e-3, 0.5, 3.0, 1.0, scheme="imex2",
-                      space_order=space_order)
+        stp = Stepper(y, 1e-3, 0.5, 3.0, 1.0, space_order=space_order)
         out = []
         for _ in range(3):
             rhs = rng.standard_normal(len(y)) + 1j * rng.standard_normal(len(y))
@@ -476,7 +457,7 @@ def test_validate_rejects_bad_trap_parameters(pm, name, value):
 class TestSingleStep:
     def test_profile_residual_oracle(self, pm):
         # one step from the pure profile moves w by about ds * ||R*||
-        cfg = small_config(pm, scheme="imex1")
+        cfg = small_config(pm)
         sim = Simulator(cfg)
         w = np.exp(1j * sim.Phi(cfg.s0, 0.0)) * sim.phi_grid(cfg.s0)
         st = one_row(w, cfg.s0, 0.0)
@@ -489,34 +470,30 @@ class TestSingleStep:
         dq = np.max(np.abs(q))
         assert 0.2 * cfg.ds * rnorm < dq < 5.0 * cfg.ds * rnorm
 
-    @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
-    def test_state_keeps_the_reaction_term(self, pm, scheme):
-        # an imex2 step leaves its reaction term in the state, and the next
-        # step reads it; imex1 keeps no history
-        cfg = small_config(pm, N=1024, scheme=scheme)
+    def test_state_keeps_the_reaction_term(self, pm):
+        # a step leaves its reaction term in the state, and the next step
+        # reads it
+        cfg = small_config(pm, N=1024)
         sim = Simulator(cfg)
         st = sim.initial_state(InitialDataSpec(0.0, 0.5))
         w0 = st.w
         sim.step(st)
-        if scheme == "imex1":
-            assert st.history is None
-        else:
-            _, react = KERNELS.cn_rhs(w0, None, sim.stepper._op, sim.fp.p,
-                                      sim.fp.delta, 0.5 * cfg.ds, cfg.ds,
-                                      0.0, True)
-            assert np.array_equal(st.history, react)
-            restart = SimState(st.w.copy(), st.s, st.theta.copy(),
-                               st.no_root.copy())
-            assert not np.array_equal(sim.step(st).w, sim.step(restart).w)
+        _, react = KERNELS.cn_rhs(w0, None, sim.stepper._op, sim.fp.p,
+                                  sim.fp.delta, 0.5 * cfg.ds, cfg.ds, 0.0,
+                                  True)
+        assert np.array_equal(st.history, react)
+        restart = SimState(st.w.copy(), st.s, st.theta.copy(),
+                           st.no_root.copy())
+        assert not np.array_equal(sim.step(st).w, sim.step(restart).w)
 
 
-@pytest.mark.parametrize("scheme, ratio", [("imex1", 2.0), ("imex2", 4.0)])
-def test_nonlinear_time_order(pm, scheme, ratio):
+def test_nonlinear_time_order(pm):
     # self-convergence of the full run (reaction, modulation, boundary
-    # phase) in ds: the differences of successive halvings shrink by 2^order
+    # phase) in ds: the differences of successive halvings shrink by 2^2
+    ratio = 4.0
     ends = []
     for ds in (1e-3, 5e-4, 2.5e-4):
-        cfg = small_config(pm, N=1024, ds=ds, s_end=100.05, scheme=scheme)
+        cfg = small_config(pm, N=1024, ds=ds, s_end=100.05)
         res = Simulator(cfg).run(InitialDataSpec(0.5, 0.5), stop_on_exit=False)
         ends.append((res.state.w[0], res.history["Qt0"][-1]))
     (w1, q1), (w2, q2), (w3, q3) = ends
