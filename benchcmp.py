@@ -11,9 +11,11 @@ no tracked file is modified.  Untracked files are not part of the change
 side, and no side runs in the checkout itself.  ``perfbench/run.py`` runs
 in both copies in alternating pairs: the side that runs first alternates from
 one pair to the next, over the listed workloads and seeds.  Each run records
-the end-to-end metrics that ``BENCHMARK.json`` lists, ``correct`` and
-``failed``, the ``machine`` line, and the CPU time of the run and its workers
-as a ``getrusage(RUSAGE_CHILDREN)`` delta.  CPU time tells a machine that ran
+the commit its side ran (a copy is no git checkout, so the commit of its
+``machine`` line reads unknown), the end-to-end metrics that
+``BENCHMARK.json`` lists, ``correct`` and ``failed``, the ``machine`` line,
+and the CPU time of the run and its workers as a
+``getrusage(RUSAGE_CHILDREN)`` delta.  CPU time tells a machine that ran
 slower apart from code that did more work; it is reported, not judged.
 
 The result is ``BENCH_<tag>.json``: every run, and per workload (over all
@@ -238,9 +240,10 @@ def main(argv=None) -> int:
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
     scratch = Path(tempfile.mkdtemp(prefix="benchcmp-"))
     runs, k = [], 0
+    commits = {"base": base_commit, "change": stash or head}
     try:
-        trees = {"base": export(base_commit, scratch / "base"),
-                 "change": export(stash or head, scratch / "change")}
+        trees = {side: export(commit, scratch / side)
+                 for side, commit in commits.items()}
         for workload in args.workload:
             for seed in args.seeds:
                 for pair in range(args.pairs):
@@ -250,7 +253,8 @@ def main(argv=None) -> int:
                     for side in order:
                         run = run_once(trees[side], workload, seed, args)
                         runs.append(dict(run, workload=workload, seed=seed,
-                                         pair=pair, side=side))
+                                         pair=pair, side=side,
+                                         commit=commits[side]))
                         print(f"{workload} seed {seed} pair {pair} {side}: "
                               f"correct {run['correct']}  "
                               + "  ".join(f"{n} {v:.6g}" for n, v in

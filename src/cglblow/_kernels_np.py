@@ -160,7 +160,7 @@ def penta_solve_factored(fact, rhs):
     return x
 
 
-def cn_rhs(w, prev, op, p, delta, half_ds, c_new, c_old, reaction):
+def cn_rhs(w, prev, op, half_ds, c_new, c_old, reaction):
     """Explicit side of one Crank-Nicolson / Adams-Bashforth 2 step,
     ``w + half_ds L_h w + c_new react + c_old prev``, and its reaction term.
 
@@ -169,8 +169,11 @@ def cn_rhs(w, prev, op, p, delta, half_ds, c_new, c_old, reaction):
     layout above.  Its rows sum to zero, so the linear part is applied in
     difference form, ``sum_k op(i, i+k) (w[i+k] - w[i])`` over the
     off-diagonal bands: the diagonal is never read, and a constant field
-    gives exactly zero.  Zero terms are skipped: the reaction term (returned
-    as None) without ``reaction``, and ``prev`` when it is None.
+    gives exactly zero.  ``reaction`` is the stepper's (p, delta) or None.
+    Zero terms are skipped: the reaction term (returned as None) without
+    ``reaction``, and ``prev`` when it is None.  The boundary rows of L_h
+    and of the reaction term are zero, so for a finite ``w`` the boundary
+    values of the result are ``w``'s; the stepper overwrites them.
     """
     n, nb = w.shape[-1], len(op) // 2
     rhs = np.zeros(w.shape, dtype=np.complex128)
@@ -187,7 +190,8 @@ def cn_rhs(w, prev, op, p, delta, half_ds, c_new, c_old, reaction):
     rhs *= half_ds
     rhs += w
     react = None
-    if reaction:
+    if reaction is not None:
+        p, delta = reaction
         react = np.zeros(w.shape, dtype=np.complex128)
         cd = 1.0 + 1j * delta
         mod2 = w.real**2
@@ -201,6 +205,4 @@ def cn_rhs(w, prev, op, p, delta, half_ds, c_new, c_old, reaction):
         rhs += np.multiply(c_new, react, out=term)
     if prev is not None:
         rhs += np.multiply(c_old, prev, out=term)
-    rhs[..., 0] = w[..., 0]
-    rhs[..., -1] = w[..., -1]
     return rhs, react

@@ -268,8 +268,12 @@ def _transcribed_W(params) -> dict:
             "W22_printed": W22_printed}
 
 
+@cache
 def potential_polys(params) -> WTables:
-    """W_{i,j}, regenerated from the definitions and checked against print."""
+    """W_{i,j}, regenerated from the definitions and checked against print.
+
+    Computed once per process and key; callers must not modify the result.
+    """
     v1, v2 = potential_series(params)
     reg = {
         "W11": v1.t_coefficient(1),
@@ -1292,4 +1296,7 @@ def transcription_report(params) -> dict:
     for name, rv in reg.items():
         want = tr[name]
         report[name] = (is_zero(rv - want), name not in PRINTED_DEVIATIONS)
+    # both routes of W were compared when projection_tables built them
+    report["W22"] = (potential_polys(key).matches["W22_printed"],
+                     "W22" not in PRINTED_DEVIATIONS)
     return report

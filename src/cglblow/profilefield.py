@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ProfileParams
+from .constants import DomainError, ProfileParams
 from .spectral import GridProjector
 
 
@@ -53,16 +53,26 @@ class FloatParams:
 
     @classmethod
     def from_exact(cls, params: ProfileParams):
-        pf = float(params.p)
-        kappa = (pf - 1.0) ** (-1.0 / (pf - 1.0))
+        """The float view; a parameter beyond the double range (p = 1e400,
+        the beta of delta = 1e-400, the kappa of p = 1.001) is a
+        DomainError that names it."""
+        def real(name, value):
+            try:
+                return complex(value()).real
+            except (OverflowError, ZeroDivisionError):
+                raise DomainError(f"{name} has no float value: it lies "
+                                  "beyond the double range") from None
+
+        pf = real("p", lambda: params.p)
+        kappa = real("kappa", lambda: (pf - 1.0) ** (-1.0 / (pf - 1.0)))
         return cls(
             p=pf,
-            delta=float(params.delta),
-            beta=float(params.beta),
-            b=float(params.b2) ** 0.5,
-            nu=complex(params.nu).real,
-            a=params.a.to_complex(kappa).real,
-            mu=0.0 if params.mu is None else complex(params.mu).real,
+            delta=real("delta", lambda: params.delta),
+            beta=real("beta", lambda: params.beta),
+            b=real("b^2", lambda: params.b2) ** 0.5,
+            nu=real("nu", lambda: params.nu),
+            a=real("a", lambda: params.a.to_complex(kappa)),
+            mu=0.0 if params.mu is None else real("mu", lambda: params.mu),
             kappa=kappa,
         )
 

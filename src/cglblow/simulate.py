@@ -137,13 +137,11 @@ class ShrinkReport:
     """Bound ratios of the shrinking set along the run.
 
     ``ratios`` has one row per history record and one column per name in
-    ``names``, each ``|measurement| / (num / s**pow)``; ``s`` is the
-    history's s column.
+    ``names``, each ``|measurement| / (num / s**pow)``.
     """
 
     names: list
-    s: np.ndarray
-    ratios: np.ndarray            # shape (len(s), len(names))
+    ratios: np.ndarray            # shape (len(history["s"]), len(names))
     exit_s: Optional[float]
     exit_component: Optional[str]
 
@@ -294,10 +292,9 @@ class Simulator:
             [0.0 if c[j] is None else self.combos[c[j]] for c in _COMBOS]
             for j in (2, 3, 4)
         ])
-        self.stepper = Stepper(
-            self.y, config.ds, self.fp.beta, self.fp.p, self.fp.delta,
-            space_order=config.space_order,
-        )
+        self.stepper = Stepper(self.y, config.ds, self.fp.beta,
+                               reaction=(self.fp.p, self.fp.delta),
+                               space_order=config.space_order)
 
     # -- field helpers -------------------------------------------------------
 
@@ -493,20 +490,13 @@ class Simulator:
                     if not len(runs):
                         break
         final[runs] = state.w
-        meta = {
-            "space_order": cfg.space_order,
-            "combo_flavor": "selfconsistent",
-            "init_order": "first",
-            "mu": self.fp.mu,
-            "cutoff": "quintic C2 blend on [1, 2]",
-        }
+        meta = {"space_order": cfg.space_order, "mu": self.fp.mu}
         results = []
         for r in range(k):
             hist = dict(zip(self.columns, table[r, :filled[r]].T))
             hit = exit_at[r] > 0
             report = ShrinkReport(
                 names=self.bound_names,
-                s=hist["s"],
                 ratios=ratios[r, :filled[r]],
                 exit_s=float(hist["s"][exit_at[r]]) if hit else None,
                 exit_component=self.bound_names[
@@ -621,8 +611,7 @@ def linear_eigenmode_error(n: int, beta: float, L: float = 16.0,
     fb = Fraction(beta).limit_denominator(10**6)
     fn = np.array(hermite_f(n, fb).to_complex_coeffs())
     f_vals = np.polyval(fn[::-1], y)
-    stp = Stepper(y, ds, beta, 3.0, 1.0, space_order=space_order,
-                  reaction=False)
+    stp = Stepper(y, ds, beta, reaction=None, space_order=space_order)
     w, prev = f_vals.astype(np.complex128), None
     s = 0.0
     nsteps = int(round(s_end / ds))

@@ -65,15 +65,9 @@ def rho_weight(y: np.ndarray, beta: float) -> np.ndarray:
     return np.exp(-np.asarray(y) ** 2 / (4.0 * c)) / np.sqrt(4.0 * np.pi * c)
 
 
-def rho_weight_abs(y: np.ndarray, beta: float) -> np.ndarray:
-    return np.exp(-np.asarray(y) ** 2 / (4.0 * (1.0 + beta**2))) / np.sqrt(
-        4.0 * np.pi * np.sqrt(1.0 + beta**2)
-    )
-
-
 def _check_grid_edge(y: np.ndarray, beta: float):
     """Raise GridTooNarrow unless |rho| <= TAIL_TOL at both ends of y."""
-    tail = rho_weight_abs(np.array([abs(y[0]), abs(y[-1])]), beta).max()
+    tail = np.abs(rho_weight(np.array([y[0], y[-1]]), beta)).max()
     if not tail <= TAIL_TOL:  # a NaN edge fails too
         raise GridTooNarrow(
             f"|rho| = {tail:.2e} at the grid edge exceeds {TAIL_TOL:.0e}"

@@ -34,25 +34,23 @@ from . import _kernels_np as KERNELS
 class Stepper:
     """Crank-Nicolson / Adams-Bashforth 2 stepper on a fixed uniform grid.
 
+    ``reaction`` is the (p, delta) of the reaction term, or None for the
+    pure drift-diffusion flow of the linear-mode tests; it has no default.
     space_order: 2 or 4 (the 4th-order Laplacian falls back to 2nd order
-    one point from each boundary).  reaction=False drops every
-    zeroth-order term, leaving the pure drift-diffusion flow of the
-    linear-mode tests.  It serves any number of fields; the caller keeps
-    the history of each.
+    one point from each boundary).  It serves any number of fields; the
+    caller keeps the history of each.
     """
 
-    def __init__(self, y: np.ndarray, ds: float, beta: float, p: float,
-                 delta: float, space_order: int = 2, reaction: bool = True):
+    def __init__(self, y: np.ndarray, ds: float, beta: float, *,
+                 reaction, space_order: int = 2):
         if space_order not in (2, 4):
             raise ValueError("space_order must be 2 or 4")
         self.y = np.asarray(y, dtype=float)
         self.h = self.y[1] - self.y[0]
         self.ds = float(ds)
         self.beta = float(beta)
-        self.p = float(p)
-        self.delta = float(delta)
-        self.space_order = space_order
         self.reaction = reaction
+        self.space_order = space_order
         self._op = self._operator()
         bands = self._bands()
         if space_order == 2:
@@ -123,10 +121,8 @@ class Stepper:
             c_new, c_old = self.ds, 0.0
         else:
             c_new, c_old = 1.5 * self.ds, -0.5 * self.ds
-        rhs, react = KERNELS.cn_rhs(
-            w, prev, self._op, self.p, self.delta, 0.5 * self.ds, c_new,
-            c_old, self.reaction,
-        )
+        rhs, react = KERNELS.cn_rhs(w, prev, self._op, 0.5 * self.ds, c_new,
+                                    c_old, self.reaction)
         rhs[..., 0] = bc_left
         rhs[..., -1] = bc_right
         return self._solve(self._fact, rhs.T).T, react

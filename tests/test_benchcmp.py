@@ -180,6 +180,14 @@ def test_head_against_itself_claims_no_win(tmp_path):
     runs = report["runs"]
     assert sorted(r["side"] for r in runs) == ["base", "change"]
     for r in runs:
+        # the change side of a checkout with modified tracked files runs a
+        # stash commit on top of HEAD
+        ran = r["commit"]
+        if r["side"] == "change" and report["change"]["modified"]:
+            ran = subprocess.run(
+                ["git", "-C", str(ROOT), "rev-parse", f"{ran}^1"],
+                capture_output=True, text=True).stdout.strip()
+        assert ran == head
         assert r["correct"] and r["failed"] == 0 and r["attempted"] > 0
         assert r["cpu_s"] > 0 and r["machine"]["seed"] == 1
         assert all(r["metrics"][n] > 0 for n in names)

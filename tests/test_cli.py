@@ -80,6 +80,21 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["constants", "simulate", "profile"])
+    @pytest.mark.parametrize("bad, name", [("p = 1e400", "p"),
+                                           ("delta = 1e-400", "beta"),
+                                           ("p = 1.001", "kappa")])
+    def test_parameter_without_a_float_is_2(self, tmp_path, capsys, command,
+                                            bad, name):
+        # exact, these are critical pairs; but p, the beta of this delta or
+        # the kappa of this p overflows a double: a domain error, not a
+        # failed check
+        path = write_cfg(tmp_path, f"{bad}\noutput.dir = {tmp_path / 'o'}\n")
+        assert main([command, "--config", path]) == 2
+        assert (f"domain error: {name} has no float value"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("value", ["0", "-2", "abc"],
                              ids=lambda v: f"flag-{v}")
     def test_bad_worker_count_is_2(self, tmp_path, no_mu, value):
@@ -305,6 +320,7 @@ class TestOutputs:
         keys = [ln.split(" = ")[0] for ln in lines
                 if ln.startswith("# ") and " = " in ln]
         assert {"# scheme", "# M_track", "# mu"} <= set(keys)
+        assert not {"# combo_flavor", "# init_order", "# cutoff"} & set(keys)
         assert sorted({k for k in keys if keys.count(k) > 1}) == []
 
     def test_verify_passes(self, cfgfile):

@@ -245,6 +245,15 @@ class TestTranscription:
                 assert not match, f"{name} is a documented deviation"
                 assert name in PRINTED_DEVIATIONS
 
+    def test_w22_deviation_is_a_verify_row(self):
+        from cglblow.verify import verification_report
+
+        rows = {name: (ok, detail)
+                for name, ok, detail in verification_report(3, 1)}
+        ok, detail = rows["print/W22-documented-deviation"]
+        assert ok
+        assert detail == f"deviates here; {PRINTED_DEVIATIONS['W22']}"
+
 
 class TestBQuadratic:
     def test_spot_values_at_3_1(self):
@@ -536,7 +545,7 @@ class TestCaches:
 
         stages = (build_basis, projection_tables, rest_expansion,
                   b_quadratic_constants, _unit_projection_tables,
-                  _quad_kernels, _mu_fit)
+                  _quad_kernels, _mu_fit, potential_polys)
         pm = derive_params(3, 1)
         mu = mu_critical(pm).mu
         # the b^2 determination probes two synthetic-b parameter sets,
