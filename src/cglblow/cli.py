@@ -100,6 +100,13 @@ def _scalar_json(v, kappa: float) -> dict:
     return out
 
 
+def _output_path(cfg: dict, name: str) -> Path:
+    """The file ``name`` in the output directory, which is made if missing."""
+    out = Path(cfg["output.dir"])
+    out.mkdir(parents=True, exist_ok=True)
+    return out / name
+
+
 def _params_for(cfg) -> "ProfileParams":
     return derive_params(_frac(cfg, "p"), _frac(cfg, "delta"))
 
@@ -149,9 +156,7 @@ def cmd_constants(cfg, args) -> int:
             "mu_C_coefficient": str(fr.mu_C_coefficient),
         },
     }
-    out = Path(cfg["output.dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "constants.json"
+    path = _output_path(cfg, "constants.json")
     path.write_text(json.dumps(payload, indent=2))
     print(f"wrote {path}")
     return 0
@@ -161,9 +166,7 @@ def cmd_verify(cfg, args) -> int:
     from .verify import verification_report
 
     checks = verification_report(_frac(cfg, "p"), _frac(cfg, "delta"))
-    out = Path(cfg["output.dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "verify.txt"
+    path = _output_path(cfg, "verify.txt")
     failures = 0
     with path.open("w") as fh:
         for line in header_lines(cfg):
@@ -183,9 +186,7 @@ def cmd_basis(cfg, args) -> int:
     pm = _params_for(cfg)
     M = int(cfg["M_track"])
     basis = build_basis(M, pm.p, pm.delta, pm.beta)
-    out = Path(cfg["output.dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "basis.txt"
+    path = _output_path(cfg, "basis.txt")
     with path.open("w") as fh:
         for line in header_lines(cfg):
             fh.write(line + "\n")
@@ -213,9 +214,7 @@ def cmd_profile(cfg, args) -> int:
     ph = phi(y, fp, s)
     v1, v2 = potentials(y, fp, s)
     R = rest_R(y, fp, s)
-    out = Path(cfg["output.dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "profile.csv"
+    path = _output_path(cfg, "profile.csv")
     # np.hypot, not np.abs: numpy's vectorised complex abs can differ from
     # the correctly rounded modulus in the last bit
     mods = [np.hypot(f.real, f.imag) for f in (R, v1, v2)]
@@ -267,9 +266,7 @@ def cmd_simulate(cfg, args) -> int:
              "modulation_failures": int(h["modulation_failed"].sum())}
     names = list(h) + [f"VA_{k}" for k in res.report.names]
     fmt = ["%d" if k == "modulation_failed" else "%.17g" for k in h]
-    out = Path(cfg["output.dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "simulate.csv"
+    path = _output_path(cfg, "simulate.csv")
     with path.open("w") as fh:
         np.savetxt(
             fh, np.column_stack(list(h.values()) + [flags]), delimiter=",",
@@ -309,9 +306,7 @@ def cmd_shoot(cfg, args) -> int:
         from .simulate import s0_scaling_study
 
         payload["s0_scaling"] = s0_scaling_study(sc)
-    out = Path(cfg["output.dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "shoot.json"
+    path = _output_path(cfg, "shoot.json")
     path.write_text(json.dumps(payload, indent=2, default=float))
     print(f"wrote {path}")
     print(

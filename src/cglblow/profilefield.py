@@ -271,7 +271,9 @@ def initial_data(
     shrinking-set combination constants; ``basis_floats`` the float basis
     views and ``proj`` their ``GridProjector`` on y (``proj @ q`` is Q; the
     ``basis_floats.projector(y)`` that the simulator and ``project_sampled``
-    use).  d0 is solved from
+    use).  The polynomial body is built from the projector alone:
+    ``basis_floats.reconstruct`` of its coordinates (q_2 on h_2; qt_0,
+    qt_1, qt_2 on ht_0, ht_1, ht_2) on ``proj.powers``.  d0 is solved from
     the unit projection constraint P_{0,M}(psi) = 0.
 
     Only the first-order slow-drift offsets are seeded; the s0^(-3/2)
@@ -284,17 +286,12 @@ def initial_data(
     chi2 = cutoff_chi(2.0 * np.asarray(y), s0, config.K)
     bf = basis_floats
 
-    coeff_t0 = A / s0**1.75 * spec.d0_tilde + combos["At0"] / s0
-    coeff_t1 = A / s0**1.5 * spec.d1_tilde
-    coeff_t2 = combos["At2"] / s0
-    coeff_h2 = combos["A2"] / s0
-
-    body = (
-        coeff_t0 * bf.eval_ht(0, y)
-        + coeff_t1 * bf.eval_ht(1, y)
-        + coeff_t2 * bf.eval_ht(2, y)
-        + coeff_h2 * bf.eval_h(2, y)
-    )
+    q, qt = np.zeros(bf.M + 1), np.zeros(bf.M + 1)
+    q[2] = combos["A2"] / s0
+    qt[:3] = (A / s0**1.75 * spec.d0_tilde + combos["At0"] / s0,
+              A / s0**1.5 * spec.d1_tilde,
+              combos["At2"] / s0)
+    body = bf.reconstruct(q, qt, proj.powers)
 
     # d0 solves P_{0,M}(psi) = 0 for the h_0 direction
     def p0(field):

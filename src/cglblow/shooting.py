@@ -21,11 +21,13 @@ on it.  A scan splits its probe list into min(workers, probes) contiguous
 blocks; each block is stepped as one ``Simulator.run_block``, whose rows
 equal the probes' single runs bit for bit, so the search does not depend
 on the worker count.  The blocks fan out over a process pool whose workers
-inherit the Simulator, one block per worker; the pool size is the
+inherit the Simulator, one block per worker.  The worker count is the
 ``workers`` argument, else the number of CPUs the process may run on,
-capped at 8.  A count below 1 is an error.  One pool
-serves the coarse scan and every bisection level of a search; a serial
-search runs each scan as one block in the calling process.  Each pool
+capped at 8; a count below 1 is an error.  The pool holds no more workers
+than the search's largest scan has probes (grid_n**2 coarse probes, or 5
+per bisection level when refining); ``meta.workers`` records its size.
+One pool serves the coarse scan and every bisection level of a search; a
+serial search runs each scan as one block in the calling process.  Each pool
 worker sets the OpenBLAS that numpy and scipy bundle to one thread as it
 starts, so the workers do not oversubscribe the cores; a serial search
 leaves the caller's BLAS as it is.
@@ -210,7 +212,9 @@ def shoot(config: SimConfig, grid_n: int = 8, refine: bool = True,
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     if bisect_levels < 0:
         raise ValueError(f"bisect_levels must be >= 0, got {bisect_levels}")
-    nworkers = worker_count(workers)
+    # no more workers than the largest scan has probes
+    nworkers = min(worker_count(workers),
+                   max(grid_n**2, 5 if refine and bisect_levels else 0))
     sim = Simulator(replace(
         config,
         N=config.N if probe_N is None else probe_N,

@@ -9,15 +9,15 @@ coordinates, shrinking-set combinations and norms are recorded as one row
 of the run's float table, whose columns ``Simulator.columns`` names.
 
 Every projection is a fixed linear map built once per ``Simulator``: the
-trapezoid projector onto the f_n, the real matrix of the triangular change
-of coordinates, and for the reconstruction the powers y^0 .. y^M of the
-grid.  The real coordinates (q_n, qt_n) fold into the M+1 complex monomial
-coefficients of sum q_n h_n + qt_n ht_n, and one real product with the
-powers evaluates them (``BasisFloats.reconstruct``, which
-``project_sampled`` uses too).  The projector keeps only the band of grid
-points on which the complex Gaussian weight is not negligible (1568 of
-8192 at p=3, delta=1, L=88), so the modulation needs phi on that band
-alone.  The full-grid phi is evaluated once per s, on one half of the
+trapezoid projector onto the f_n, which holds the powers y^0 .. y^M of the
+grid it was formed from, and the real matrix of the triangular change of
+coordinates.  The real coordinates (q_n, qt_n) fold into the M+1 complex
+monomial coefficients of sum q_n h_n + qt_n ht_n, and one real product
+with the projector's powers evaluates them (``BasisFloats.reconstruct``,
+which the initial data and ``project_sampled`` use too).  The projector
+keeps only the band of grid points on which the complex Gaussian weight
+is not negligible (1568 of 8192 at p=3, delta=1, L=88), so the
+modulation needs phi on that band alone.  The full-grid phi is evaluated once per s, on one half of the
 symmetric grid, and mirrored, phi being even in y; a step takes its
 boundary value (one value for both ends) and the band's right part from
 it, and evaluates phi only on the band's left part, whose y are the
@@ -62,7 +62,8 @@ from .profilefield import (
     one_minus_chi0,
     phi,
 )
-from .spectral import build_basis, hermite_f, powers_table, semigroup_apply
+from .spectral import (BasisFloats, build_basis, hermite_f, powers_table,
+                       semigroup_apply)
 from .stepping import Stepper
 
 
@@ -250,7 +251,7 @@ class Simulator:
         self.fp = FloatParams.from_exact(pm)
         self.y = np.linspace(-config.L, config.L, config.N)
         basis = build_basis(config.M_track, pm.p, pm.delta, pm.beta)
-        self.bf = basis.float_views()
+        self.bf = BasisFloats(basis)
         self.combos = shrink_combo_constants(pm, basis).float_map(
             self.fp.kappa)
         self._proj = self.bf.projector(self.y)
@@ -262,7 +263,6 @@ class Simulator:
                                                   min(mid, band.stop))]
         self._band_right = slice(max(mid, band.start), band.stop)
         self._grid_s = self._grid = None
-        self._powers = powers_table(self.y, config.M_track)
         # the squared weight of the qminus norm, 1 / (1 + |y|^(M+1))^2
         self._weight_sq = (1.0 + np.abs(self.y) ** (config.M_track + 1)) ** -2
         # the two outer slices |y| > K s0^(1/4) of the grid: chi = 1 inside
@@ -374,7 +374,8 @@ class Simulator:
         qminus = np.empty_like(q)
         for j, row in enumerate(q):
             qn[j], qtn[j] = self.bf.convert_Q(self._proj @ row)
-            self.bf.reconstruct(qn[j], qtn[j], self._powers, out=qminus[j])
+            self.bf.reconstruct(qn[j], qtn[j], self._proj.powers,
+                                out=qminus[j])
             np.subtract(row, qminus[j], out=qminus[j])
         return q, qn, qtn, qminus
 
@@ -583,12 +584,12 @@ def kernel_stride(s: float, y: np.ndarray, ev: np.ndarray,
     ye = np.asarray(ev) * math.exp(-s / 2.0)
     with np.errstate(divide="ignore"):
         log_v = np.log(np.abs(values))
-    ends = np.maximum(log_v[0] - a * (ye - y[0]) ** 2,
-                      log_v[-1] - a * (ye - y[-1]) ** 2)
     t = np.subtract.outer(ye, y[::m])
     t *= t
     t *= -a
     t += log_v[::m]
+    # m divides len(y) - 1, so the end nodes are the first and last columns
+    ends = np.maximum(t[:, 0], t[:, -1])
     return m if np.all(ends < t.max(axis=1) - LOG_STRIDE_TOL) else 1
 
 
@@ -609,8 +610,8 @@ def linear_eigenmode_error(n: int, beta: float, L: float = 16.0,
     N = int(round(2 * L / dy)) + 1
     y = np.linspace(-L, L, N)
     fb = Fraction(beta).limit_denominator(10**6)
-    fn = np.array(hermite_f(n, fb).to_complex_coeffs())
-    f_vals = np.polyval(fn[::-1], y)
+    f_vals = (np.array(hermite_f(n, fb).to_complex_coeffs())
+              @ powers_table(y, n))
     stp = Stepper(y, ds, beta, reaction=None, space_order=space_order)
     w, prev = f_vals.astype(np.complex128), None
     s = 0.0

@@ -18,7 +18,10 @@ solve, ``_jordan_vector``; ``c_n`` comes out of the solve rather than being
 assumed.
 
 Everything exact lives on GaussComplex coefficients; the numeric entry
-points (sampled projections, the semigroup kernel) use numpy.
+points (sampled projections, the semigroup kernel) use numpy.  A
+polynomial is put on a float grid one way only: its monomial coefficients
+times ``powers_table``, the rows y^0 .. y^M of the grid, which the grid's
+projector holds beside its rows.
 
 Both numeric quadratures are the trapezoid rule on the sampling grid,
 written as banded matrix products that drop only what rounding would lose
@@ -195,7 +198,8 @@ class ModeCoeffs:
 
 
 class BasisTable:
-    """Exact Jordan basis up to degree M, with float views for the solver."""
+    """Exact Jordan basis up to degree M; ``BasisFloats(table)`` holds its
+    float views for the solver."""
 
     def __init__(self, M: int, p: Fraction, delta: Fraction, beta: Fraction):
         if M < 2 or M % 2 != 0:
@@ -289,11 +293,6 @@ class BasisTable:
             acc = acc + modes.remainder
         return acc
 
-    # -- float views ---------------------------------------------------------
-
-    def float_views(self) -> "BasisFloats":
-        return BasisFloats(self)
-
 
 @cache
 def build_basis(M: int, p, delta, beta) -> BasisTable:
@@ -314,16 +313,9 @@ def trapezoid_weights(y: np.ndarray) -> np.ndarray:
     return 0.5 * w
 
 
-def _sampled(coeffs: list, y: np.ndarray) -> np.ndarray:
-    """One row per coefficient array: the polynomial's values on y."""
-    rows = np.empty((len(coeffs), len(y)), dtype=complex)
-    for row, c in zip(rows, coeffs):
-        row[:] = np.polyval(c[::-1], y)
-    return rows
-
-
 def powers_table(y: np.ndarray, M: int) -> np.ndarray:
-    """(M+1) x len(y) rows y^0 .. y^M, for ``BasisFloats.reconstruct``."""
+    """(M+1) x len(y) rows y^0 .. y^M: a polynomial's values on y are its
+    monomial coefficients times this table."""
     y = np.asarray(y, dtype=float)
     rows = np.empty((M + 1, len(y)))
     rows[0] = 1.0
@@ -337,18 +329,34 @@ class GridProjector:
     """The columns ``band`` of a grid projector; ``proj @ q`` is Q.
 
     ``rows`` is (M+1) x (band length) and acts on ``q[band]``, so q is a
-    field on the whole grid.
+    field on the whole grid.  ``powers`` is ``powers_table(y, M)`` of the
+    whole grid y, from which the rows were formed; every polynomial on
+    that grid (``BasisFloats.reconstruct``) is evaluated on it.
     """
 
     rows: np.ndarray
     band: slice
+    powers: np.ndarray
 
     def __matmul__(self, q: np.ndarray) -> np.ndarray:
         return self.rows @ q[self.band]
 
 
+def _coeff_table(polys: list, M: int) -> np.ndarray:
+    """Row n: the monomial coefficients c_0 .. c_M of polys[n], complex."""
+    out = np.zeros((len(polys), M + 1), dtype=complex)
+    for row, poly in zip(out, polys):
+        c = poly.to_complex_coeffs()
+        row[:len(c)] = c
+    return out
+
+
 class BasisFloats:
     """Float-precision basis data for grid projections.
+
+    ``f_table`` holds the monomial coefficients of f_0 .. f_M, one row
+    each; ``monomials`` those of h_0 .. h_M, ht_0 .. ht_M.  On a grid both
+    are evaluated as a product with the grid's ``powers_table``.
 
     The triangular change of coordinates (Q_n) -> (q_n, qt_n) is R-linear;
     it is stored as one real matrix acting on (Re Q, Im Q), whose columns
@@ -359,11 +367,7 @@ class BasisFloats:
     def __init__(self, table: BasisTable):
         self.M = table.M
         self.beta = float(table.beta)
-        self.f_coeffs = [np.array(f.to_complex_coeffs()) for f in table.f]
-        self.h_coeffs = [np.array(h.to_complex_coeffs()) for h in table.h]
-        self.ht_coeffs = [
-            np.array(h.to_complex_coeffs()) for h in table.h_tilde
-        ]
+        self.f_table = _coeff_table(table.f, self.M)
         self.fnorm = np.array([complex(v) for v in table.fnorm])
         n = range(self.M + 1)
         cols = [
@@ -377,48 +381,32 @@ class BasisFloats:
         # row j holds the monomial coefficients of h_0 .. h_M, ht_0 .. ht_M
         # as (Re c_0 .. Re c_M, Im c_0 .. Im c_M), so real coordinates
         # (q, qt) fold into those of their sum by one real product
-        modes = np.zeros((2 * (self.M + 1), self.M + 1), dtype=complex)
-        for row, c in zip(modes, self.h_coeffs + self.ht_coeffs):
-            row[:len(c)] = c
+        modes = _coeff_table(table.h + table.h_tilde, self.M)
         self.monomials = np.concatenate([modes.real, modes.imag], axis=1)
-
-    def eval_f(self, n: int, y: np.ndarray) -> np.ndarray:
-        return np.polyval(self.f_coeffs[n][::-1], y)
-
-    def eval_h(self, n: int, y: np.ndarray) -> np.ndarray:
-        return np.polyval(self.h_coeffs[n][::-1], y)
-
-    def eval_ht(self, n: int, y: np.ndarray) -> np.ndarray:
-        return np.polyval(self.ht_coeffs[n][::-1], y)
-
-    def f_rows(self, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """(M+1) x len(y) rows weights * f_n(y) / <f_n, f_n>.
-
-        With quadrature weights (including the complex Gaussian weight)
-        ``f_rows(y, weights) @ samples`` is the vector of coordinates Q_n.
-        """
-        rows = _sampled(self.f_coeffs, y)
-        rows *= weights
-        rows /= self.fnorm[:, None]
-        return rows
 
     def projector(self, y: np.ndarray) -> GridProjector:
         """Trapezoid-rule projector on the grid y: ``projector(y) @ q`` is Q.
 
-        Only the weight's support is kept: the contiguous band of columns of
-        the full matrix ``f_rows(y, trapezoid_weights(y) * rho)`` in which
-        some entry exceeds 2**-52 / N times its row's largest entry (N =
-        len(y)).  No dropped entry exceeds that share, so for any q the
-        dropped terms of row n add up to at most 2**-52 max_j |P_nj| max|q|,
-        one rounding of the largest term the row can have.  Raises
-        GridTooNarrow when y does not cover the weight's support.
+        The full matrix has the rows w rho f_n / <f_n, f_n>, with w the
+        trapezoid weights: ``f_table`` times ``powers_table(y, M)``, which
+        the projector keeps as its ``powers``, scaled by the weights and
+        the norms.  Only the weight's support is kept: the contiguous band
+        of its columns in which some entry exceeds 2**-52 / N times its
+        row's largest entry (N = len(y)).  No dropped entry exceeds that
+        share, so for any q the dropped terms of row n add up to at most
+        2**-52 max_j |P_nj| max|q|, one rounding of the largest term the
+        row can have.  Raises GridTooNarrow when y does not cover the
+        weight's support.
         """
         _check_grid_edge(y, self.beta)
-        rows = self.f_rows(y, trapezoid_weights(y) * rho_weight(y, self.beta))
+        powers = powers_table(y, self.M)
+        rows = self.f_table @ powers
+        rows *= trapezoid_weights(y) * rho_weight(y, self.beta)
+        rows /= self.fnorm[:, None]
         mag = np.abs(rows)
         cut = (2.0**-52 / len(y)) * mag.max(axis=1, keepdims=True)
         band = _band(mag > cut)
-        return GridProjector(rows[:, band].copy(), band)
+        return GridProjector(rows[:, band].copy(), band, powers)
 
     def convert_Q(self, Q: np.ndarray):
         """Triangular (Q_n) -> (q_n, qt_n) change of coordinates."""
@@ -449,15 +437,16 @@ def project_sampled(
 
     The trapezoid rule on the grid y (``bf.projector(y)``), spectrally
     accurate for the exponentially decaying integrand; the remainder is the
-    samples less ``bf.reconstruct`` on ``powers_table(y, bf.M)``, the
+    samples less ``bf.reconstruct`` on the projector's ``powers``, the
     simulator's reconstruction.  Raises GridTooNarrow when |rho| at an end
     of y exceeds ``TAIL_TOL``.
     """
     y = np.asarray(y, dtype=float)
     q_arr = np.asarray(samples, dtype=complex)
-    Q = bf.projector(y) @ q_arr
+    proj = bf.projector(y)
+    Q = proj @ q_arr
     q, qt = bf.convert_Q(Q)
-    recon = bf.reconstruct(q, qt, powers_table(y, bf.M))
+    recon = bf.reconstruct(q, qt, proj.powers)
     return ModeCoeffs(
         q=list(q), q_tilde=list(qt), Q=list(Q), remainder=q_arr - recon
     )

@@ -616,7 +616,7 @@ class TestFloatCrossValidation:
         from cglblow.constants import mu_critical, rest_expansion
         from cglblow.exact import to_complex
         from cglblow.profilefield import FloatParams, rest_Rstar
-        from cglblow.spectral import project_sampled
+        from cglblow.spectral import BasisFloats, project_sampled
 
         pm = derive_params(3, 1)
         mu = mu_critical(pm).mu
@@ -625,7 +625,7 @@ class TestFloatCrossValidation:
         pm = pm.with_mu(mu)
         fp = FloatParams.from_exact(pm)
         kap = fp.kappa
-        bf = basis.float_views()
+        bf = BasisFloats(basis)
         y = np.linspace(-60, 60, 24001)
         # two s values isolate the 1/s and s^(-3/2) terms per component
         s1, s2 = 1.0e6, 4.0e6

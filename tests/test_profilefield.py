@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import poly_values
 
 from cglblow.constants import derive_params, mu_critical, shrink_combo_constants
 from cglblow.profilefield import (
@@ -22,7 +23,7 @@ from cglblow.profilefield import (
     rest_Rstar,
 )
 from cglblow.simulate import SimConfig
-from cglblow.spectral import build_basis
+from cglblow.spectral import BasisFloats, build_basis
 
 
 @pytest.fixture(scope="module")
@@ -256,7 +257,7 @@ def machinery(pm):
     basis = build_basis(6, pm.p, pm.delta, pm.beta)
     combos = shrink_combo_constants(pm, basis)
     fp = FloatParams.from_exact(pm)
-    bf = basis.float_views()
+    bf = BasisFloats(basis)
     y = np.linspace(-88, 88, 4097)
     cfg = SimConfig(params=pm, s0=100.0, K=12.0, A=20.0)
     return cfg, combos.float_map(fp.kappa), bf, y
@@ -288,6 +289,31 @@ class TestInitialData:
             d0s.append(abs(initial_data(spec, replace(cfg, s0=s0), combos, bf,
                                         y, bf.projector(y)).d0))
         assert d0s[1] < d0s[0]
+
+    @pytest.mark.parametrize("d0t, d1t", [(0.7, -0.4), (-2.0, 2.0)])
+    def test_psi_matches_the_oracle(self, machinery, pm, d0t, d1t):
+        # the body written out mode by mode on the exact basis, and d0 from
+        # the same projector
+        cfg, combos, bf, y = machinery
+        basis = build_basis(6, pm.p, pm.delta, pm.beta)
+        s0, A = cfg.s0, cfg.A
+        body = (
+            (A / s0**1.75 * d0t + combos["At0"] / s0)
+            * poly_values(basis.h_tilde[0], y)
+            + A / s0**1.5 * d1t * poly_values(basis.h_tilde[1], y)
+            + combos["At2"] / s0 * poly_values(basis.h_tilde[2], y)
+            + combos["A2"] / s0 * poly_values(basis.h[2], y)
+        )
+        chi2 = cutoff_chi(2.0 * y, s0, cfg.K)
+        proj = bf.projector(y)
+
+        def p0(field):
+            return bf.convert_Q(proj @ field)[0][0]
+
+        want = (body - 1j * p0(body * chi2) / p0(1j * chi2)) * chi2
+        got = initial_data(InitialDataSpec(d0t, d1t), cfg, combos, bf, y,
+                           proj).psi
+        assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):

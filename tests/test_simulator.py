@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import poly_values
 
 from cglblow.constants import derive_params, mu_critical
 from cglblow.profilefield import InitialDataSpec, cutoff_chi, phi, rest_Rstar
@@ -22,6 +23,7 @@ from cglblow.simulate import (
 )
 from cglblow.stepping import KERNELS, Stepper
 from cglblow.spectral import (
+    build_basis,
     hermite_f,
     powers_table,
     project_sampled,
@@ -667,8 +669,10 @@ class TestPerStepBookkeeping:
         sim = Simulator(SimConfig(params=pm, s_end=100.01))
         st = sim.run(InitialDataSpec(0.3, -0.2), stop_on_exit=False).state
         (_,), (qn,), (qtn,), (qminus,) = sim.project_q(st)
-        want = sum(qn[n] * sim.bf.eval_h(n, sim.y)
-                   + qtn[n] * sim.bf.eval_ht(n, sim.y) for n in range(7))
+        basis = build_basis(6, pm.p, pm.delta, pm.beta)
+        want = sum(qn[n] * poly_values(basis.h[n], sim.y)
+                   + qtn[n] * poly_values(basis.h_tilde[n], sim.y)
+                   for n in range(7))
         got = sim.bf.reconstruct(qn, qtn, powers_table(sim.y, 6))
         # both sums round at the size of the basis values at |y| = 88,
         # which is the size of the remainder there
@@ -1086,6 +1090,41 @@ class TestShooting:
         assert len(pools) == 1
         assert pools[0]["max_workers"] == 2
 
+    @pytest.mark.parametrize("grid_n, refine, workers, size", [
+        (2, True, 50, 5), (3, True, 12, 9), (2, False, 7, 4),
+    ])
+    def test_pool_holds_no_more_workers_than_the_largest_scan(
+            self, pm, monkeypatch, grid_n, refine, workers, size):
+        # the largest scan is grid_n**2 coarse probes, or 5 per bisection
+        # level; a fake pool records its size and runs each block here
+        from cglblow import shooting
+
+        sizes = []
+
+        class InProcess:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(initargs[0])  # without BLAS pinning
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, blocks):
+                return [fn(block) for block in blocks]
+
+        monkeypatch.setattr(shooting, "_WORKER_SIM", None)
+        cfg = small_config(pm, N=1024, s_end=100.6)
+        serial = shooting.shoot(cfg, grid_n=grid_n, refine=refine,
+                                bisect_levels=1, workers=1)
+        monkeypatch.setattr(shooting, "ProcessPoolExecutor", InProcess)
+        res = shooting.shoot(cfg, grid_n=grid_n, refine=refine,
+                             bisect_levels=1, workers=workers)
+        assert sizes == [size] and res.meta["workers"] == size
+        assert res.probes == serial.probes and res.best == serial.best
+
     def test_default_worker_count_follows_the_affinity_mask(self,
                                                             monkeypatch):
         from cglblow.shooting import worker_count
@@ -1113,7 +1152,8 @@ class TestNullModeDecayRate:
         st = sim.initial_state(spec)
         chi = cutoff_chi(2 * sim.y, cfg.s0, cfg.K)
         st.w = st.w + np.exp(1j * sim.Phi(cfg.s0, st.theta)) * 1e-4 * (
-            sim.bf.eval_ht(2, sim.y) * chi
+            poly_values(build_basis(6, pm.p, pm.delta, pm.beta).h_tilde[2],
+                        sim.y) * chi
         )
         sim.modulate(st)
         ss, qq = [], []

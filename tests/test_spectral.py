@@ -5,9 +5,11 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from conftest import poly_values
 
 from cglblow.exact import GaussComplex, Poly, is_zero
 from cglblow.spectral import (
+    BasisFloats,
     GridTooNarrow,
     apply_L,
     build_basis,
@@ -16,6 +18,7 @@ from cglblow.spectral import (
     hermite_f,
     integrate_poly,
     kernel_bands,
+    powers_table,
     project_sampled,
     rho_weight,
     semigroup_apply,
@@ -171,10 +174,10 @@ class TestProjectSampled:
     def setup_method(self):
         self.basis = build_basis(6, F(3), F(1), F(1, 2))
         self.y = np.linspace(-40, 40, 8001)
-        self.bf = self.basis.float_views()
+        self.bf = BasisFloats(self.basis)
 
     def test_consistency_with_exact(self):
-        f3 = self.bf.eval_f(3, self.y)
+        f3 = poly_values(self.basis.f[3], self.y)
         m = project_sampled(f3, self.y, self.bf)
         assert abs(m.Q[3] - 1.0) < 1e-8
         assert max(abs(m.Q[n]) for n in range(7) if n != 3) < 1e-8
@@ -184,8 +187,8 @@ class TestProjectSampled:
         m = project_sampled(g, self.y, self.bf)
         recon = np.zeros_like(g)
         for n in range(7):
-            recon += m.q[n] * self.bf.eval_h(n, self.y)
-            recon += m.q_tilde[n] * self.bf.eval_ht(n, self.y)
+            recon += m.q[n] * poly_values(self.basis.h[n], self.y)
+            recon += m.q_tilde[n] * poly_values(self.basis.h_tilde[n], self.y)
         resid = np.abs(recon + m.remainder - g)
         # roundoff scales with the high-degree basis values at the far edge
         assert np.max(resid[np.abs(self.y) <= 10]) < 1e-10
@@ -202,7 +205,9 @@ class TestProjectSampled:
         pref = 1.0 / np.sqrt(4.0 * np.pi * (1.0 + 1j * beta))
         want = []
         for n in range(7):
-            integrand = np.polymul(self.bf.f_coeffs[n][::-1], [0.3j, 0, 1])
+            integrand = np.polymul(
+                np.array(self.basis.f[n].to_complex_coeffs())[::-1],
+                [0.3j, 0, 1])
             Q = sum(
                 a * math.gamma(j / 2 + 0.5) * c ** -(j / 2 + 0.5)
                 for j, a in enumerate(integrand[::-1]) if j % 2 == 0
@@ -255,27 +260,38 @@ class TestProjectSampled:
 
 
 class TestGridProjector:
-    """The projector's band against the full trapezoid matrix."""
+    """The projector's band against the full trapezoid matrix, whose rows
+    w rho f_n / <f_n, f_n> evaluate the exact f_n by the per-mode oracle."""
 
     @pytest.fixture(scope="class", params=[
         (3, 1), (F(3, 2), F(1, 2)), (7, 4), (2, F(1, 3)),
     ], ids=lambda pd: f"p={pd[0]},delta={pd[1]}")
-    def bf(self, request):
+    def table(self, request):
         from cglblow.constants import derive_params
 
         pm = derive_params(*request.param)
-        return build_basis(6, pm.p, pm.delta, pm.beta).float_views()
+        return build_basis(6, pm.p, pm.delta, pm.beta)
+
+    @pytest.fixture(scope="class")
+    def bf(self, table):
+        return BasisFloats(table)
 
     @staticmethod
-    def full_matrix(bf, y):
-        return bf.f_rows(y, trapezoid_weights(y) * rho_weight(y, bf.beta))
+    def full_matrix(table, bf, y):
+        rows = np.array([poly_values(f, y) for f in table.f])
+        rows *= trapezoid_weights(y) * rho_weight(y, bf.beta)
+        return rows / bf.fnorm[:, None]
 
     @pytest.mark.parametrize("N", [1024, 8192, 1001])
-    def test_band_is_the_support(self, bf, N):
+    def test_band_is_the_support(self, table, bf, N):
         y = np.linspace(-88.0, 88.0, N)
-        full = self.full_matrix(bf, y)
+        full = self.full_matrix(table, bf, y)
         proj = bf.projector(y)
-        assert np.array_equal(proj.rows, full[:, proj.band])
+        assert np.array_equal(proj.powers, powers_table(y, 6))
+        # the rows are the oracle's to rounding: the product with the
+        # powers and Horner's rule each round at the row's largest entry
+        err = np.abs(proj.rows - full[:, proj.band]).max(axis=1)
+        assert np.all(err <= 4e-15 * np.abs(full).max(axis=1))
         assert proj.band.start == N - proj.band.stop
         mag = np.abs(full)
         cut = (2.0**-52 / N) * mag.max(axis=1)
@@ -287,11 +303,11 @@ class TestGridProjector:
             assert np.any(mag[:, j] > cut)
 
     @pytest.mark.parametrize("N", [1024, 8192, 1001])
-    def test_band_Q_matches_full_matrix(self, bf, N):
+    def test_band_Q_matches_full_matrix(self, table, bf, N):
         # to the rounding scale of a dot product: 1e-15 of the row's
         # absolute sum times max|q|
         y = np.linspace(-88.0, 88.0, N)
-        full = self.full_matrix(bf, y)
+        full = self.full_matrix(table, bf, y)
         proj = bf.projector(y)
         row_sum = np.abs(full).sum(axis=1)
         rng = np.random.default_rng(N)
@@ -327,7 +343,7 @@ class TestConvertQ:
         return build_basis(request.param, F(3), F(1), F(1, 2))
 
     def test_matches_back_substitution(self, table):
-        bf = table.float_views()
+        bf = BasisFloats(table)
         rng = np.random.default_rng(7)
         for _ in range(20):
             Q = rng.standard_normal(table.M + 1) + 1j * rng.standard_normal(table.M + 1)
@@ -336,7 +352,7 @@ class TestConvertQ:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_matches_exact_decompose(self, table):
-        bf = table.float_views()
+        bf = BasisFloats(table)
         rng = np.random.default_rng(8)
         for _ in range(5):
             coeffs = [gc(int(a), int(b)) for a, b in
@@ -348,7 +364,7 @@ class TestConvertQ:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_real_linear(self, table):
-        bf = table.float_views()
+        bf = BasisFloats(table)
         rng = np.random.default_rng(9)
         Q1, Q2 = rng.standard_normal((2, table.M + 1)) + 1j * rng.standard_normal(
             (2, table.M + 1))
