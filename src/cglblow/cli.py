@@ -256,13 +256,13 @@ def cmd_simulate(cfg, args) -> int:
 
     # the pair is checked before the costly set-up
     spec = InitialDataSpec(d0_tilde=args.d0_tilde, d1_tilde=args.d1_tilde)
-    sc = _sim_config(cfg)
-    res = Simulator(sc).run(spec)
+    sim = Simulator(_sim_config(cfg))
+    res = sim.run(spec)
     # simulate.csv holds every history column, then the bound flags
     h = res.history
     flags = res.report.ratios > 1.0
-    extra = {**res.config_meta, "d0_tilde": args.d0_tilde,
-             "d1_tilde": args.d1_tilde,
+    extra = {"space_order": sim.config.space_order, "mu": sim.fp.mu,
+             "d0_tilde": args.d0_tilde, "d1_tilde": args.d1_tilde,
              "modulation_failures": int(h["modulation_failed"].sum())}
     names = list(h) + [f"VA_{k}" for k in res.report.names]
     fmt = ["%d" if k == "modulation_failed" else "%.17g" for k in h]

@@ -260,21 +260,21 @@ def initial_data(
     config,
     combos: dict,
     basis_floats,
-    y: np.ndarray,
     proj: GridProjector,
 ) -> InitialData:
-    """The shooting initial field psi at the run's initial time on the grid.
+    """The shooting initial field psi at the run's initial time on the grid
+    y of ``proj``.
 
     ``spec`` is the shooting pair; the initial time s0, the cutoff radius K
     and the bound scale A are read from ``config``, the run's
     ``simulate.SimConfig``.  ``combos`` is the float map of the
     shrinking-set combination constants; ``basis_floats`` the float basis
-    views and ``proj`` their ``GridProjector`` on y (``proj @ q`` is Q; the
-    ``basis_floats.projector(y)`` that the simulator and ``project_sampled``
-    use).  The polynomial body is built from the projector alone:
+    views and ``proj`` their ``basis_floats.projector(y)`` (``proj @ q`` is
+    Q).  psi is built from the projector alone: its polynomial body is
     ``basis_floats.reconstruct`` of its coordinates (q_2 on h_2; qt_0,
-    qt_1, qt_2 on ht_0, ht_1, ht_2) on ``proj.powers``.  d0 is solved from
-    the unit projection constraint P_{0,M}(psi) = 0.
+    qt_1, qt_2 on ht_0, ht_1, ht_2) on ``proj.powers``, and its cutoff
+    reads y as the row y^1 of ``proj.powers``.  d0 is solved from the unit
+    projection constraint P_{0,M}(psi) = 0.
 
     Only the first-order slow-drift offsets are seeded; the s0^(-3/2)
     refinements are dropped.  At desk scales the degree-4 refinement terms
@@ -283,7 +283,7 @@ def initial_data(
     dropped offsets are far inside their shrinking-set bounds either way.
     """
     s0, A = config.s0, config.A
-    chi2 = cutoff_chi(2.0 * np.asarray(y), s0, config.K)
+    chi2 = cutoff_chi(2.0 * proj.powers[1], s0, config.K)
     bf = basis_floats
 
     q, qt = np.zeros(bf.M + 1), np.zeros(bf.M + 1)

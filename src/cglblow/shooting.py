@@ -117,10 +117,10 @@ def _run_probe(block) -> list:
     cfg = sim.config
     runs = sim.run_block(
         [InitialDataSpec(d0_tilde=d0, d1_tilde=d1) for d0, d1 in block],
-        stop_on_exit=True, exit_grace=0)
+        stop_on_exit=True)
     out = []
     for (d0, d1), res in zip(block, runs):
-        # without grace a run ends on its exit record, else at s_end
+        # a run ends on its exit record, else at s_end
         h = res.history
         s_star = (res.report.exit_s if res.report.exit_s is not None
                   else cfg.s_end)

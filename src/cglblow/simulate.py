@@ -40,8 +40,7 @@ products (the projector, the change of coordinates, the mode
 reconstruction) row by row, since a BLAS product can round a column
 differently at different batch widths.  So each row equals the run of its
 pair alone, bit for bit, whatever block it is stepped in.  A row retires
-at the first step from its exit on at which the block has taken more than
-``exit_grace`` steps.  Shooting probes fan out over a process pool in
+on its exit record.  Shooting probes fan out over a process pool in
 :mod:`cglblow.shooting`, one block per worker.
 """
 
@@ -110,6 +109,13 @@ class SimConfig:
                              f"support plus margin, got {self.L}")
         if self.M_track < 6 or self.M_track % 2:
             raise ValueError("M_track must be an even integer >= 6")
+        # each bound numerator A**e of ``_shrink_bounds``, e up to
+        # max(10, M_track + 2), is a finite, nonzero (normal) double: the
+        # normal doubles span e^-708.4 to e^709.8, and e log A cannot overflow
+        e = max(10, self.M_track + 2)
+        if not abs(e * math.log(self.A)) < 708.0:
+            raise ValueError(f"A = {self.A}: the shrinking-set bound "
+                             f"A**{e} is not a finite, nonzero double")
 
 
 @dataclass
@@ -156,7 +162,6 @@ class RunResult:
 
     history: dict
     report: ShrinkReport
-    config_meta: dict
     state: SimState
 
 
@@ -320,7 +325,7 @@ class Simulator:
     def initial_state(self, spec: InitialDataSpec) -> SimState:
         """The initial data of the pair ``spec``, as a one-row block."""
         s0 = self.config.s0
-        psi = initial_data(spec, self.config, self.combos, self.bf, self.y,
+        psi = initial_data(spec, self.config, self.combos, self.bf,
                            self._proj).psi
         w = np.exp(1j * self.Phi(s0, 0.0)) * (self.phi_grid(s0) + psi)
         return SimState(w=w[None], s=s0, theta=np.zeros(1),
@@ -429,13 +434,12 @@ class Simulator:
 
     # -- the run loop --------------------------------------------------------------
 
-    def run(self, spec: InitialDataSpec, stop_on_exit: bool = True,
-            exit_grace: int = 10) -> RunResult:
+    def run(self, spec: InitialDataSpec,
+            stop_on_exit: bool = True) -> RunResult:
         """Run the shooting pair ``spec``: ``run_block`` of the one pair."""
-        return self.run_block([spec], stop_on_exit, exit_grace)[0]
+        return self.run_block([spec], stop_on_exit)[0]
 
-    def run_block(self, specs, stop_on_exit: bool = True,
-                  exit_grace: int = 10) -> list:
+    def run_block(self, specs, stop_on_exit: bool = True) -> list:
         """Run the shooting pairs ``specs`` from the config's s0 to its
         s_end as the rows of one field; one RunResult per pair, in order.
 
@@ -445,10 +449,9 @@ class Simulator:
         the rows filled.  theta' is the slope of theta over the last (up to
         10) steps.  The exit is the first step past the initial record with
         a bound ratio above 1, named by its largest ratio.  With
-        ``stop_on_exit`` a run ends, and its row leaves the block, once it
-        has exited and taken more than ``exit_grace`` steps, so with
-        ``exit_grace=0`` its last record is the exit's.  The block ends
-        with its last row or at s_end.  Row j of the block is run
+        ``stop_on_exit`` a run ends, and its row leaves the block, on its
+        exit, so its last record is the exit's.  The block ends with its
+        last row or at s_end.  Row j of the block is run
         ``runs[j]``, the one index of the runs still in it; each run's last
         field is its row of one (k, N) array ``final``, set as it retires
         or at the end, and its RunResult's state holds that row.
@@ -481,7 +484,7 @@ class Simulator:
             if over.any():
                 new = runs[over.any(axis=1) & (exit_at[runs] == 0)]
                 exit_at[new] = it
-            if stop_on_exit and it > exit_grace:
+            if stop_on_exit:
                 done = exit_at[runs] > 0
                 if done.any():
                     final[runs[done]] = state.w[done]
@@ -491,7 +494,6 @@ class Simulator:
                     if not len(runs):
                         break
         final[runs] = state.w
-        meta = {"space_order": cfg.space_order, "mu": self.fp.mu}
         results = []
         for r in range(k):
             hist = dict(zip(self.columns, table[r, :filled[r]].T))
@@ -506,8 +508,7 @@ class Simulator:
             end = SimState(w=final[r:r + 1], s=float(hist["s"][-1]),
                            theta=hist["theta"][-1:].copy(),
                            no_root=hist["modulation_failed"][-1:] == 1.0)
-            results.append(RunResult(history=hist, report=report,
-                                     config_meta=dict(meta), state=end))
+            results.append(RunResult(history=hist, report=report, state=end))
         return results
 
 

@@ -55,11 +55,17 @@ from .exact import (
 
 
 class GridTooNarrow(ValueError):
-    """Sampling grid does not cover the weight's support to tolerance."""
+    """Sampling grid does not cover or resolve the weight to tolerance."""
 
 
 # largest |rho| allowed at either end of a sampling grid
 TAIL_TOL = 1e-14
+# largest entry of |P F^T - I| allowed for a grid projector P and the f_n
+# on its band F.  Over the 21 pairs of acceptance criterion 2 it is at most
+# 1.1e-11 on the grids in use (L from 40 to 102, N from 256 up), 1e-9 at
+# L = 88, N = 192, and 1.2e-2 or more at L = 88, N <= 128, where the grid
+# does not resolve the weight
+RESOLVE_TOL = 1e-8
 
 
 def rho_weight(y: np.ndarray, beta: float) -> np.ndarray:
@@ -396,7 +402,9 @@ class BasisFloats:
         share, so for any q the dropped terms of row n add up to at most
         2**-52 max_j |P_nj| max|q|, one rounding of the largest term the
         row can have.  Raises GridTooNarrow when y does not cover the
-        weight's support.
+        weight's support, or does not resolve it: when the rows P applied
+        to the f_n on the band, F, miss the identity by more than
+        ``RESOLVE_TOL`` in some entry of P F^T.
         """
         _check_grid_edge(y, self.beta)
         powers = powers_table(y, self.M)
@@ -406,7 +414,13 @@ class BasisFloats:
         mag = np.abs(rows)
         cut = (2.0**-52 / len(y)) * mag.max(axis=1, keepdims=True)
         band = _band(mag > cut)
-        return GridProjector(rows[:, band].copy(), band, powers)
+        rows, f_band = rows[:, band].copy(), self.f_table @ powers[:, band]
+        miss = np.abs(rows @ f_band.T - np.eye(self.M + 1)).max()
+        if not miss <= RESOLVE_TOL:  # a NaN fails too
+            raise GridTooNarrow(
+                f"the grid of {len(y)} points does not resolve the weight: "
+                f"|P F^T - I| = {miss:.2e} exceeds {RESOLVE_TOL:.0e}")
+        return GridProjector(rows, band, powers)
 
     def convert_Q(self, Q: np.ndarray):
         """Triangular (Q_n) -> (q_n, qt_n) change of coordinates."""
@@ -438,8 +452,8 @@ def project_sampled(
     The trapezoid rule on the grid y (``bf.projector(y)``), spectrally
     accurate for the exponentially decaying integrand; the remainder is the
     samples less ``bf.reconstruct`` on the projector's ``powers``, the
-    simulator's reconstruction.  Raises GridTooNarrow when |rho| at an end
-    of y exceeds ``TAIL_TOL``.
+    simulator's reconstruction.  Raises GridTooNarrow when y does not
+    cover or resolve the weight (``BasisFloats.projector``).
     """
     y = np.asarray(y, dtype=float)
     q_arr = np.asarray(samples, dtype=complex)

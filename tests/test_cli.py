@@ -72,7 +72,7 @@ class TestExitCodes:
         "s_end = 100.0001", "s_end = inf", "grid.N = 2",
         "A = -20", "A = 0", "K = 0.5", "s0 = 1", "grid.L = nan",
         "grid.L = inf", "p = 3/0", "delta = 1/0", "scheme = imex1",
-        "scheme = wibble",
+        "scheme = wibble", "A = 1e300", "A = 1e-300",
     ])
     def test_bad_step_config_is_2(self, tmp_path, capsys, no_mu, bad):
         path = write_cfg(tmp_path, f"{bad}\noutput.dir = {tmp_path / 'o'}\n")
@@ -166,6 +166,15 @@ class TestExitCodes:
         argv = ["shoot", "--config", path, "--workers", "1", flag, value]
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_unresolved_grid_is_2(self, tmp_path, capsys):
+        # 64 points on [-88, 88] cover the weight's support but do not
+        # resolve it; the projector is built after mu, before any output
+        path = write_cfg(tmp_path,
+                         f"grid.N = 64\noutput.dir = {tmp_path / 'o'}\n")
+        assert main(["simulate", "--config", path]) == 2
+        assert "does not resolve the weight" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("bad, message", [
@@ -294,8 +303,9 @@ class TestOutputs:
                                   s0_values=(50.0, 100.0), window=0.01, N=512)
         monkeypatch.setattr(simulate, "s0_scaling_study", small)
         out = tmp_path / "o"
+        # 64 points on [-88, 88] do not resolve the weight; 256 do
         path = write_cfg(
-            tmp_path, f"grid.N = 64\ns_end = 100.001\noutput.dir = {out}\n")
+            tmp_path, f"grid.N = 256\ns_end = 100.001\noutput.dir = {out}\n")
         assert main(["shoot", "--config", path, "--grid-n", "2",
                      "--no-refine", "--workers", "1", "--s0-study"]) == 0
         got = json.loads((out / "shoot.json").read_text())["s0_scaling"]
@@ -430,6 +440,23 @@ class TestSimulateCsv:
     def test_csv_reads_back_as_the_run(self, tmp_path, monkeypatch, extra,
                                        pair):
         self.check_csv(tmp_path, monkeypatch, extra, pair)
+
+    def test_csv_ends_on_the_exit_record(self, tmp_path, capsys):
+        # (7, 4) exits on an early step and overflows a few steps later, so
+        # the run ends on its exit record, which is the CSV's last row
+        path = write_cfg(
+            tmp_path,
+            "p = 7\ndelta = 4\ngrid.N = 1024\nds = 1e-3\ns_end = 100.05\n"
+            f"output.dir = {tmp_path / 'o'}\n",
+        )
+        assert main(["simulate", "--config", path]) == 0
+        printed = capsys.readouterr().out.split("shrinking-set exit at s = ")
+        exit_s = float(printed[1].split()[0])
+        lines = (tmp_path / "o" / "simulate.csv").read_text().splitlines()
+        names, *rows = [ln for ln in lines if not ln.startswith("#")]
+        last = dict(zip(names.split(","), rows[-1].split(",")))
+        assert float(last["s"]) == exit_s < 100.05
+        assert any(v == "1" for k, v in last.items() if k.startswith("VA_"))
 
     def test_csv_records_failed_modulation(self, tmp_path, monkeypatch):
         from cglblow.simulate import Simulator

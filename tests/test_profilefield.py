@@ -270,14 +270,14 @@ class TestInitialData:
         from cglblow.spectral import project_sampled
 
         spec = InitialDataSpec(d0_tilde=0.7, d1_tilde=-0.4)
-        data = initial_data(spec, cfg, combos, bf, y, bf.projector(y))
+        data = initial_data(spec, cfg, combos, bf, bf.projector(y))
         q0 = project_sampled(data.psi, y, bf).q[0]
         assert abs(q0) < 1e-10
 
     def test_outer_support_empty(self, machinery):
         cfg, combos, bf, y = machinery
         spec = InitialDataSpec(d0_tilde=1.0, d1_tilde=1.0)
-        data = initial_data(spec, cfg, combos, bf, y, bf.projector(y))
+        data = initial_data(spec, cfg, combos, bf, bf.projector(y))
         outside = np.abs(y) > 12.0 * 100.0**0.25
         assert np.max(np.abs(data.psi[outside])) == 0.0
 
@@ -287,14 +287,18 @@ class TestInitialData:
         d0s = []
         for s0 in (100.0, 400.0):
             d0s.append(abs(initial_data(spec, replace(cfg, s0=s0), combos, bf,
-                                        y, bf.projector(y)).d0))
+                                        bf.projector(y)).d0))
         assert d0s[1] < d0s[0]
 
-    @pytest.mark.parametrize("d0t, d1t", [(0.7, -0.4), (-2.0, 2.0)])
-    def test_psi_matches_the_oracle(self, machinery, pm, d0t, d1t):
+    @pytest.mark.parametrize("d0t, d1t, shift", [
+        (0.7, -0.4, 0.0), (-2.0, 2.0, 0.0), (0.7, -0.4, 1e-3)],
+        ids=["0.7--0.4", "-2.0-2.0", "0.7--0.4-shifted"])
+    def test_psi_matches_the_oracle(self, machinery, pm, d0t, d1t, shift):
         # the body written out mode by mode on the exact basis, and d0 from
-        # the same projector
+        # the same projector; on shifted points the body and the cutoff
+        # both follow the projector's grid
         cfg, combos, bf, y = machinery
+        y = y + shift
         basis = build_basis(6, pm.p, pm.delta, pm.beta)
         s0, A = cfg.s0, cfg.A
         body = (
@@ -311,7 +315,7 @@ class TestInitialData:
             return bf.convert_Q(proj @ field)[0][0]
 
         want = (body - 1j * p0(body * chi2) / p0(1j * chi2)) * chi2
-        got = initial_data(InitialDataSpec(d0t, d1t), cfg, combos, bf, y,
+        got = initial_data(InitialDataSpec(d0t, d1t), cfg, combos, bf,
                            proj).psi
         assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
 

@@ -23,6 +23,7 @@ from cglblow.simulate import (
 )
 from cglblow.stepping import KERNELS, Stepper
 from cglblow.spectral import (
+    GridTooNarrow,
     build_basis,
     hermite_f,
     powers_table,
@@ -259,15 +260,13 @@ class TestRunBlock:
     def sim(self, pm):
         return Simulator(small_config(pm, N=1024, s_end=100.03))
 
-    @pytest.mark.parametrize("stop_on_exit, exit_grace", [
-        (True, 10), (True, 0), (False, 10),
-    ])
-    def test_rows_equal_single_runs(self, sim, stop_on_exit, exit_grace):
+    @pytest.mark.parametrize("stop_on_exit", [True, False])
+    def test_rows_equal_single_runs(self, sim, stop_on_exit):
         specs = [InitialDataSpec(*d) for d in self.PAIRS]
-        block = sim.run_block(specs, stop_on_exit, exit_grace)
+        block = sim.run_block(specs, stop_on_exit)
         assert len(block) == len(specs)
         for spec, got in zip(specs, block):
-            want = sim.run(spec, stop_on_exit, exit_grace)
+            want = sim.run(spec, stop_on_exit)
             assert list(got.history) == list(want.history) == sim.columns
             for name in sim.columns:
                 assert np.array_equal(got.history[name], want.history[name],
@@ -281,9 +280,9 @@ class TestRunBlock:
             assert np.array_equal(got.state.theta, want.state.theta)
         lengths = [len(r.history["s"]) for r in block]
         if stop_on_exit:
-            # the exiting rows left the block before the others
-            assert lengths[0] == 1 + max(1, exit_grace + 1)
-            assert lengths[0] < lengths[1] == lengths[3] == lengths[4] == 31
+            # the exiting rows left the block on their exit records
+            assert lengths[0] == 2 and lengths[2] == 3
+            assert lengths[1] == lengths[3] == lengths[4] == 31
         else:
             assert lengths == [31] * len(specs)
         assert block[0].report.exit_s == 100.001
@@ -455,6 +454,14 @@ def test_fourth_order_needs_five_points(pm):
         Simulator(small_config(pm, N=4, space_order=4))
 
 
+@pytest.mark.parametrize("N", [16, 64, 128])
+def test_unresolved_grid_rejected(pm, N):
+    # these grids cover the weight's support on [-88, 88] but are too
+    # coarse for the projector to give back the f_n
+    with pytest.raises(GridTooNarrow, match="does not resolve"):
+        Simulator(small_config(pm, N=N))
+
+
 @pytest.mark.parametrize("name, value", [
     ("A", -20.0), ("A", 0.0), ("A", float("inf")), ("A", float("nan")),
     ("K", 0.5), ("K", float("inf")), ("s0", 1.0), ("s0", 0.5),
@@ -569,7 +576,7 @@ class TestModulation:
         cfg = small_config(pm)
         sim = Simulator(cfg)
         spec = InitialDataSpec(d0_tilde=0.3, d1_tilde=-0.2)
-        psi = initial_data(spec, cfg, sim.combos, sim.bf, sim.y,
+        psi = initial_data(spec, cfg, sim.combos, sim.bf,
                            sim.bf.projector(sim.y)).psi
         w = np.exp(1j * (sim.Phi(cfg.s0, theta_star))) * (
             sim.phi_grid(cfg.s0) + psi
@@ -774,15 +781,13 @@ class TestRunLaws:
         assert rep.ratios.shape == (len(res.history["s"]),
                                     len(sim.bound_names))
 
-    @pytest.mark.parametrize("grace, records", [(0, 2), (3, 5)])
-    def test_exit_ends_the_run_after_the_grace(self, pm, grace, records):
+    def test_exit_ends_the_run_on_its_record(self, pm):
         # with A = 1/2 the Q2 bound is below its measurement from the first
-        # step on; the run stops on the first step past the grace
+        # step on; the run stops on that step
         cfg = small_config(pm, N=512, s_end=100.01, A=0.5)
-        res = Simulator(cfg).run(InitialDataSpec(d0_tilde=0.0, d1_tilde=0.0),
-                                 exit_grace=grace)
+        res = Simulator(cfg).run(InitialDataSpec(d0_tilde=0.0, d1_tilde=0.0))
         rep, s = res.report, res.history["s"]
-        assert len(s) == records
+        assert len(s) == 2
         assert rep.exit_s == s[1]
         worst = int(np.argmax(rep.ratios[1]))
         assert rep.ratios[1, worst] > 1.0
